@@ -4,10 +4,10 @@
 //! cache — one `restrict` of the global 𝒵 per node — before scanning a
 //! single anchor. The [`IncrementalEngine`] instead shares 𝒵 across deltas
 //! (`Instance::with_graph`), rebuilds only the knowledge parts whose view
-//! domain the delta changed (two per edge toggle under ad hoc views), and
-//! drops only the anchor certificates whose footprint the delta touched.
-//! On structures with thousands of maximal sets the cache rebuild dominates
-//! the whole decision, so that refresh is the speedup.
+//! domain the delta changed (two per edge toggle under ad hoc views), then
+//! runs the same anchored search over the refreshed cache. On structures
+//! with thousands of maximal sets the cache rebuild dominates the whole
+//! decision, so that refresh is the speedup.
 //!
 //! This experiment drives both paths over the same seeded edge-toggle stream
 //! on the E6 ring+chords family and, per delta, **asserts the witnesses are
@@ -70,7 +70,6 @@ fn main() {
             "cut",
             "no cut",
             "parts rebuilt",
-            "certs dropped",
             "incremental",
             "scratch",
             "speedup",
@@ -90,9 +89,6 @@ fn main() {
 
         let reg = Registry::new();
         let mut engine = IncrementalEngine::from_instance(&inst, ViewKind::AdHoc);
-        // Warm the certificate store for both characterizations.
-        engine.decide_rmt_observed(&reg);
-        engine.decide_zpp_observed(&reg);
 
         let mut incremental = Vec::with_capacity(deltas);
         let mut scratch = Vec::with_capacity(deltas);
@@ -152,7 +148,6 @@ fn main() {
             cuts.to_string(),
             no_cuts.to_string(),
             reg.counter("cache.invalidate.parts").get().to_string(),
-            reg.counter("cache.invalidate.certs").get().to_string(),
             fmt_duration(med_inc),
             fmt_duration(med_scr),
             format!("{speedup:.1}×"),

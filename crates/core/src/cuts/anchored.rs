@@ -18,7 +18,7 @@
 //!    of `S`'s receiver-side region whose neighbourhood contains `S`
 //!    visits every candidate exactly once, with no cross-anchor
 //!    deduplication ([`rmt_graph::separators::scan_anchor`]). The anchors
-//!    are independent, which is what the rmt-par twins parallelize over.
+//!    are independent, so they can be scanned on several threads.
 //! 3. **Everything is allocation-light.** Component extraction is masked
 //!    BFS (no graph clones) and the [`KnowledgeCache`] memoizes
 //!    `V(γ(B))` per component bitset.
@@ -29,18 +29,32 @@
 //! and the exhaustive deciders remain the differential ground truth (see
 //! `crates/core/tests/anchored_differential.rs`).
 //!
+//! One private driver runs both questions for every entry point — plain,
+//! `_with` budget, `_observed`, `_par` and the
+//! [`IncrementalEngine`](crate::engine::IncrementalEngine): it enumerates
+//! the anchors, scans them through [`rmt_par::search_min`] (a plain
+//! `find_map` at one worker), takes the least-index outcome and applies the
+//! exhaustive fallback. So every entry point returns the same witness and
+//! records the same counters at any thread count; only one-worker searches
+//! add the knowledge-cache memo pair.
+//!
 //! Witnesses may differ from the exhaustive deciders' (the search order
 //! differs), but they are always genuine: every returned witness verifies
 //! via [`is_rmt_cut`](super::is_rmt_cut) / [`is_zpp_cut`](super::is_zpp_cut).
 
-use rmt_graph::separators::{cut_anchors, scan_anchor, AnchorScan, CutAnchor};
+use std::sync::Mutex;
+
+use rmt_graph::separators::{cut_anchors, scan_anchor, AnchorScan};
 use rmt_obs::{Counter, Registry};
+use rmt_par::search_min;
+use rmt_sets::NodeSet;
 
 use crate::instance::Instance;
 use crate::knowledge::KnowledgeCache;
 
-use super::rmt_cut::{admissible_partition, find_rmt_cut, find_rmt_cut_observed, RmtCutWitness};
-use super::zpp::{zpp_admissible_partition, zpp_cut_by_enumeration, ZppCutWitness};
+use super::par::{find_rmt_cut_par, find_rmt_cut_par_observed, zpp_cut_by_enumeration_par};
+use super::rmt_cut::{admissible_partition, RmtCutWitness};
+use super::zpp::{zpp_admissible_partition, ZppCutWitness};
 
 /// Budgets bounding the anchored search. Exceeding either one triggers the
 /// exact exhaustive fallback (counted as `*.exhaustive_fallbacks`), so the
@@ -62,106 +76,278 @@ impl Default for AnchorBudget {
     }
 }
 
-/// How scanning one anchor ended, when it did not simply run dry: either a
-/// witness was found or the component budget overflowed (→ exhaustive
-/// fallback). `None` from the scan helpers means "anchor exhausted, keep
-/// going" — exactly the shape [`rmt_par::search_min`] wants, which is how
-/// the sequential scan and the parallel twins stay witness-identical.
-#[derive(Clone, Debug)]
-pub(crate) enum AnchorOutcome<W> {
+/// Who scans the anchors.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Workers {
+    /// The calling thread, in anchor order. Only this mode records the
+    /// `rmt_cut.cache_hits` / `rmt_cut.cache_misses` pair: under concurrency
+    /// its values would depend on worker interleaving.
+    One,
+    /// Up to this many threads. Every recorded value is independent of the
+    /// thread count.
+    Upto(usize),
+}
+
+/// How scanning one anchor ended, when it did not simply run dry (`None`).
+enum AnchorOutcome<W> {
     /// A witness was found at this anchor.
     Witness(W),
     /// The per-anchor component budget ran out.
     Overflow,
 }
 
-/// The anchor list for an instance's D–R cut search. Endpoint adjacency
-/// must be ruled out by the caller (no cut exists then).
-pub(crate) fn instance_anchors(
-    inst: &Instance,
-    budget: &AnchorBudget,
-) -> Result<Vec<CutAnchor>, rmt_graph::separators::SeparatorBudgetExceeded> {
-    cut_anchors(
-        inst.graph(),
-        inst.dealer(),
-        inst.receiver(),
-        budget.max_separators,
-    )
+/// The span, timer and counter names one question records under.
+struct Names {
+    span: &'static str,
+    timer: &'static str,
+    anchors_span: &'static str,
+    scan_span: &'static str,
+    separators: &'static str,
+    components: &'static str,
+    checks: &'static str,
+    fallbacks: &'static str,
 }
 
-/// Scans one anchor for an RMT-cut witness; returns the outcome and the
-/// number of connected subsets emitted (for the `components_enumerated`
-/// counter).
-pub(crate) fn scan_rmt_anchor(
+/// What the driver needs from one of the two anchored questions.
+trait Question: Sync {
+    type Witness: Send;
+    const NAMES: Names;
+    fn instance(&self) -> &Instance;
+    /// The witness if `cut = N(b)` admits a partition for receiver
+    /// component `b`.
+    fn admissible(
+        &self,
+        cut: &NodeSet,
+        b: &NodeSet,
+        checks: Option<&Counter>,
+    ) -> Option<Self::Witness>;
+    /// The exhaustive decider a budget overflow falls back to.
+    fn exhaustive(&self, threads: usize, reg: Option<&Registry>) -> Option<Self::Witness>;
+    /// The knowledge cache whose memo statistics a one-worker observed search
+    /// reports, with the two counter names (hits, misses).
+    fn memo(&self) -> Option<(&KnowledgeCache, [&'static str; 2])> {
+        None
+    }
+}
+
+/// "Is there an RMT-cut?" (Definition 3).
+struct Rmt<'a> {
+    inst: &'a Instance,
+    cache: &'a KnowledgeCache,
+}
+
+impl Question for Rmt<'_> {
+    type Witness = RmtCutWitness;
+    const NAMES: Names = Names {
+        span: "rmt_cut.anchored",
+        timer: "rmt_cut.anchored_ns",
+        anchors_span: "rmt_cut.anchored.anchors",
+        scan_span: "rmt_cut.anchored.scan",
+        separators: "rmt_cut.separators_enumerated",
+        components: "rmt_cut.components_enumerated",
+        checks: "rmt_cut.partition_checks",
+        fallbacks: "rmt_cut.exhaustive_fallbacks",
+    };
+
+    fn instance(&self) -> &Instance {
+        self.inst
+    }
+
+    fn admissible(
+        &self,
+        cut: &NodeSet,
+        b: &NodeSet,
+        checks: Option<&Counter>,
+    ) -> Option<RmtCutWitness> {
+        admissible_partition(self.inst, self.cache, cut, b, checks).map(|(c1, c2)| RmtCutWitness {
+            cut: cut.clone(),
+            c1,
+            c2,
+            receiver_component: b.clone(),
+        })
+    }
+
+    fn exhaustive(&self, threads: usize, reg: Option<&Registry>) -> Option<RmtCutWitness> {
+        match reg {
+            Some(reg) => find_rmt_cut_par_observed(self.inst, reg, threads),
+            None => find_rmt_cut_par(self.inst, threads),
+        }
+    }
+
+    fn memo(&self) -> Option<(&KnowledgeCache, [&'static str; 2])> {
+        Some((self.cache, ["rmt_cut.cache_hits", "rmt_cut.cache_misses"]))
+    }
+}
+
+/// "Is there a 𝒵-pp cut?" (Definition 7).
+struct Zpp<'a> {
+    inst: &'a Instance,
+}
+
+impl Question for Zpp<'_> {
+    type Witness = ZppCutWitness;
+    const NAMES: Names = Names {
+        span: "zpp.anchored",
+        timer: "zpp.anchored_ns",
+        anchors_span: "zpp.anchored.anchors",
+        scan_span: "zpp.anchored.scan",
+        separators: "zpp.separators_enumerated",
+        components: "zpp.components_enumerated",
+        checks: "zpp.plausibility_checks",
+        fallbacks: "zpp.exhaustive_fallbacks",
+    };
+
+    fn instance(&self) -> &Instance {
+        self.inst
+    }
+
+    fn admissible(
+        &self,
+        cut: &NodeSet,
+        b: &NodeSet,
+        checks: Option<&Counter>,
+    ) -> Option<ZppCutWitness> {
+        zpp_admissible_partition(self.inst, cut, b, checks).map(|(c1, c2)| ZppCutWitness {
+            cut: cut.clone(),
+            c1,
+            c2,
+        })
+    }
+
+    /// The exhaustive 𝒵-pp enumeration records nothing, observed or not.
+    fn exhaustive(&self, threads: usize, _reg: Option<&Registry>) -> Option<ZppCutWitness> {
+        zpp_cut_by_enumeration_par(self.inst, threads)
+    }
+}
+
+/// The anchored search behind every entry point of this module and the
+/// incremental engine.
+///
+/// Observed counters are derived from the least-index outcome: per-anchor
+/// effort is recorded into shards, and only the shards of the anchors the
+/// one-worker scan visits (`0..=winner`, or all of them) are summed. Spans
+/// open before the fan-out and close after the join, so the recorded values
+/// and span positions do not depend on the thread count.
+fn anchored_search<Q: Question>(
+    q: &Q,
+    budget: &AnchorBudget,
+    workers: Workers,
+    reg: Option<&Registry>,
+) -> Option<Q::Witness> {
+    let names = &Q::NAMES;
+    let _span = reg.and_then(|reg| reg.phase(names.span));
+    let _timer = reg.map(|reg| reg.timer(names.timer));
+    let inst = q.instance();
+    if inst.graph().has_edge(inst.dealer(), inst.receiver()) {
+        return None;
+    }
+    let threads = match workers {
+        Workers::One => 1,
+        Workers::Upto(threads) => threads,
+    };
+    let fallback = || {
+        if let Some(reg) = reg {
+            reg.counter(names.fallbacks).inc();
+        }
+        q.exhaustive(threads, reg)
+    };
+    let anchors = {
+        let _span = reg.and_then(|reg| reg.phase(names.anchors_span));
+        cut_anchors(
+            inst.graph(),
+            inst.dealer(),
+            inst.receiver(),
+            budget.max_separators,
+        )
+    };
+    let Ok(anchors) = anchors else {
+        return fallback();
+    };
+    let _scan = reg.and_then(|reg| reg.phase(names.scan_span));
+    // Per-call memo delta: the incremental engine's cache lives across calls.
+    let memo = q
+        .memo()
+        .map(|(cache, counters)| (cache, counters, cache.memo_hits(), cache.memo_misses()));
+    // (anchor index, components emitted, partition checks) shards.
+    let shards: Mutex<Vec<(u64, u64, u64)>> = Mutex::new(Vec::new());
+    let found = search_min(anchors.len() as u64, threads, 1, |idx| {
+        let checks = reg.map(|_| Counter::new());
+        let mut found = None;
+        let stats = scan_anchor(
+            inst.graph(),
+            &anchors[idx as usize],
+            inst.receiver(),
+            budget.max_components_per_anchor,
+            |b, cut| {
+                found = q.admissible(cut, b, checks.as_ref());
+                found.is_none()
+            },
+        );
+        if let Some(checks) = checks {
+            let shard = (idx, stats.emitted, checks.get());
+            shards.lock().expect("shard lock").push(shard);
+        }
+        match stats.outcome {
+            AnchorScan::Exhausted => None,
+            AnchorScan::Stopped => found.map(AnchorOutcome::Witness),
+            AnchorScan::BudgetExceeded => Some(AnchorOutcome::Overflow),
+        }
+    });
+    if let Some(reg) = reg {
+        let winner = found.as_ref().map(|(idx, _)| *idx);
+        let (components, checks) = shards
+            .into_inner()
+            .expect("shard lock")
+            .into_iter()
+            .filter(|(idx, _, _)| winner.is_none_or(|w| *idx <= w))
+            .fold((0, 0), |(e, c), (_, emitted, checks)| {
+                (e + emitted, c + checks)
+            });
+        reg.counter(names.separators)
+            .add(winner.map_or(anchors.len() as u64, |w| w + 1));
+        reg.counter(names.components).add(components);
+        reg.counter(names.checks).add(checks);
+        if let (Workers::One, Some((cache, [hits, misses], hits0, misses0))) = (workers, memo) {
+            reg.counter(hits).add(cache.memo_hits() - hits0);
+            reg.counter(misses).add(cache.memo_misses() - misses0);
+        }
+    }
+    match found {
+        Some((_, AnchorOutcome::Witness(w))) => Some(w),
+        Some((_, AnchorOutcome::Overflow)) => fallback(),
+        None => None,
+    }
+}
+
+/// The anchored RMT-cut search over a caller-held cache.
+pub(crate) fn rmt_search(
     inst: &Instance,
     cache: &KnowledgeCache,
-    anchor: &CutAnchor,
     budget: &AnchorBudget,
-    partition_checks: Option<&Counter>,
-) -> (Option<AnchorOutcome<RmtCutWitness>>, u64) {
-    let mut found = None;
-    let stats = scan_anchor(
-        inst.graph(),
-        anchor,
-        inst.receiver(),
-        budget.max_components_per_anchor,
-        |b, cut| match admissible_partition(inst, cache, cut, b, partition_checks) {
-            Some((c1, c2)) => {
-                found = Some(RmtCutWitness {
-                    cut: cut.clone(),
-                    c1,
-                    c2,
-                    receiver_component: b.clone(),
-                });
-                false
-            }
-            None => true,
-        },
-    );
-    let outcome = match stats.outcome {
-        AnchorScan::Exhausted => None,
-        AnchorScan::Stopped => Some(AnchorOutcome::Witness(
-            found.expect("scan stops only on a witness"),
-        )),
-        AnchorScan::BudgetExceeded => Some(AnchorOutcome::Overflow),
-    };
-    (outcome, stats.emitted)
+    workers: Workers,
+    reg: Option<&Registry>,
+) -> Option<RmtCutWitness> {
+    anchored_search(&Rmt { inst, cache }, budget, workers, reg)
 }
 
-/// Scans one anchor for a 𝒵-pp-cut witness; same contract as
-/// [`scan_rmt_anchor`].
-pub(crate) fn scan_zpp_anchor(
+/// [`rmt_search`] over a cache built for this call.
+fn rmt_search_fresh(
     inst: &Instance,
-    anchor: &CutAnchor,
     budget: &AnchorBudget,
-    plausibility_checks: Option<&Counter>,
-) -> (Option<AnchorOutcome<ZppCutWitness>>, u64) {
-    let mut found = None;
-    let stats = scan_anchor(
-        inst.graph(),
-        anchor,
-        inst.receiver(),
-        budget.max_components_per_anchor,
-        |b, cut| match zpp_admissible_partition(inst, cut, b, plausibility_checks) {
-            Some((c1, c2)) => {
-                found = Some(ZppCutWitness {
-                    cut: cut.clone(),
-                    c1,
-                    c2,
-                });
-                false
-            }
-            None => true,
-        },
-    );
-    let outcome = match stats.outcome {
-        AnchorScan::Exhausted => None,
-        AnchorScan::Stopped => Some(AnchorOutcome::Witness(
-            found.expect("scan stops only on a witness"),
-        )),
-        AnchorScan::BudgetExceeded => Some(AnchorOutcome::Overflow),
-    };
-    (outcome, stats.emitted)
+    workers: Workers,
+    reg: Option<&Registry>,
+) -> Option<RmtCutWitness> {
+    rmt_search(inst, &KnowledgeCache::new(inst), budget, workers, reg)
+}
+
+/// The anchored 𝒵-pp-cut search.
+pub(crate) fn zpp_search(
+    inst: &Instance,
+    budget: &AnchorBudget,
+    workers: Workers,
+    reg: Option<&Registry>,
+) -> Option<ZppCutWitness> {
+    anchored_search(&Zpp { inst }, budget, workers, reg)
 }
 
 /// Separator-anchored RMT-cut search with the default [`AnchorBudget`]:
@@ -187,22 +373,7 @@ pub fn find_rmt_cut_anchored(inst: &Instance) -> Option<RmtCutWitness> {
 /// [`find_rmt_cut_anchored`] with an explicit budget (tests use tiny
 /// budgets to exercise the exhaustive fallback).
 pub fn find_rmt_cut_anchored_with(inst: &Instance, budget: &AnchorBudget) -> Option<RmtCutWitness> {
-    if inst.graph().has_edge(inst.dealer(), inst.receiver()) {
-        return None;
-    }
-    let anchors = match instance_anchors(inst, budget) {
-        Ok(anchors) => anchors,
-        Err(_) => return find_rmt_cut(inst),
-    };
-    let cache = KnowledgeCache::new(inst);
-    for anchor in &anchors {
-        match scan_rmt_anchor(inst, &cache, anchor, budget, None).0 {
-            Some(AnchorOutcome::Witness(w)) => return Some(w),
-            Some(AnchorOutcome::Overflow) => return find_rmt_cut(inst),
-            None => {}
-        }
-    }
-    None
+    rmt_search_fresh(inst, budget, Workers::One, None)
 }
 
 /// [`find_rmt_cut_anchored`] with the search effort recorded in `reg`:
@@ -212,71 +383,45 @@ pub fn find_rmt_cut_anchored_with(inst: &Instance, budget: &AnchorBudget) -> Opt
 ///   the anchor scans;
 /// * `rmt_cut.partition_checks` — `(C₁, C₂)` partitions tested against 𝒵_B
 ///   (same name and meaning as the exhaustive decider's);
-/// * `rmt_cut.cache_hits` / `rmt_cut.cache_misses` — the
-///   [`KnowledgeCache`] joint-domain memo's effectiveness;
+/// * `rmt_cut.cache_hits` / `rmt_cut.cache_misses` — lookups in the
+///   [`KnowledgeCache`] joint-domain memo during this call;
 /// * `rmt_cut.exhaustive_fallbacks` — budget overflows that re-ran the
 ///   exhaustive decider;
 /// * `rmt_cut.anchored_ns` — wall time of the whole search (histogram).
 ///
-/// The cache hit/miss counters are recorded by this sequential variant
-/// only: under the parallel twin their values would depend on worker
-/// interleaving, and the parallel observed deciders guarantee
-/// thread-count-deterministic counters.
+/// The cache hit/miss pair is recorded by one-worker searches only (this
+/// function and
+/// [`IncrementalEngine::decide_rmt_observed`](crate::engine::IncrementalEngine::decide_rmt_observed)):
+/// under [`find_rmt_cut_anchored_par_observed`] its values would depend on
+/// worker interleaving, and that decider guarantees thread-count-independent
+/// counters.
 pub fn find_rmt_cut_anchored_observed(inst: &Instance, reg: &Registry) -> Option<RmtCutWitness> {
-    find_rmt_cut_anchored_observed_with(inst, reg, &AnchorBudget::default())
+    rmt_search_fresh(inst, &AnchorBudget::default(), Workers::One, Some(reg))
 }
 
-/// [`find_rmt_cut_anchored_observed`] with an explicit budget.
-pub fn find_rmt_cut_anchored_observed_with(
+/// [`find_rmt_cut_anchored`] with the anchors scanned on up to `threads` OS
+/// threads sharing one read-only [`KnowledgeCache`]. The anchors partition
+/// the candidate space, so workers never duplicate work, and the witness
+/// comes from the least anchor index with an outcome: the same witness for
+/// every thread count.
+pub fn find_rmt_cut_anchored_par(inst: &Instance, threads: usize) -> Option<RmtCutWitness> {
+    rmt_search_fresh(inst, &AnchorBudget::default(), Workers::Upto(threads), None)
+}
+
+/// [`find_rmt_cut_anchored_par`] recording the counters, spans and timer of
+/// [`find_rmt_cut_anchored_observed`] with the same values, except the
+/// cache hit/miss pair, which it does not record.
+pub fn find_rmt_cut_anchored_par_observed(
     inst: &Instance,
     reg: &Registry,
-    budget: &AnchorBudget,
+    threads: usize,
 ) -> Option<RmtCutWitness> {
-    let _phase = reg.phase("rmt_cut.anchored");
-    let _timer = reg.timer("rmt_cut.anchored_ns");
-    if inst.graph().has_edge(inst.dealer(), inst.receiver()) {
-        return None;
-    }
-    let anchors = {
-        let _p = reg.phase("rmt_cut.anchored.anchors");
-        instance_anchors(inst, budget)
-    };
-    let anchors = match anchors {
-        Ok(anchors) => anchors,
-        Err(_) => {
-            reg.counter("rmt_cut.exhaustive_fallbacks").inc();
-            return find_rmt_cut_observed(inst, reg);
-        }
-    };
-    let _scan = reg.phase("rmt_cut.anchored.scan");
-    let separators_enumerated = reg.counter("rmt_cut.separators_enumerated");
-    let components_enumerated = reg.counter("rmt_cut.components_enumerated");
-    let partition_checks = reg.counter("rmt_cut.partition_checks");
-    let cache = KnowledgeCache::new(inst);
-    let record_cache = |cache: &KnowledgeCache| {
-        reg.counter("rmt_cut.cache_hits").add(cache.memo_hits());
-        reg.counter("rmt_cut.cache_misses").add(cache.memo_misses());
-    };
-    for anchor in &anchors {
-        separators_enumerated.inc();
-        let (outcome, emitted) =
-            scan_rmt_anchor(inst, &cache, anchor, budget, Some(&partition_checks));
-        components_enumerated.add(emitted);
-        match outcome {
-            Some(AnchorOutcome::Witness(w)) => {
-                record_cache(&cache);
-                return Some(w);
-            }
-            Some(AnchorOutcome::Overflow) => {
-                record_cache(&cache);
-                reg.counter("rmt_cut.exhaustive_fallbacks").inc();
-                return find_rmt_cut_observed(inst, reg);
-            }
-            None => {}
-        }
-    }
-    record_cache(&cache);
-    None
+    rmt_search_fresh(
+        inst,
+        &AnchorBudget::default(),
+        Workers::Upto(threads),
+        Some(reg),
+    )
 }
 
 /// Separator-anchored 𝒵-pp-cut search with the default [`AnchorBudget`]:
@@ -290,21 +435,7 @@ pub fn zpp_cut_by_enumeration_anchored_with(
     inst: &Instance,
     budget: &AnchorBudget,
 ) -> Option<ZppCutWitness> {
-    if inst.graph().has_edge(inst.dealer(), inst.receiver()) {
-        return None;
-    }
-    let anchors = match instance_anchors(inst, budget) {
-        Ok(anchors) => anchors,
-        Err(_) => return zpp_cut_by_enumeration(inst),
-    };
-    for anchor in &anchors {
-        match scan_zpp_anchor(inst, anchor, budget, None).0 {
-            Some(AnchorOutcome::Witness(w)) => return Some(w),
-            Some(AnchorOutcome::Overflow) => return zpp_cut_by_enumeration(inst),
-            None => {}
-        }
-    }
-    None
+    zpp_search(inst, budget, Workers::One, None)
 }
 
 /// [`zpp_cut_by_enumeration_anchored`] with the search effort recorded in
@@ -315,47 +446,22 @@ pub fn zpp_cut_by_enumeration_anchored_observed(
     inst: &Instance,
     reg: &Registry,
 ) -> Option<ZppCutWitness> {
-    let _phase = reg.phase("zpp.anchored");
-    let _timer = reg.timer("zpp.anchored_ns");
-    if inst.graph().has_edge(inst.dealer(), inst.receiver()) {
-        return None;
-    }
-    let budget = AnchorBudget::default();
-    let anchors = {
-        let _p = reg.phase("zpp.anchored.anchors");
-        instance_anchors(inst, &budget)
-    };
-    let anchors = match anchors {
-        Ok(anchors) => anchors,
-        Err(_) => {
-            reg.counter("zpp.exhaustive_fallbacks").inc();
-            return zpp_cut_by_enumeration(inst);
-        }
-    };
-    let _scan = reg.phase("zpp.anchored.scan");
-    let separators_enumerated = reg.counter("zpp.separators_enumerated");
-    let components_enumerated = reg.counter("zpp.components_enumerated");
-    let plausibility_checks = reg.counter("zpp.plausibility_checks");
-    for anchor in &anchors {
-        separators_enumerated.inc();
-        let (outcome, emitted) = scan_zpp_anchor(inst, anchor, &budget, Some(&plausibility_checks));
-        components_enumerated.add(emitted);
-        match outcome {
-            Some(AnchorOutcome::Witness(w)) => return Some(w),
-            Some(AnchorOutcome::Overflow) => {
-                reg.counter("zpp.exhaustive_fallbacks").inc();
-                return zpp_cut_by_enumeration(inst);
-            }
-            None => {}
-        }
-    }
-    None
+    zpp_search(inst, &AnchorBudget::default(), Workers::One, Some(reg))
+}
+
+/// [`zpp_cut_by_enumeration_anchored`] with the anchors scanned on up to
+/// `threads` OS threads; same witness for every thread count.
+pub fn zpp_cut_by_enumeration_anchored_par(
+    inst: &Instance,
+    threads: usize,
+) -> Option<ZppCutWitness> {
+    zpp_search(inst, &AnchorBudget::default(), Workers::Upto(threads), None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cuts::{is_rmt_cut, is_zpp_cut};
+    use crate::cuts::{find_rmt_cut, is_rmt_cut, is_zpp_cut, zpp_cut_by_enumeration};
     use crate::sampling::{random_instance, random_instance_nonadjacent};
     use rmt_adversary::AdversaryStructure;
     use rmt_graph::{generators, Graph, ViewKind};
@@ -498,6 +604,56 @@ mod tests {
         find_rmt_cut_anchored_observed(&inst, &reg2);
         assert_eq!(prof.events(), prof2.events());
         assert_eq!(reg.render(), reg2.render());
+    }
+
+    #[test]
+    fn anchored_parallel_twins_match_sequential() {
+        let mut rng = generators::seeded(0xA12);
+        for trial in 0..12usize {
+            let n = 5 + trial % 3;
+            let inst = crate::sampling::random_instance_nonadjacent(
+                n,
+                0.35,
+                ViewKind::AdHoc,
+                3,
+                2,
+                &mut rng,
+            );
+            let seq_rmt = crate::cuts::find_rmt_cut_anchored(&inst);
+            let seq_zpp = crate::cuts::zpp_cut_by_enumeration_anchored(&inst);
+            for threads in [1, 2, 8] {
+                assert_eq!(
+                    seq_rmt,
+                    find_rmt_cut_anchored_par(&inst, threads),
+                    "trial {trial}, {threads} threads"
+                );
+                assert_eq!(
+                    seq_zpp,
+                    zpp_cut_by_enumeration_anchored_par(&inst, threads),
+                    "trial {trial}, {threads} threads"
+                );
+            }
+            let (reg_seq, reg_par) = (Registry::new(), Registry::new());
+            assert_eq!(
+                crate::cuts::find_rmt_cut_anchored_observed(&inst, &reg_seq),
+                find_rmt_cut_anchored_par_observed(&inst, &reg_par, 4),
+                "trial {trial}"
+            );
+            // Same deterministic counters as the sequential variant — the
+            // cache hit/miss pair is sequential-only by design.
+            for name in [
+                "rmt_cut.separators_enumerated",
+                "rmt_cut.components_enumerated",
+                "rmt_cut.partition_checks",
+                "rmt_cut.exhaustive_fallbacks",
+            ] {
+                assert_eq!(
+                    reg_seq.counter(name).get(),
+                    reg_par.counter(name).get(),
+                    "trial {trial}: {name}"
+                );
+            }
+        }
     }
 
     #[test]

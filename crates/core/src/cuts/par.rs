@@ -1,5 +1,7 @@
-//! Parallel twins of the cut deciders, differentially tested against the
-//! sequential originals.
+//! Parallel twins of the exhaustive and fixpoint cut deciders,
+//! differentially tested against the sequential originals. (The anchored
+//! deciders take a thread count through their own driver, in
+//! [`anchored`](super::anchored).)
 //!
 //! Every decider here is **bit-identical** to its sequential counterpart for
 //! any thread count (including the `None` cases):
@@ -33,9 +35,6 @@ use rmt_sets::NodeSet;
 use crate::instance::Instance;
 use crate::knowledge::KnowledgeCache;
 
-use super::anchored::{
-    instance_anchors, scan_rmt_anchor, scan_zpp_anchor, AnchorBudget, AnchorOutcome,
-};
 use super::rmt_cut::{is_rmt_cut, is_rmt_cut_counted, RmtCutWitness};
 use super::zpp::{
     is_zpp_cut, witness_from_failed_corruption, zcpa_fixpoint, zcpa_fixpoint_observed,
@@ -109,127 +108,6 @@ pub fn find_rmt_cut_par_observed(
             .sum(),
     );
     found.map(|(_, w)| w)
-}
-
-/// Parallel
-/// [`find_rmt_cut_anchored`](super::find_rmt_cut_anchored): the separator
-/// anchors are scanned concurrently (they partition the candidate space, so
-/// workers never duplicate work) and the witness comes from the least anchor
-/// index with an outcome — exactly the sequential anchored scan's. A budget
-/// overflow at the least outcome index triggers the same exhaustive
-/// fallback, so the verdict stays exact and thread-count-independent.
-pub fn find_rmt_cut_anchored_par(inst: &Instance, threads: usize) -> Option<RmtCutWitness> {
-    let budget = AnchorBudget::default();
-    if inst.graph().has_edge(inst.dealer(), inst.receiver()) {
-        return None;
-    }
-    let anchors = match instance_anchors(inst, &budget) {
-        Ok(anchors) => anchors,
-        Err(_) => return find_rmt_cut_par(inst, threads),
-    };
-    let cache = KnowledgeCache::new(inst);
-    let found = search_min(anchors.len() as u64, threads, 1, |idx| {
-        scan_rmt_anchor(inst, &cache, &anchors[idx as usize], &budget, None).0
-    });
-    match found {
-        Some((_, AnchorOutcome::Witness(w))) => Some(w),
-        Some((_, AnchorOutcome::Overflow)) => find_rmt_cut_par(inst, threads),
-        None => None,
-    }
-}
-
-/// [`find_rmt_cut_anchored_par`] with the search effort recorded in `reg`,
-/// under the metric names of
-/// [`find_rmt_cut_anchored_observed`](super::find_rmt_cut_anchored_observed)
-/// and with the same deterministic values — except the wall-time histograms
-/// and the `rmt_cut.cache_hits`/`rmt_cut.cache_misses` pair, which only the
-/// sequential variant reports (under concurrency those depend on worker
-/// interleaving, and the observed counters here are guaranteed identical
-/// for every thread count).
-pub fn find_rmt_cut_anchored_par_observed(
-    inst: &Instance,
-    reg: &Registry,
-    threads: usize,
-) -> Option<RmtCutWitness> {
-    let _phase = reg.phase("rmt_cut.anchored");
-    let _timer = reg.timer("rmt_cut.anchored_ns");
-    let budget = AnchorBudget::default();
-    if inst.graph().has_edge(inst.dealer(), inst.receiver()) {
-        return None;
-    }
-    let anchors = match instance_anchors(inst, &budget) {
-        Ok(anchors) => anchors,
-        Err(_) => {
-            reg.counter("rmt_cut.exhaustive_fallbacks").inc();
-            return find_rmt_cut_par_observed(inst, reg, threads);
-        }
-    };
-    let cache = KnowledgeCache::new(inst);
-    // (index, components emitted, partition checks) shards.
-    let shards: Mutex<Vec<(u64, u64, u64)>> = Mutex::new(Vec::new());
-    let found = search_min(anchors.len() as u64, threads, 1, |idx| {
-        let checks = Counter::new();
-        let (outcome, emitted) =
-            scan_rmt_anchor(inst, &cache, &anchors[idx as usize], &budget, Some(&checks));
-        shards
-            .lock()
-            .expect("shard lock")
-            .push((idx, emitted, checks.get()));
-        outcome
-    });
-    let winner = found.as_ref().map(|(idx, _)| *idx);
-    reg.counter("rmt_cut.separators_enumerated")
-        .add(winner.map_or(anchors.len() as u64, |w| w + 1));
-    let (components_enumerated, partition_checks) = reg_totals(shards, winner);
-    reg.counter("rmt_cut.components_enumerated")
-        .add(components_enumerated);
-    reg.counter("rmt_cut.partition_checks")
-        .add(partition_checks);
-    match found {
-        Some((_, AnchorOutcome::Witness(w))) => Some(w),
-        Some((_, AnchorOutcome::Overflow)) => {
-            reg.counter("rmt_cut.exhaustive_fallbacks").inc();
-            find_rmt_cut_par_observed(inst, reg, threads)
-        }
-        None => None,
-    }
-}
-
-/// Sums the per-anchor shards the sequential scan would have visited.
-fn reg_totals(shards: Mutex<Vec<(u64, u64, u64)>>, winner: Option<u64>) -> (u64, u64) {
-    shards
-        .into_inner()
-        .expect("shard lock")
-        .into_iter()
-        .filter(|(idx, _, _)| winner.is_none_or(|w| *idx <= w))
-        .fold((0, 0), |(e, c), (_, emitted, checks)| {
-            (e + emitted, c + checks)
-        })
-}
-
-/// Parallel
-/// [`zpp_cut_by_enumeration_anchored`](super::zpp_cut_by_enumeration_anchored):
-/// same anchor-index semantics as [`find_rmt_cut_anchored_par`].
-pub fn zpp_cut_by_enumeration_anchored_par(
-    inst: &Instance,
-    threads: usize,
-) -> Option<ZppCutWitness> {
-    let budget = AnchorBudget::default();
-    if inst.graph().has_edge(inst.dealer(), inst.receiver()) {
-        return None;
-    }
-    let anchors = match instance_anchors(inst, &budget) {
-        Ok(anchors) => anchors,
-        Err(_) => return zpp_cut_by_enumeration_par(inst, threads),
-    };
-    let found = search_min(anchors.len() as u64, threads, 1, |idx| {
-        scan_zpp_anchor(inst, &anchors[idx as usize], &budget, None).0
-    });
-    match found {
-        Some((_, AnchorOutcome::Witness(w))) => Some(w),
-        Some((_, AnchorOutcome::Overflow)) => zpp_cut_by_enumeration_par(inst, threads),
-        None => None,
-    }
 }
 
 /// Parallel [`zpp_cut_by_enumeration`](super::zpp_cut_by_enumeration): same
@@ -384,56 +262,6 @@ mod tests {
                 "zpp.corruption_sets_checked",
                 "zcpa.sweeps",
                 "zcpa.certification_checks",
-            ] {
-                assert_eq!(
-                    reg_seq.counter(name).get(),
-                    reg_par.counter(name).get(),
-                    "trial {trial}: {name}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn anchored_parallel_twins_match_sequential() {
-        let mut rng = generators::seeded(0xA12);
-        for trial in 0..12usize {
-            let n = 5 + trial % 3;
-            let inst = crate::sampling::random_instance_nonadjacent(
-                n,
-                0.35,
-                ViewKind::AdHoc,
-                3,
-                2,
-                &mut rng,
-            );
-            let seq_rmt = crate::cuts::find_rmt_cut_anchored(&inst);
-            let seq_zpp = crate::cuts::zpp_cut_by_enumeration_anchored(&inst);
-            for threads in [1, 2, 8] {
-                assert_eq!(
-                    seq_rmt,
-                    find_rmt_cut_anchored_par(&inst, threads),
-                    "trial {trial}, {threads} threads"
-                );
-                assert_eq!(
-                    seq_zpp,
-                    zpp_cut_by_enumeration_anchored_par(&inst, threads),
-                    "trial {trial}, {threads} threads"
-                );
-            }
-            let (reg_seq, reg_par) = (Registry::new(), Registry::new());
-            assert_eq!(
-                crate::cuts::find_rmt_cut_anchored_observed(&inst, &reg_seq),
-                find_rmt_cut_anchored_par_observed(&inst, &reg_par, 4),
-                "trial {trial}"
-            );
-            // Same deterministic counters as the sequential variant — the
-            // cache hit/miss pair is sequential-only by design.
-            for name in [
-                "rmt_cut.separators_enumerated",
-                "rmt_cut.components_enumerated",
-                "rmt_cut.partition_checks",
-                "rmt_cut.exhaustive_fallbacks",
             ] {
                 assert_eq!(
                     reg_seq.counter(name).get(),

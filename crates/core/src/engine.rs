@@ -2,60 +2,40 @@
 //!
 //! A production deployment does not decide one frozen instance — links come
 //! and go, nodes join, the adversary model gets re-estimated. Re-deciding
-//! from scratch after every mutation pays the full anchored search again
-//! even when the delta cannot possibly change the verdict's evidence.
-//! [`IncrementalEngine`] keeps, per separator anchor, a *certificate* of the
-//! last scan outcome together with the **footprint** the scan depended on,
-//! and on each [`Delta`] invalidates only the certificates whose footprint
-//! the delta touches.
+//! from scratch after every mutation rebuilds the whole [`KnowledgeCache`]:
+//! one restriction of the global 𝒵 per node, which dominates the decision
+//! on structures with thousands of maximal sets. [`IncrementalEngine`] is an
+//! [`Instance`] plus a cache it keeps fresh: each [`Delta`] shares 𝒵 with
+//! the previous instance ([`Instance::with_graph`]) and rebuilds only the
+//! knowledge parts whose view domain changed
+//! ([`KnowledgeCache::refresh`]; structure changes rebuild everything).
 //!
-//! # Why the footprint rule is sound
-//!
-//! The outcome of scanning one anchor `(S, region)` (see
-//! [`cuts::anchored`](crate::cuts::anchored)) is a pure function of:
-//!
-//! * the adjacency of `S ∪ region` — the connected-subset enumeration walks
-//!   neighbours of region nodes, and every candidate cut is `N(B)` for some
-//!   `B ⊆ region`;
-//! * the per-node knowledge of region nodes — both partition checks
-//!   ([`admissible_partition`](crate::cuts::rmt_cut) and its 𝒵-pp twin)
-//!   consult only `𝒵_b` resp. local structures for `b ⊆ region`;
-//! * the global structure 𝒵, the receiver, and the budget.
-//!
-//! So the certificate footprint `S ∪ region ∪ N(S ∪ region)` (taken at scan
-//! time) covers everything but 𝒵: an edge delta `{u, v}` disjoint from it
-//! cannot alter adjacency *inside* the scan (any edge changing a region
-//! node's neighbourhood has an endpoint in the region), and a view-domain
-//! change at a node outside the region cannot alter any `𝒵_b`. Footprints
-//! cannot silently go stale either: extending `N(region)` requires an edge
-//! at a region node, which invalidates the certificate first. Structure
-//! changes invalidate everything ([`KnowledgeCache::rebuild`]).
-//!
-//! Decisions replay the sequential anchored deciders' control flow anchor
-//! by anchor (fresh anchor enumeration, first witness in anchor order,
-//! identical overflow and budget fallbacks) against the refreshed
-//! [`KnowledgeCache`], so [`IncrementalEngine::decide_rmt`] /
-//! [`IncrementalEngine::decide_zpp`] return **byte-identical** witnesses to
+//! Decisions run the same anchored driver as the from-scratch deciders,
+//! fed the engine's cache and budget, so
+//! [`IncrementalEngine::decide_rmt`] / [`IncrementalEngine::decide_zpp`]
+//! return **byte-identical** witnesses to
 //! [`find_rmt_cut_anchored`](crate::cuts::find_rmt_cut_anchored) /
 //! [`zpp_cut_by_enumeration_anchored`](crate::cuts::zpp_cut_by_enumeration_anchored)
-//! on the mutated instance — the from-scratch deciders remain the
+//! on the mutated instance, and the `_observed` forms record the same
+//! `rmt_cut.*` / `zpp.*` counters. The from-scratch deciders remain the
 //! differential ground truth (`crates/core/tests/incremental_differential.rs`,
 //! and E17 asserts the identity per delta).
-
-use std::collections::HashMap;
+//!
+//! The engine once also kept per-anchor scan certificates guarded by a
+//! graph footprint. They were removed because they almost never hit: 0 hits
+//! against 168 misses on E17's edge-churn stream, and a hit ratio of 0.0013
+//! over a 20 s run of the benchmark's `churn` workload. Every edge toggle
+//! touches the footprint of nearly every anchor, so the knowledge refresh is
+//! the whole speedup.
 
 use rmt_adversary::AdversaryStructure;
-use rmt_graph::separators::CutAnchor;
-use rmt_graph::traversal::neighborhood;
 use rmt_graph::{Graph, ViewKind};
 use rmt_obs::Registry;
-use rmt_sets::{NodeId, NodeSet};
+use rmt_sets::NodeId;
 
-use crate::cuts::anchored::{
-    instance_anchors, scan_rmt_anchor, scan_zpp_anchor, AnchorBudget, AnchorOutcome,
-};
-use crate::cuts::rmt_cut::{find_rmt_cut, RmtCutWitness};
-use crate::cuts::zpp::{zpp_cut_by_enumeration, ZppCutWitness};
+use crate::cuts::anchored::{rmt_search, zpp_search, AnchorBudget, Workers};
+use crate::cuts::rmt_cut::RmtCutWitness;
+use crate::cuts::zpp::ZppCutWitness;
 use crate::instance::{Instance, InstanceError};
 use crate::knowledge::KnowledgeCache;
 
@@ -79,27 +59,12 @@ pub struct ApplyStats {
     pub parts_rebuilt: u64,
     /// Joint-domain memo entries dropped by the cache refresh.
     pub domains_dropped: u64,
-    /// Anchor certificates (RMT and 𝒵-pp combined) dropped because their
-    /// footprint touched the delta.
-    pub certs_dropped: u64,
     /// `true` iff the delta forced a full rebuild (structure change).
     pub full_rebuild: bool,
 }
 
-/// A cached per-anchor scan outcome plus the state it depends on.
-#[derive(Clone, Debug)]
-struct Cert<W> {
-    /// `None` = anchor exhausted without witness or overflow.
-    outcome: Option<AnchorOutcome<W>>,
-    /// `S ∪ region ∪ N(S ∪ region)` at scan time.
-    footprint: NodeSet,
-}
-
-type CertKey = (NodeSet, NodeSet); // (separator, region)
-
-/// An [`Instance`] plus the cached state needed to re-decide cheaply after
-/// mutations: a refreshable [`KnowledgeCache`] and per-anchor scan
-/// certificates keyed `(separator, region)`.
+/// An [`Instance`] plus a [`KnowledgeCache`] refreshed after every mutation,
+/// so that re-deciding skips the full knowledge rebuild.
 ///
 /// # Example
 ///
@@ -119,13 +84,12 @@ type CertKey = (NodeSet, NodeSet); // (separator, region)
 ///     cuts::find_rmt_cut_anchored(engine.instance())
 /// );
 /// ```
+#[derive(Debug)]
 pub struct IncrementalEngine {
     inst: Instance,
     views: ViewKind,
     budget: AnchorBudget,
     cache: KnowledgeCache,
-    rmt_certs: HashMap<CertKey, Cert<RmtCutWitness>>,
-    zpp_certs: HashMap<CertKey, Cert<ZppCutWitness>>,
 }
 
 impl IncrementalEngine {
@@ -150,17 +114,12 @@ impl IncrementalEngine {
             inst: inst.clone(),
             views,
             budget: AnchorBudget::default(),
-            rmt_certs: HashMap::new(),
-            zpp_certs: HashMap::new(),
         }
     }
 
-    /// Replaces the anchor budget (dropping all certificates, which were
-    /// scanned under the old one).
+    /// Replaces the anchor budget.
     pub fn with_budget(mut self, budget: AnchorBudget) -> Self {
         self.budget = budget;
-        self.rmt_certs.clear();
-        self.zpp_certs.clear();
         self
     }
 
@@ -169,13 +128,8 @@ impl IncrementalEngine {
         &self.inst
     }
 
-    /// Live anchor certificates: `(rmt, zpp)` counts.
-    pub fn cert_counts(&self) -> (usize, usize) {
-        (self.rmt_certs.len(), self.zpp_certs.len())
-    }
-
-    /// Applies one mutation, invalidating only the cached knowledge and
-    /// certificates whose footprint the delta touches.
+    /// Applies one mutation, rebuilding only the cached knowledge the delta
+    /// touches.
     ///
     /// # Errors
     ///
@@ -188,9 +142,8 @@ impl IncrementalEngine {
 
     /// [`IncrementalEngine::apply`] with the invalidation recorded in `reg`:
     /// `cache.invalidate.parts`, `cache.invalidate.domains`,
-    /// `cache.invalidate.certs`, `cache.invalidate.full`. All values are
-    /// pure functions of the delta stream, so they are deterministic across
-    /// runs and thread counts.
+    /// `cache.invalidate.full`. All values are pure functions of the delta
+    /// stream, so they are deterministic across runs and thread counts.
     pub fn apply_observed(
         &mut self,
         delta: Delta,
@@ -205,25 +158,20 @@ impl IncrementalEngine {
         reg: Option<&Registry>,
     ) -> Result<ApplyStats, InstanceError> {
         let mut graph = self.inst.graph().clone();
-        let mut endpoints = NodeSet::new();
         let mut new_structure = None;
         match delta {
             Delta::AddEdge(u, v) => {
                 graph.add_edge(u, v);
-                endpoints.insert(u);
-                endpoints.insert(v);
             }
             Delta::RemoveEdge(u, v) => {
                 graph.remove_edge(u, v);
-                endpoints.insert(u);
-                endpoints.insert(v);
             }
             Delta::AddNode(v) => {
                 graph.add_node(v);
             }
             Delta::StructureChange(z) => new_structure = Some(z),
         }
-        let structure_changed = new_structure.is_some();
+        let full_rebuild = new_structure.is_some();
         self.inst = match new_structure {
             Some(z) => Instance::new(
                 graph,
@@ -236,206 +184,72 @@ impl IncrementalEngine {
             // it — the dominant apply cost on large structures.
             None => self.inst.with_graph(graph, self.views)?,
         };
-
-        let mut stats = ApplyStats::default();
-        if structure_changed {
-            let cache = self.cache.rebuild(&self.inst);
-            stats.parts_rebuilt = cache.parts_rebuilt;
-            stats.domains_dropped = cache.domains_dropped;
-            stats.certs_dropped = (self.rmt_certs.len() + self.zpp_certs.len()) as u64;
-            stats.full_rebuild = true;
-            self.rmt_certs.clear();
-            self.zpp_certs.clear();
+        let cache = if full_rebuild {
+            self.cache.rebuild(&self.inst)
         } else {
-            let (changed, cache) = self.cache.refresh(&self.inst);
-            stats.parts_rebuilt = cache.parts_rebuilt;
-            stats.domains_dropped = cache.domains_dropped;
-            // Touched = delta endpoints (adjacency changed there even when
-            // no view domain did, e.g. under Full views) ∪ changed-domain
-            // nodes.
-            let mut touched = endpoints;
-            touched.union_with(&changed);
-            if !touched.is_empty() {
-                let before = self.rmt_certs.len() + self.zpp_certs.len();
-                self.rmt_certs
-                    .retain(|_, cert| cert.footprint.is_disjoint(&touched));
-                self.zpp_certs
-                    .retain(|_, cert| cert.footprint.is_disjoint(&touched));
-                stats.certs_dropped = (before - self.rmt_certs.len() - self.zpp_certs.len()) as u64;
-            }
-        }
+            self.cache.refresh(&self.inst).1
+        };
+        let stats = ApplyStats {
+            parts_rebuilt: cache.parts_rebuilt,
+            domains_dropped: cache.domains_dropped,
+            full_rebuild,
+        };
         if let Some(reg) = reg {
             reg.counter("cache.invalidate.parts")
                 .add(stats.parts_rebuilt);
             reg.counter("cache.invalidate.domains")
                 .add(stats.domains_dropped);
-            reg.counter("cache.invalidate.certs")
-                .add(stats.certs_dropped);
             reg.counter("cache.invalidate.full")
                 .add(stats.full_rebuild as u64);
         }
         Ok(stats)
     }
 
-    /// Decides the RMT-cut question on the current instance, re-scanning
-    /// only anchors without a live certificate. Byte-identical to
+    /// Decides the RMT-cut question on the current instance over the
+    /// refreshed cache. Byte-identical to
     /// [`find_rmt_cut_anchored`](crate::cuts::find_rmt_cut_anchored).
     pub fn decide_rmt(&mut self) -> Option<RmtCutWitness> {
-        self.decide_rmt_inner(None)
+        rmt_search(&self.inst, &self.cache, &self.budget, Workers::One, None)
     }
 
-    /// [`IncrementalEngine::decide_rmt`] with certificate reuse recorded in
-    /// `reg` as `cache.cert_hits` / `cache.cert_misses`.
+    /// [`IncrementalEngine::decide_rmt`] recording the counters and spans of
+    /// [`find_rmt_cut_anchored_observed`](crate::cuts::find_rmt_cut_anchored_observed)
+    /// in `reg`; `rmt_cut.cache_hits` / `rmt_cut.cache_misses` count this
+    /// call's lookups in the engine's long-lived memo.
     pub fn decide_rmt_observed(&mut self, reg: &Registry) -> Option<RmtCutWitness> {
-        self.decide_rmt_inner(Some(reg))
+        rmt_search(
+            &self.inst,
+            &self.cache,
+            &self.budget,
+            Workers::One,
+            Some(reg),
+        )
     }
 
-    fn decide_rmt_inner(&mut self, reg: Option<&Registry>) -> Option<RmtCutWitness> {
-        if self
-            .inst
-            .graph()
-            .has_edge(self.inst.dealer(), self.inst.receiver())
-        {
-            return None;
-        }
-        let anchors = match instance_anchors(&self.inst, &self.budget) {
-            Ok(anchors) => anchors,
-            Err(_) => return find_rmt_cut(&self.inst),
-        };
-        let mut reuse = CertReuse::default();
-        let mut verdict = None;
-        for anchor in &anchors {
-            let key = (anchor.separator.clone(), anchor.region.clone());
-            let cert = match self.rmt_certs.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    reuse.hits += 1;
-                    e.into_mut()
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    reuse.misses += 1;
-                    let (outcome, _emitted) =
-                        scan_rmt_anchor(&self.inst, &self.cache, anchor, &self.budget, None);
-                    e.insert(Cert {
-                        outcome,
-                        footprint: anchor_footprint(self.inst.graph(), anchor),
-                    })
-                }
-            };
-            match &cert.outcome {
-                Some(AnchorOutcome::Witness(w)) => {
-                    verdict = Some(Some(w.clone()));
-                    break;
-                }
-                Some(AnchorOutcome::Overflow) => {
-                    verdict = Some(find_rmt_cut(&self.inst));
-                    break;
-                }
-                None => {}
-            }
-        }
-        reuse.record(reg);
-        verdict.unwrap_or(None)
-    }
-
-    /// Decides the 𝒵-pp-cut question on the current instance, re-scanning
-    /// only anchors without a live certificate. Byte-identical to
+    /// Decides the 𝒵-pp-cut question on the current instance. Byte-identical
+    /// to
     /// [`zpp_cut_by_enumeration_anchored`](crate::cuts::zpp_cut_by_enumeration_anchored).
     pub fn decide_zpp(&mut self) -> Option<ZppCutWitness> {
-        self.decide_zpp_inner(None)
+        zpp_search(&self.inst, &self.budget, Workers::One, None)
     }
 
-    /// [`IncrementalEngine::decide_zpp`] with certificate reuse recorded in
-    /// `reg` as `cache.cert_hits` / `cache.cert_misses`.
+    /// [`IncrementalEngine::decide_zpp`] recording the counters and spans of
+    /// [`zpp_cut_by_enumeration_anchored_observed`](crate::cuts::zpp_cut_by_enumeration_anchored_observed)
+    /// in `reg`.
     pub fn decide_zpp_observed(&mut self, reg: &Registry) -> Option<ZppCutWitness> {
-        self.decide_zpp_inner(Some(reg))
+        zpp_search(&self.inst, &self.budget, Workers::One, Some(reg))
     }
-
-    fn decide_zpp_inner(&mut self, reg: Option<&Registry>) -> Option<ZppCutWitness> {
-        if self
-            .inst
-            .graph()
-            .has_edge(self.inst.dealer(), self.inst.receiver())
-        {
-            return None;
-        }
-        let anchors = match instance_anchors(&self.inst, &self.budget) {
-            Ok(anchors) => anchors,
-            Err(_) => return zpp_cut_by_enumeration(&self.inst),
-        };
-        let mut reuse = CertReuse::default();
-        let mut verdict = None;
-        for anchor in &anchors {
-            let key = (anchor.separator.clone(), anchor.region.clone());
-            let cert = match self.zpp_certs.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    reuse.hits += 1;
-                    e.into_mut()
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    reuse.misses += 1;
-                    let (outcome, _emitted) =
-                        scan_zpp_anchor(&self.inst, anchor, &self.budget, None);
-                    e.insert(Cert {
-                        outcome,
-                        footprint: anchor_footprint(self.inst.graph(), anchor),
-                    })
-                }
-            };
-            match &cert.outcome {
-                Some(AnchorOutcome::Witness(w)) => {
-                    verdict = Some(Some(w.clone()));
-                    break;
-                }
-                Some(AnchorOutcome::Overflow) => {
-                    verdict = Some(zpp_cut_by_enumeration(&self.inst));
-                    break;
-                }
-                None => {}
-            }
-        }
-        reuse.record(reg);
-        verdict.unwrap_or(None)
-    }
-}
-
-impl std::fmt::Debug for IncrementalEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IncrementalEngine")
-            .field("instance", &self.inst)
-            .field("rmt_certs", &self.rmt_certs.len())
-            .field("zpp_certs", &self.zpp_certs.len())
-            .finish()
-    }
-}
-
-#[derive(Default)]
-struct CertReuse {
-    hits: u64,
-    misses: u64,
-}
-
-impl CertReuse {
-    fn record(&self, reg: Option<&Registry>) {
-        if let Some(reg) = reg {
-            reg.counter("cache.cert_hits").add(self.hits);
-            reg.counter("cache.cert_misses").add(self.misses);
-        }
-    }
-}
-
-/// Everything a `(S, region)` anchor scan reads from the graph:
-/// `S ∪ region ∪ N(S ∪ region)`.
-fn anchor_footprint(g: &Graph, anchor: &CutAnchor) -> NodeSet {
-    let mut fp = anchor.separator.union(&anchor.region);
-    fp.union_with(&neighborhood(g, &fp));
-    fp
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cuts::{find_rmt_cut_anchored, zpp_cut_by_enumeration_anchored};
+    use crate::cuts::{
+        find_rmt_cut_anchored, find_rmt_cut_anchored_observed, zpp_cut_by_enumeration_anchored,
+        zpp_cut_by_enumeration_anchored_observed,
+    };
     use rmt_graph::generators;
+    use rmt_sets::NodeSet;
 
     fn engine_and_mirror() -> (IncrementalEngine, Instance) {
         let g = generators::ring_with_chords(10, 2, &mut generators::seeded(0xE17));
@@ -478,32 +292,16 @@ mod tests {
     }
 
     #[test]
-    fn untouched_certificates_survive_a_far_away_delta() {
-        let (mut engine, _) = engine_and_mirror();
-        engine.decide_rmt();
-        engine.decide_zpp();
-        let (rmt, zpp) = engine.cert_counts();
-        assert!(rmt > 0);
-        // Mutate an edge; only footprint-touching certificates may drop.
-        let stats = engine.apply(Delta::RemoveEdge(7.into(), 8.into())).unwrap();
-        assert!(!stats.full_rebuild);
-        let (rmt2, zpp2) = engine.cert_counts();
-        assert_eq!(rmt + zpp - rmt2 - zpp2, stats.certs_dropped as usize);
-        // And the next decision is still exact.
-        assert_eq!(
-            engine.decide_rmt(),
-            find_rmt_cut_anchored(engine.instance())
-        );
-    }
-
-    #[test]
     fn structure_change_invalidates_everything() {
         let (mut engine, inst) = engine_and_mirror();
         engine.decide_rmt();
         let z1 = rmt_adversary::threshold(inst.graph().nodes(), 1);
         let stats = engine.apply(Delta::StructureChange(z1)).unwrap();
         assert!(stats.full_rebuild);
-        assert_eq!(engine.cert_counts(), (0, 0));
+        assert_eq!(
+            stats.parts_rebuilt,
+            engine.instance().graph().nodes().len() as u64
+        );
         assert_eq!(
             engine.decide_rmt(),
             find_rmt_cut_anchored(engine.instance())
@@ -528,23 +326,76 @@ mod tests {
     fn observed_apply_and_decide_record_counters() {
         let (mut engine, _) = engine_and_mirror();
         let reg = Registry::new();
-        engine.decide_rmt_observed(&reg);
-        assert!(reg.counter("cache.cert_misses").get() > 0);
-        // Re-deciding an unchanged instance reuses every certificate.
-        let misses = reg.counter("cache.cert_misses").get();
-        engine.decide_rmt_observed(&reg);
-        assert!(reg.counter("cache.cert_hits").get() > 0);
-        assert_eq!(reg.counter("cache.cert_misses").get(), misses);
         engine
             .apply_observed(Delta::AddEdge(2.into(), 6.into()), &reg)
             .unwrap();
         assert!(reg.counter("cache.invalidate.parts").get() > 0);
-        engine.decide_rmt_observed(&reg);
-        // Plain and observed twins agree.
+        let observed = engine.decide_rmt_observed(&reg);
+        assert!(reg.counter("rmt_cut.separators_enumerated").get() > 0);
+        // Plain and observed forms agree.
         let (mut twin, _) = engine_and_mirror();
-        let twin_reg = Registry::new();
-        twin.decide_rmt();
         twin.apply(Delta::AddEdge(2.into(), 6.into())).unwrap();
-        assert_eq!(twin.decide_rmt(), engine.decide_rmt_observed(&twin_reg));
+        assert_eq!(twin.decide_rmt(), observed);
+    }
+
+    #[test]
+    fn memo_counters_are_a_per_call_delta() {
+        let lookups = |reg: &Registry| {
+            reg.counter("rmt_cut.cache_hits").get() + reg.counter("rmt_cut.cache_misses").get()
+        };
+        let (mut once, _) = engine_and_mirror();
+        let one = Registry::new();
+        once.decide_rmt_observed(&one);
+        assert!(lookups(&one) > 0);
+
+        let (mut twice, _) = engine_and_mirror();
+        let two = Registry::new();
+        twice.decide_rmt_observed(&two);
+        twice.decide_rmt_observed(&two);
+        assert_eq!(lookups(&two), 2 * lookups(&one));
+        // The memo outlives the call: the repeat is answered from it.
+        assert_eq!(
+            two.counter("rmt_cut.cache_misses").get(),
+            one.counter("rmt_cut.cache_misses").get()
+        );
+    }
+
+    #[test]
+    fn observed_decisions_count_like_the_from_scratch_deciders() {
+        let (mut engine, _) = engine_and_mirror();
+        let deltas = [
+            Delta::AddEdge(1.into(), 4.into()),
+            Delta::RemoveEdge(0.into(), 1.into()),
+            Delta::AddEdge(2.into(), 7.into()),
+        ];
+        for (i, delta) in deltas.into_iter().enumerate() {
+            engine.apply(delta).unwrap();
+            let (inc, scratch) = (Registry::new(), Registry::new());
+            assert_eq!(
+                engine.decide_rmt_observed(&inc),
+                find_rmt_cut_anchored_observed(engine.instance(), &scratch)
+            );
+            assert_eq!(
+                engine.decide_zpp_observed(&inc),
+                zpp_cut_by_enumeration_anchored_observed(engine.instance(), &scratch)
+            );
+            for name in [
+                "rmt_cut.separators_enumerated",
+                "rmt_cut.components_enumerated",
+                "rmt_cut.partition_checks",
+                "rmt_cut.exhaustive_fallbacks",
+                "zpp.separators_enumerated",
+                "zpp.components_enumerated",
+                "zpp.plausibility_checks",
+                "zpp.exhaustive_fallbacks",
+            ] {
+                assert_eq!(
+                    inc.counter(name).get(),
+                    scratch.counter(name).get(),
+                    "delta {i}: {name}"
+                );
+            }
+            assert!(inc.counter("zpp.separators_enumerated").get() > 0);
+        }
     }
 }

@@ -11,9 +11,12 @@
 //! [`KnowledgeCache::joint_contains`]) consults the memo first. The memo is
 //! semantics-neutral shared state behind an `RwLock` — concurrent readers
 //! never block each other after warm-up — and its effectiveness is reported
-//! through [`KnowledgeCache::memo_hits`] / [`KnowledgeCache::memo_misses`],
-//! which the sequential `_observed` deciders surface as
-//! `rmt_cut.cache_hits` / `rmt_cut.cache_misses` counters.
+//! through [`KnowledgeCache::memo_hits`] / [`KnowledgeCache::memo_misses`].
+//! One-worker observed anchored searches surface the per-call change of
+//! these totals as the `rmt_cut.cache_hits` / `rmt_cut.cache_misses`
+//! counters; a delta, because the
+//! [`IncrementalEngine`](crate::engine::IncrementalEngine) keeps one cache
+//! (refreshed per mutation, see [`KnowledgeCache::refresh`]) across calls.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
