@@ -18,11 +18,17 @@
 //! batching (one trail serves every payload slot), front-coding (sibling
 //! trails share long prefixes), and varints (small ids cost one byte).
 //!
-//! [`expand`](SessionFrame::expand) losslessly recovers the per-message
+//! [`pack`](SessionFrame::pack) and [`expand`](SessionFrame::expand) are
+//! the reference semantics: `expand` losslessly recovers the per-message
 //! [`PkaPayload`] representation, so the safety arguments and the coupled
 //! run attacks of the per-message protocol transfer unchanged — the
 //! differential gate (`tests/differential.rs`) and the proptest round-trip
-//! suite (`tests/codec_props.rs`) enforce exactly that.
+//! suite (`tests/codec_props.rs`) enforce exactly that. Honest nodes never
+//! take that detour on received frames: a relay forwards in frame form
+//! ([`relay`](SessionFrame::relay) rewrites the trail table and copies each
+//! entry once, pinned byte for byte to pack-of-expand by
+//! `tests/codec_props.rs`), and the receiver reads messages in place
+//! through the borrowed iterator whose owning form `expand` is.
 //!
 //! [`Values`]: SessionEntry::Values
 //! [`Knowledge`]: SessionEntry::Knowledge
@@ -71,6 +77,65 @@ pub enum SessionEntry {
     },
 }
 
+impl SessionEntry {
+    /// The entry's index into the trail table.
+    fn trail(&self) -> u32 {
+        match self {
+            SessionEntry::Values { trail, .. } | SessionEntry::Knowledge { trail, .. } => *trail,
+        }
+    }
+}
+
+/// One logical message of a frame, borrowed in place: a [`PkaPayload`]
+/// without the copies.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Message<'a> {
+    /// A type-1 dealer-value message.
+    Value { value: Value, trail: &'a [NodeId] },
+    /// A type-2 knowledge message.
+    Knowledge {
+        node: NodeId,
+        view: &'a Graph,
+        structure: &'a AdversaryStructure,
+        trail: &'a [NodeId],
+    },
+}
+
+impl Message<'_> {
+    /// The message's propagation trail.
+    pub(crate) fn trail(&self) -> &[NodeId] {
+        match self {
+            Message::Value { trail, .. } | Message::Knowledge { trail, .. } => trail,
+        }
+    }
+
+    fn to_payload(self) -> PkaPayload {
+        match self {
+            Message::Value { value, trail } => PkaPayload::DealerValue {
+                value,
+                trail: trail.to_vec(),
+            },
+            Message::Knowledge {
+                node,
+                view,
+                structure,
+                trail,
+            } => PkaPayload::Knowledge {
+                node,
+                view: view.clone(),
+                structure: structure.clone(),
+                trail: trail.to_vec(),
+            },
+        }
+    }
+}
+
+/// Trail validation of a logical message, identical to the per-message
+/// protocol: `tail(trail) = from` and `me ∉ trail`.
+pub(crate) fn valid_arrival(trail: &[NodeId], from: NodeId, me: NodeId) -> bool {
+    trail.last() == Some(&from) && !trail.contains(&me)
+}
+
 /// Everything one node sends one neighbour in one round.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SessionFrame {
@@ -117,26 +182,7 @@ impl SessionFrame {
             };
             match payload {
                 PkaPayload::DealerValue { value, .. } => {
-                    // Extend the previous run when the slot is consecutive
-                    // and the trail identical.
-                    if let Some(SessionEntry::Values {
-                        trail,
-                        first_slot,
-                        values,
-                    }) = frame.entries.last_mut()
-                    {
-                        if *trail == trail_id
-                            && *first_slot as u64 + values.len() as u64 == u64::from(*slot)
-                        {
-                            values.push(*value);
-                            continue;
-                        }
-                    }
-                    frame.entries.push(SessionEntry::Values {
-                        trail: trail_id,
-                        first_slot: *slot,
-                        values: vec![*value],
-                    });
+                    frame.push_values(trail_id, *slot, std::slice::from_ref(value));
                 }
                 PkaPayload::Knowledge {
                     node,
@@ -156,6 +202,80 @@ impl SessionFrame {
         frame
     }
 
+    /// Appends a nonempty value run, extending the previous entry when it
+    /// is a run over the same trail ending right before `first_slot`.
+    fn push_values(&mut self, trail_id: u32, first_slot: u32, run: &[Value]) {
+        if let Some(SessionEntry::Values {
+            trail,
+            first_slot: prev_first,
+            values,
+        }) = self.entries.last_mut()
+        {
+            if *trail == trail_id
+                && u64::from(*prev_first) + values.len() as u64 == u64::from(first_slot)
+            {
+                values.extend_from_slice(run);
+                return;
+            }
+        }
+        self.entries.push(SessionEntry::Values {
+            trail: trail_id,
+            first_slot,
+            values: run.to_vec(),
+        });
+    }
+
+    /// Fails on the first entry whose trail index is outside the table.
+    fn check_trail_indices(&self) -> Result<(), String> {
+        match self
+            .entries
+            .iter()
+            .map(SessionEntry::trail)
+            .find(|&t| t as usize >= self.trails.len())
+        {
+            Some(t) => Err(format!("entry references missing trail {t}")),
+            None => Ok(()),
+        }
+    }
+
+    /// The frame's logical `(slot, message)`s, borrowed in place and in
+    /// entry order — the order [`expand`](Self::expand) defines.
+    pub(crate) fn messages(&self) -> Result<impl Iterator<Item = (u32, Message<'_>)>, String> {
+        self.check_trail_indices()?;
+        Ok(self.entries.iter().flat_map(move |entry| {
+            let trail = self.trails[entry.trail() as usize].as_slice();
+            let count = match entry {
+                SessionEntry::Values { values, .. } => values.len(),
+                SessionEntry::Knowledge { .. } => 1,
+            };
+            (0..count).map(move |i| match entry {
+                SessionEntry::Values {
+                    first_slot, values, ..
+                } => (
+                    first_slot + i as u32,
+                    Message::Value {
+                        value: values[i],
+                        trail,
+                    },
+                ),
+                SessionEntry::Knowledge {
+                    node,
+                    view,
+                    structure,
+                    ..
+                } => (
+                    0,
+                    Message::Knowledge {
+                        node: *node,
+                        view,
+                        structure,
+                        trail,
+                    },
+                ),
+            })
+        }))
+    }
+
     /// Expands the frame back to per-message `(slot, payload)` logical
     /// messages, in entry order — the exact multiset (and order) the
     /// per-message protocol would have put on this link. `Knowledge`
@@ -165,51 +285,81 @@ impl SessionFrame {
     /// (impossible for decoded frames — the decoder validates indices — but
     /// hand-built frames are checked rather than trusted).
     pub fn expand(&self) -> Result<Vec<(u32, PkaPayload)>, String> {
-        let mut out = Vec::new();
-        for entry in &self.entries {
-            match entry {
-                SessionEntry::Values {
-                    trail,
-                    first_slot,
-                    values,
-                } => {
-                    let trail = self
-                        .trails
-                        .get(*trail as usize)
-                        .ok_or_else(|| format!("entry references missing trail {trail}"))?;
-                    for (i, value) in values.iter().enumerate() {
-                        out.push((
-                            first_slot + i as u32,
-                            PkaPayload::DealerValue {
-                                value: *value,
-                                trail: trail.clone(),
-                            },
-                        ));
-                    }
+        Ok(self
+            .messages()?
+            .map(|(slot, message)| (slot, message.to_payload()))
+            .collect())
+    }
+
+    /// One relay round in frame form: every valid message of `inbox`
+    /// (`(sender, frame)` pairs, in delivery order) forwarded with `me`
+    /// appended to its trail, batched into one frame. A frame with an entry
+    /// referencing a missing trail is dropped whole and counted in
+    /// `invalid`.
+    ///
+    /// The result equals [`pack`](Self::pack) of the
+    /// [`expand`](Self::expand)ed messages that pass the per-message
+    /// protocol's trail check (`tail = sender`, `me ∉ trail`), each with `me`
+    /// appended — but it is computed on the trail tables: validity depends
+    /// only on the trail, so it is tested once per trail; `trail ‖ me` is
+    /// interned across the whole inbox on first reference; empty value runs
+    /// (no message, so never interned by `pack`) are skipped; and each kept
+    /// entry is copied once, a value run still coalescing with the previous
+    /// output entry under `pack`'s rule.
+    pub fn relay<'a>(
+        me: NodeId,
+        inbox: impl IntoIterator<Item = (NodeId, &'a SessionFrame)>,
+        invalid: &mut u64,
+    ) -> SessionFrame {
+        let mut out = SessionFrame::new();
+        // Output trail ids, keyed by the incoming trail (`trail ‖ me` is
+        // injective in `trail`).
+        let mut interned: HashMap<&'a [NodeId], u32> = HashMap::new();
+        for (from, frame) in inbox {
+            if frame.check_trail_indices().is_err() {
+                *invalid += 1;
+                continue;
+            }
+            // Per incoming trail: `None` until first referenced, then
+            // `Some(None)` if it fails the trail check, else its output id.
+            let mut fate: Vec<Option<Option<u32>>> = vec![None; frame.trails.len()];
+            for entry in &frame.entries {
+                if matches!(entry, SessionEntry::Values { values, .. } if values.is_empty()) {
+                    continue;
                 }
-                SessionEntry::Knowledge {
-                    node,
-                    view,
-                    structure,
-                    trail,
-                } => {
-                    let trail = self
-                        .trails
-                        .get(*trail as usize)
-                        .ok_or_else(|| format!("entry references missing trail {trail}"))?;
-                    out.push((
-                        0,
-                        PkaPayload::Knowledge {
-                            node: *node,
-                            view: view.clone(),
-                            structure: structure.clone(),
-                            trail: trail.clone(),
-                        },
-                    ));
+                let t = entry.trail() as usize;
+                let kept = *fate[t].get_or_insert_with(|| {
+                    let trail = frame.trails[t].as_slice();
+                    valid_arrival(trail, from, me).then(|| {
+                        *interned.entry(trail).or_insert_with(|| {
+                            let mut extended = Vec::with_capacity(trail.len() + 1);
+                            extended.extend_from_slice(trail);
+                            extended.push(me);
+                            out.trails.push(extended);
+                            out.trails.len() as u32 - 1
+                        })
+                    })
+                });
+                let Some(trail_id) = kept else { continue };
+                match entry {
+                    SessionEntry::Values {
+                        first_slot, values, ..
+                    } => out.push_values(trail_id, *first_slot, values),
+                    SessionEntry::Knowledge {
+                        node,
+                        view,
+                        structure,
+                        ..
+                    } => out.entries.push(SessionEntry::Knowledge {
+                        node: *node,
+                        view: view.clone(),
+                        structure: structure.clone(),
+                        trail: trail_id,
+                    }),
                 }
             }
         }
-        Ok(out)
+        out
     }
 
     /// The frame's cost in the *model layer*: `(messages, bits)` of the
@@ -267,19 +417,19 @@ impl SessionFrame {
         total
     }
 
-    fn encode_body(&self, out: &mut Vec<u8>) {
-        varint::write_u64(self.trails.len() as u64, out);
+    fn encode_body(&self, out: &mut impl Sink) {
+        out.varint(self.trails.len() as u64);
         let mut prev: &[NodeId] = &[];
         for trail in &self.trails {
             let shared = shared_prefix(prev, trail);
-            varint::write_u64(shared as u64, out);
-            varint::write_u64((trail.len() - shared) as u64, out);
+            out.varint(shared as u64);
+            out.varint((trail.len() - shared) as u64);
             for v in &trail[shared..] {
-                varint::write_u32(v.raw(), out);
+                out.varint(u64::from(v.raw()));
             }
             prev = trail;
         }
-        varint::write_u64(self.entries.len() as u64, out);
+        out.varint(self.entries.len() as u64);
         for entry in &self.entries {
             match entry {
                 SessionEntry::Values {
@@ -287,12 +437,12 @@ impl SessionFrame {
                     first_slot,
                     values,
                 } => {
-                    out.push(TAG_VALUES);
-                    varint::write_u32(*trail, out);
-                    varint::write_u32(*first_slot, out);
-                    varint::write_u64(values.len() as u64, out);
+                    out.byte(TAG_VALUES);
+                    out.varint(u64::from(*trail));
+                    out.varint(u64::from(*first_slot));
+                    out.varint(values.len() as u64);
                     for v in values {
-                        varint::write_u64(*v, out);
+                        out.varint(*v);
                     }
                 }
                 SessionEntry::Knowledge {
@@ -301,11 +451,11 @@ impl SessionFrame {
                     structure,
                     trail,
                 } => {
-                    out.push(TAG_KNOWLEDGE);
-                    varint::write_u32(node.raw(), out);
+                    out.byte(TAG_KNOWLEDGE);
+                    out.varint(u64::from(node.raw()));
                     encode_graph(view, out);
                     encode_structure(structure, out);
-                    varint::write_u32(*trail, out);
+                    out.varint(u64::from(*trail));
                 }
             }
         }
@@ -398,6 +548,37 @@ impl Default for SessionFrame {
     }
 }
 
+/// Where [`SessionFrame::encode_body`] writes: the bytes themselves, or
+/// only their count (so `encoded_bits` and `encode` share one definition of
+/// the wire format).
+trait Sink {
+    fn byte(&mut self, b: u8);
+    fn varint(&mut self, x: u64);
+}
+
+impl Sink for Vec<u8> {
+    fn byte(&mut self, b: u8) {
+        self.push(b);
+    }
+
+    fn varint(&mut self, x: u64) {
+        varint::write_u64(x, self);
+    }
+}
+
+/// A [`Sink`] that only counts bytes.
+struct ByteCount(usize);
+
+impl Sink for ByteCount {
+    fn byte(&mut self, _: u8) {
+        self.0 += 1;
+    }
+
+    fn varint(&mut self, x: u64) {
+        self.0 += varint::encoded_len(x);
+    }
+}
+
 /// The longest common prefix of two trails, in nodes.
 fn shared_prefix(a: &[NodeId], b: &[NodeId]) -> usize {
     a.iter().zip(b).take_while(|(x, y)| x == y).count()
@@ -422,15 +603,15 @@ fn read_len(
     Ok(n)
 }
 
-fn encode_graph(g: &Graph, out: &mut Vec<u8>) {
-    varint::write_u64(g.nodes().len() as u64, out);
+fn encode_graph(g: &Graph, out: &mut impl Sink) {
+    out.varint(g.nodes().len() as u64);
     for v in g.nodes().iter() {
-        varint::write_u32(v.raw(), out);
+        out.varint(u64::from(v.raw()));
     }
-    varint::write_u64(g.edge_count() as u64, out);
+    out.varint(g.edge_count() as u64);
     for (u, v) in g.edges() {
-        varint::write_u32(u.raw(), out);
-        varint::write_u32(v.raw(), out);
+        out.varint(u64::from(u.raw()));
+        out.varint(u64::from(v.raw()));
     }
 }
 
@@ -454,13 +635,13 @@ fn decode_graph(body: &[u8], pos: &mut usize) -> Result<Graph, String> {
     Ok(g)
 }
 
-fn encode_structure(z: &AdversaryStructure, out: &mut Vec<u8>) {
+fn encode_structure(z: &AdversaryStructure, out: &mut impl Sink) {
     let sets = z.maximal_sets();
-    varint::write_u64(sets.len() as u64, out);
+    out.varint(sets.len() as u64);
     for set in sets {
-        varint::write_u64(set.len() as u64, out);
+        out.varint(set.len() as u64);
         for v in set.iter() {
-            varint::write_u32(v.raw(), out);
+            out.varint(u64::from(v.raw()));
         }
     }
 }
@@ -483,10 +664,14 @@ impl Payload for SessionFrame {
     /// The *actual* encoded size — the compact codec is the wire format, so
     /// wire accounting bills real bytes, not the per-message estimate
     /// (which [`model_cost`](SessionFrame::model_cost) reports separately).
+    ///
+    /// Sized by a counting pass over the encoder, without allocating; panics
+    /// like [`encode`](WirePayload::encode) if the body outgrows
+    /// [`MAX_FRAME_BYTES`](framing::MAX_FRAME_BYTES).
     fn encoded_bits(&self) -> usize {
-        let mut out = Vec::new();
-        self.encode(&mut out);
-        out.len() * 8
+        let mut body = ByteCount(0);
+        self.encode_body(&mut body);
+        framing::framed_len(body.0) * 8
     }
 }
 

@@ -11,6 +11,14 @@
 //! [`Runner`](rmt_sim::Runner) — the differential gate in
 //! `tests/differential.rs` enforces it on the attack galleries.
 //!
+//! The implementation never materializes that expansion on received
+//! frames. A relay's round is one [`SessionFrame::relay`] call: it rewrites
+//! the inbox's trail tables (`trail ‖ me` for every trail passing the
+//! per-message trail check) and copies each kept entry once, and
+//! `tests/codec_props.rs` pins it to the pack-of-expand definition byte
+//! for byte. The receiver walks each frame's `(slot, message)`s in place,
+//! in the order `expand` defines.
+//!
 //! Three amortizations make bigger batches cheaper per payload:
 //!
 //! * **knowledge once** — type-2 messages are payload-independent and flow
@@ -32,7 +40,7 @@ use rmt_core::Value;
 use rmt_sets::NodeId;
 use rmt_sim::{Envelope, NodeContext, Protocol};
 
-use crate::codec::SessionFrame;
+use crate::codec::{valid_arrival, Message, SessionFrame};
 use crate::plan::{NodeKnowledge, SessionPlan};
 
 /// Receiver-side counters of one session, for reporting.
@@ -95,8 +103,8 @@ pub struct SessionNode {
     /// *expanded* per-message traffic this node's frames carry, using the
     /// per-message protocol's bit estimate. Index 0 = initial sends.
     model_sent: Vec<(u64, u64)>,
-    /// Frames that failed to expand (possible only for adversarial
-    /// hand-built frames; honest and decoded frames always expand).
+    /// Frames dropped for referencing a missing trail (possible only for
+    /// adversarial hand-built frames; honest and decoded frames never do).
     invalid_frames: u64,
 }
 
@@ -170,16 +178,10 @@ impl SessionNode {
         &self.model_sent
     }
 
-    /// Frames this node received that failed to expand.
+    /// Frames this node received and dropped for referencing a missing
+    /// trail (the frames [`SessionFrame::expand`] rejects).
     pub fn invalid_frames(&self) -> u64 {
         self.invalid_frames
-    }
-
-    /// Trail validation of a logical message, identical to the per-message
-    /// protocol: `tail(p) = sender` and `self ∉ p`.
-    fn valid_arrival(&self, from: NodeId, payload: &PkaPayload) -> bool {
-        let trail = payload.trail();
-        trail.last() == Some(&from) && !trail.contains(&self.id)
     }
 
     fn tally(&mut self, round: u32, frame: &SessionFrame, copies: u64) {
@@ -316,28 +318,15 @@ impl Protocol for SessionNode {
             Role::Dealer { .. } => Vec::new(), // terminated after start
             Role::Relay { .. } => {
                 // Forward every valid logical message with the trail
-                // extended, re-batched into one frame per neighbour.
-                let mut forwarded: Vec<(u32, PkaPayload)> = Vec::new();
-                for env in inbox {
-                    let Ok(msgs) = env.payload.expand() else {
-                        self.invalid_frames += 1;
-                        continue;
-                    };
-                    for (slot, payload) in msgs {
-                        if self.valid_arrival(env.from, &payload) {
-                            let mut fwd = payload;
-                            match &mut fwd {
-                                PkaPayload::DealerValue { trail, .. }
-                                | PkaPayload::Knowledge { trail, .. } => trail.push(self.id),
-                            }
-                            forwarded.push((slot, fwd));
-                        }
-                    }
-                }
-                if forwarded.is_empty() {
+                // extended, in one frame sent to every neighbour.
+                let frame = SessionFrame::relay(
+                    self.id,
+                    inbox.iter().map(|env| (env.from, &env.payload)),
+                    &mut self.invalid_frames,
+                );
+                if frame.is_empty() {
                     return Vec::new();
                 }
-                let frame = SessionFrame::pack(&forwarded);
                 self.tally(ctx.round, &frame, ctx.neighbors.len() as u64);
                 ctx.neighbors.iter().map(|n| (n, frame.clone())).collect()
             }
@@ -349,18 +338,16 @@ impl Protocol for SessionNode {
                 let dealer = self.dealer;
                 let mut changed = false;
                 for env in inbox {
-                    let Ok(msgs) = env.payload.expand() else {
+                    let Ok(msgs) = env.payload.messages() else {
                         self.invalid_frames += 1;
                         continue;
                     };
-                    for (slot, payload) in msgs {
-                        let trail_ok = payload.trail().last() == Some(&env.from)
-                            && !payload.trail().contains(&me);
-                        if !trail_ok {
+                    for (slot, message) in msgs {
+                        if !valid_arrival(message.trail(), env.from, me) {
                             continue;
                         }
-                        match payload {
-                            PkaPayload::DealerValue { value, trail } => {
+                        match message {
+                            Message::Value { value, trail } => {
                                 let Some(s) = receiver.slots.get_mut(slot as usize) else {
                                     continue; // out-of-range slot: ignorable noise
                                 };
@@ -369,17 +356,18 @@ impl Protocol for SessionNode {
                                 }
                                 // Dealer propagation rule: the authenticated
                                 // channel from the dealer is definitive.
-                                if env.from == dealer && trail.as_slice() == [dealer] {
+                                if env.from == dealer && trail == [dealer] {
                                     s.decision = Some(value);
                                     continue;
                                 }
-                                s.state.ingest_value(value, &trail);
-                                let mut path = trail;
+                                s.state.ingest_value(value, trail);
+                                let mut path = Vec::with_capacity(trail.len() + 1);
+                                path.extend_from_slice(trail);
                                 path.push(me);
                                 s.mirror.entry(value).or_default().insert(path);
                                 changed = true;
                             }
-                            PkaPayload::Knowledge {
+                            Message::Knowledge {
                                 node,
                                 view,
                                 structure,

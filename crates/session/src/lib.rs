@@ -17,7 +17,10 @@
 //!   by index, and the shared `rmt_sim::framing` length prefix. It
 //!   round-trips losslessly to the per-message representation
 //!   ([`SessionFrame::expand`]/[`SessionFrame::pack`]), so the per-message
-//!   safety argument transfers.
+//!   safety argument transfers. Those two are the reference semantics;
+//!   honest nodes never run them on received frames: relays forward in
+//!   frame form ([`SessionFrame::relay`] rewrites the trail table), and
+//!   the receiver reads messages in place.
 //! * [`Session`] drives a whole transmission over any of the three
 //!   backends — the synchronous `Runner`, the fault-injecting `NetRunner`,
 //!   and the socket daemon `rmt-netd` — and reports wire-layer and

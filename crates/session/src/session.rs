@@ -48,7 +48,8 @@ pub struct SessionReport {
     pub model: ModelMetrics,
     /// Receiver search counters (decide cache, truncation, effort).
     pub receiver: ReceiverStats,
-    /// Frames honest nodes received that failed to expand.
+    /// Frames honest nodes received and dropped for referencing a missing
+    /// trail (the frames `SessionFrame::expand` rejects).
     pub invalid_frames: u64,
     /// The number of payloads transmitted.
     pub payloads: u64,

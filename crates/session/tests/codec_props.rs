@@ -1,8 +1,10 @@
 //! Property tests for the compact session codec: every frame round-trips
-//! through its encoding byte-exactly, pack/expand are mutually inverse, and
-//! no byte sequence — arbitrary, truncated, or bit-flipped — can make the
-//! decoder panic or allocate unboundedly. Frames cross real sockets in the
-//! `rmt-netd` backend; the decoder's only legal failure mode is `Err`.
+//! through its encoding byte-exactly, pack/expand are mutually inverse, the
+//! frame-native relay equals its pack-of-expand definition, the size-only
+//! `encoded_bits` equals the encoding's size, and no byte sequence —
+//! arbitrary, truncated, or bit-flipped — can make the decoder panic or
+//! allocate unboundedly. Frames cross real sockets in the `rmt-netd`
+//! backend; the decoder's only legal failure mode is `Err`.
 
 use proptest::prelude::*;
 use rmt_adversary::AdversaryStructure;
@@ -10,7 +12,7 @@ use rmt_core::protocols::rmt_pka::PkaPayload;
 use rmt_graph::Graph;
 use rmt_session::{SessionEntry, SessionFrame};
 use rmt_sets::{NodeId, NodeSet};
-use rmt_sim::WirePayload;
+use rmt_sim::{Payload, WirePayload};
 
 /// The vendored proptest stub has no `u8` support; derive bytes from `u32`.
 fn arb_byte() -> impl Strategy<Value = u8> {
@@ -125,6 +127,89 @@ fn arb_payload_item() -> impl Strategy<Value = (u32, PkaPayload)> {
         })
 }
 
+/// Node ids from a tiny range, so a relay's inbox often holds trails that
+/// end at their sender, contain the relay, or repeat across frames.
+fn arb_tiny_node() -> impl Strategy<Value = NodeId> {
+    (0u32..5).prop_map(NodeId::new)
+}
+
+/// A frame as a relay may receive it from `from`: trails over tiny ids
+/// (each ending at `from` with probability ½), entries that now and then
+/// reference a missing trail, value runs that may be empty, and first
+/// slots close enough together for runs to coalesce.
+fn arb_inbox_frame() -> impl Strategy<Value = (NodeId, SessionFrame)> {
+    (
+        (arb_tiny_node(), any::<u32>()),
+        proptest::collection::vec(proptest::collection::vec(arb_tiny_node(), 0..4), 1..4),
+        proptest::collection::vec(
+            (
+                (any::<u32>(), any::<u32>(), 0u32..6),
+                proptest::collection::vec(0u64..4, 0..3),
+                (arb_tiny_node(), arb_graph(), arb_structure()),
+            ),
+            0..5,
+        ),
+    )
+        .prop_map(|((from, ends_at_from), mut trails, raw_entries)| {
+            for (i, trail) in trails.iter_mut().enumerate() {
+                if ends_at_from >> i & 1 == 1 {
+                    trail.push(from);
+                }
+            }
+            let n_trails = trails.len() as u32;
+            let entries = raw_entries
+                .into_iter()
+                .map(
+                    |((kind, idx, first_slot), values, (node, view, structure))| {
+                        // One entry in 16 may point past the table.
+                        let bound = n_trails + if kind % 16 == 0 { 2 } else { 0 };
+                        let trail = idx % bound;
+                        if kind / 16 % 3 == 0 {
+                            SessionEntry::Knowledge {
+                                node,
+                                view,
+                                structure,
+                                trail,
+                            }
+                        } else {
+                            SessionEntry::Values {
+                                trail,
+                                first_slot,
+                                values,
+                            }
+                        }
+                    },
+                )
+                .collect();
+            (from, SessionFrame { trails, entries })
+        })
+}
+
+/// The relay's definition: expand every frame (counting the ones that fail),
+/// keep the messages passing the per-message trail check, append `me`, pack.
+fn reference_relay(me: NodeId, inbox: &[(NodeId, SessionFrame)]) -> (SessionFrame, u64) {
+    let mut invalid = 0;
+    let mut forwarded = Vec::new();
+    for (from, frame) in inbox {
+        let Ok(messages) = frame.expand() else {
+            invalid += 1;
+            continue;
+        };
+        for (slot, mut payload) in messages {
+            let trail = payload.trail();
+            if trail.last() == Some(from) && !trail.contains(&me) {
+                match &mut payload {
+                    PkaPayload::DealerValue { trail, .. } | PkaPayload::Knowledge { trail, .. } => {
+                        trail.push(me)
+                    }
+                }
+                forwarded.push((slot, payload));
+            }
+        }
+    }
+    (SessionFrame::pack(&forwarded), invalid)
+}
+
 proptest! {
     /// Every frame survives encode → decode unchanged, and decode reports
     /// exactly how many bytes it consumed.
@@ -188,5 +273,32 @@ proptest! {
             prop_assert_eq!(twice, decoded);
         }
         let _ = SessionFrame::from_bytes(&bytes);
+    }
+
+    /// The size-only wire accounting equals the encoding's actual size.
+    #[test]
+    fn encoded_bits_counts_the_encoding(frame in arb_frame()) {
+        prop_assert_eq!(frame.encoded_bits(), 8 * frame.to_bytes().len());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The frame-native relay equals pack-of-expand with the trail check and
+    /// extension applied per message: same frame, same bytes, same count of
+    /// dropped frames — over inboxes with duplicate senders, missing trail
+    /// indices and empty value runs.
+    #[test]
+    fn relay_is_pack_of_expand(
+        me in arb_tiny_node(),
+        inbox in proptest::collection::vec(arb_inbox_frame(), 0..4),
+    ) {
+        let (expected, expected_invalid) = reference_relay(me, &inbox);
+        let mut invalid = 0;
+        let relayed = SessionFrame::relay(me, inbox.iter().map(|(from, f)| (*from, f)), &mut invalid);
+        prop_assert_eq!(relayed.to_bytes(), expected.to_bytes());
+        prop_assert_eq!(relayed, expected);
+        prop_assert_eq!(invalid, expected_invalid);
     }
 }

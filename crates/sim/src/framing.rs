@@ -75,11 +75,27 @@ pub fn begin_frame(out: &mut Vec<u8>) -> usize {
 /// so an oversized body is a programming error, not input-dependent.
 pub fn end_frame(out: &mut [u8], mark: usize) {
     let body_len = out.len() - mark - 4;
+    assert_body_fits(body_len);
+    out[mark..mark + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
+}
+
+/// The wire size of a frame with a `body_len`-byte body, length prefix
+/// included — what [`begin_frame`] … [`end_frame`] would produce.
+///
+/// # Panics
+///
+/// Exactly when [`end_frame`] would: if `body_len` exceeds
+/// [`MAX_FRAME_BYTES`].
+pub fn framed_len(body_len: usize) -> usize {
+    assert_body_fits(body_len);
+    4 + body_len
+}
+
+fn assert_body_fits(body_len: usize) {
     assert!(
         body_len <= MAX_FRAME_BYTES,
         "encoded frame body ({body_len} bytes) exceeds MAX_FRAME_BYTES"
     );
-    out[mark..mark + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
 }
 
 /// Splits one frame off the front of `bytes`, returning the body slice and
@@ -150,6 +166,7 @@ mod tests {
             let mark = begin_frame(&mut wire);
             wire.extend_from_slice(body);
             end_frame(&mut wire, mark);
+            assert_eq!(framed_len(body.len()), wire.len() - mark);
         }
         let mut at = 0;
         let mut bodies = Vec::new();
@@ -162,6 +179,12 @@ mod tests {
             bodies,
             vec![b"".to_vec(), b"x".to_vec(), b"hello frame".to_vec()]
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_FRAME_BYTES")]
+    fn framed_len_enforces_the_cap_like_end_frame() {
+        framed_len(MAX_FRAME_BYTES + 1);
     }
 
     #[test]
