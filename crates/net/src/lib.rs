@@ -12,19 +12,19 @@
 //! * [`FaultRng`] — the stateless SplitMix64-based decision source: every
 //!   fault decision is a pure function of the message's coordinates, so runs
 //!   are bit-reproducible from `(plan, protocol, adversary)`;
-//! * [`NetRunner`] — the event-queue scheduler generalizing
-//!   [`rmt_sim::Runner`]: delivery goes through a priority queue keyed
+//! * [`NetRunner`] — [`rmt_sim::Runner`]'s round loop over a faulty
+//!   delivery policy: delivery goes through a priority queue keyed
 //!   `(deliver_round, seq)`, and with an *empty* plan the run is
 //!   byte-identical to the synchronous scheduler (event stream, metrics,
-//!   delivery log — enforced by the differential test suite);
+//!   delivery log, termination — enforced by the differential test suite);
 //! * [`MessageAdversary`] — the budgeted message-adversary mode (after
 //!   Albouy–Frey–Raynal–Taïani): each round it sees every admitted send and
 //!   erases up to `d` adversarially chosen victims, composing with the
 //!   probabilistic plan;
-//! * [`NetOutcome`] / [`FaultStats`] / [`Termination`] — the run result:
-//!   the usual decisions and [`rmt_sim::Metrics`], a separate account of
-//!   what the network did, and whether the run quiesced or stalled at the
-//!   round cap.
+//! * [`NetOutcome`] / [`FaultStats`] / [`Termination`] — the run result: an
+//!   [`rmt_sim::RunOutcome`] whose `faults` is the separate account of what
+//!   the network did ([`Termination`], quiesced or stalled at the round
+//!   cap, is `rmt-sim`'s, re-exported).
 //!
 //! Fault decisions are visible in the `rmt-obs` event stream as
 //! `FaultDrop` / `FaultDelay` / `FaultDuplicate` / `NodeCrashed` events, so
@@ -70,6 +70,7 @@ pub mod codec {
         field, nodeset_from_json, nodeset_to_json, u32_from_json, u64_from_json, u64_to_json,
     };
 }
+pub use rmt_sim::Termination;
 pub use rng::{FaultRng, Salt};
-pub use runner::{FaultStats, NetOutcome, NetRunner, Termination};
+pub use runner::{FaultStats, NetOutcome, NetRunner};
 pub use suppress::MessageAdversary;

@@ -1,14 +1,15 @@
-//! The fault-injecting event-queue scheduler.
+//! The fault-injecting scheduler.
 //!
-//! [`NetRunner`] generalizes `rmt-sim`'s [`Runner`](rmt_sim::Runner): instead
-//! of a single in-flight buffer swapped once per round, delivery goes through
-//! a priority queue keyed `(deliver_round, seq, tie)`, so a [`FaultPlan`] can
-//! stretch, duplicate or scramble delivery while the protocol and adversary
-//! interfaces — and the physical model enforced by
-//! [`Transport`](rmt_sim::Transport) — stay exactly those of the synchronous
-//! scheduler. With an empty plan the queue degenerates to FIFO per round and
-//! the run is byte-identical to `Runner` (event stream, metrics, delivery
-//! log); the differential test in `tests/differential.rs` enforces this.
+//! [`NetRunner`] is `rmt-sim`'s one round loop ([`Runner`]) over a faulty
+//! delivery policy: instead of a single in-flight buffer swapped once per
+//! round, admitted envelopes go through a priority queue keyed
+//! `(deliver_round, seq, tie)`, so a [`FaultPlan`] can stretch, duplicate
+//! or scramble delivery while the protocol and adversary interfaces — and
+//! the physical model enforced by [`Transport`](rmt_sim::Transport) — stay
+//! exactly those of the synchronous scheduler. With an empty plan the queue
+//! degenerates to FIFO per round and the run is byte-identical to
+//! [`Runner::new`]'s (event stream, metrics, delivery log, termination);
+//! the differential test in `tests/differential.rs` enforces this.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
@@ -17,11 +18,10 @@ use rmt_graph::Graph;
 use rmt_obs::{Clock, DropReason, NoopObserver, RunEvent, RunObserver};
 use rmt_sets::{NodeId, NodeSet};
 use rmt_sim::{
-    default_max_rounds, emit_round_end, sweep_decisions, Adversary, DeliveryLog, Envelope, Metrics,
-    NodeContext, Protocol, RoundInboxes, Transport,
+    default_max_rounds, Adversary, Delivery, Envelope, Payload, Protocol, RunOutcome, Runner,
 };
 
-use crate::plan::FaultPlan;
+use crate::plan::{FaultPlan, LinkPolicy};
 use crate::rng::{FaultRng, Salt};
 use crate::suppress::MessageAdversary;
 
@@ -66,9 +66,10 @@ impl<P> Ord for Scheduled<P> {
 
 /// What the network did to the run's traffic.
 ///
-/// Kept separate from [`Metrics`] so the metrics of a faulty run stay
-/// directly comparable to a fault-free run of the same workload (and so the
-/// empty-plan differential gate can require `Metrics` equality outright).
+/// Kept separate from [`Metrics`](rmt_sim::Metrics) so the metrics of a
+/// faulty run stay directly comparable to a fault-free run of the same
+/// workload (and so the empty-plan differential gate can require `Metrics`
+/// equality outright).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Messages lost to a link's `drop` probability.
@@ -94,60 +95,19 @@ impl FaultStats {
     }
 }
 
-/// How a run ended.
-///
-/// The hunter needs to tell liveness loss apart from wrong delivery, so the
-/// scheduler reports *why* it stopped instead of folding round-cap
-/// exhaustion into a generic non-decision.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Termination {
-    /// The network quiesced: after `round`, no traffic was left in flight.
-    Quiesced {
-        /// The last round that executed.
-        round: u32,
-    },
-    /// The round cap was exhausted with traffic still queued: the run was
-    /// cut off, not finished.
-    Stalled {
-        /// The round at which the cap hit.
-        round: u32,
-    },
-}
+/// The result of a faulty run: [`RunOutcome`] with the network's
+/// [`FaultStats`] as its `faults`.
+pub type NetOutcome<Q> = RunOutcome<Q, FaultStats>;
 
-/// The fault-injecting scheduler: [`Runner`](rmt_sim::Runner) semantics plus
-/// a [`FaultPlan`] interpreted through an event queue.
+/// The fault-injecting scheduler: [`Runner`] over a [`FaultPlan`]
+/// interpreted through an event queue.
 ///
 /// The Byzantine [`Adversary`] composes with the faulty network: corrupted
 /// nodes send through the same lossy links as honest ones, authenticity and
-/// edge checks are still enforced by [`Transport`] *before* fault
-/// injection, and a crashed corrupted node falls silent like a crashed
-/// honest one.
-pub struct NetRunner<Q: Protocol, A> {
-    graph: Graph,
-    protocols: Vec<Option<Q>>,
-    adversary: A,
-    plan: FaultPlan,
-    suppressor: Option<MessageAdversary>,
-    rng: FaultRng,
-    max_rounds: u32,
-    watch: NodeSet,
-    profile: Option<Clock>,
-}
-
-/// The result of a completed faulty run.
-pub struct NetOutcome<Q: Protocol> {
-    protocols: Vec<Option<Q>>,
-    corrupted: NodeSet,
-    /// Complexity metrics, measured exactly as [`rmt_sim::Runner`] measures
-    /// them (fault losses do *not* reduce send counts: a dropped message was
-    /// still sent and paid for).
-    pub metrics: Metrics,
-    /// What the network did to the traffic.
-    pub faults: FaultStats,
-    /// Whether the run quiesced or hit the round cap with traffic queued.
-    pub termination: Termination,
-    watched: DeliveryLog<Q::Payload>,
-}
+/// edge checks are still enforced by [`Transport`](rmt_sim::Transport)
+/// *before* fault injection, and a crashed corrupted node falls silent like
+/// a crashed honest one.
+pub struct NetRunner<Q: Protocol, A>(Runner<Q, A, FaultNet<Q::Payload>>);
 
 impl<Q, A> NetRunner<Q, A>
 where
@@ -162,39 +122,19 @@ where
     /// [`default_max_rounds`]` * (1 + plan.max_delay())`: stretching every
     /// hop by the worst-case delay must not silently truncate a run that
     /// would have quiesced.
-    pub fn new(
-        graph: Graph,
-        mut make: impl FnMut(NodeId) -> Q,
-        adversary: A,
-        plan: FaultPlan,
-    ) -> Self {
-        let size = graph.nodes().last().map_or(0, |v| v.index() + 1);
-        let mut protocols: Vec<Option<Q>> = (0..size).map(|_| None).collect();
-        for v in graph.nodes() {
-            if !adversary.corrupted().contains(v) {
-                protocols[v.index()] = Some(make(v));
-            }
-        }
+    pub fn new(graph: Graph, make: impl FnMut(NodeId) -> Q, adversary: A, plan: FaultPlan) -> Self {
         let max_rounds =
             default_max_rounds(graph.node_count()).saturating_mul(1 + plan.max_delay());
-        let rng = FaultRng::new(plan.seed());
-        NetRunner {
-            graph,
-            protocols,
-            adversary,
+        let net = FaultNet {
+            rng: FaultRng::new(plan.seed()),
             plan,
             suppressor: None,
-            rng,
-            max_rounds,
-            watch: NodeSet::new(),
-            profile: None,
-        }
-    }
-
-    /// Overrides the round limit.
-    pub fn with_max_rounds(mut self, max_rounds: u32) -> Self {
-        self.max_rounds = max_rounds;
-        self
+            queue: BinaryHeap::new(),
+            edge_index: HashMap::new(),
+            next_tie: 0,
+            faults: FaultStats::default(),
+        };
+        NetRunner(Runner::with_delivery(graph, make, adversary, net).with_max_rounds(max_rounds))
     }
 
     /// Attaches a [`MessageAdversary`]: each round it sees every admitted
@@ -204,28 +144,24 @@ where
     /// Composes with the [`FaultPlan`]: suppression and plan faults are
     /// accounted separately ([`FaultStats::suppressed`]).
     pub fn with_message_adversary(mut self, adversary: MessageAdversary) -> Self {
-        self.suppressor = Some(adversary);
+        self.0.delivery_mut().suppressor = Some(adversary);
         self
     }
 
-    /// Records every message delivered to the given nodes (retrievable via
-    /// [`NetOutcome::delivered_to`]).
-    pub fn watch(mut self, nodes: NodeSet) -> Self {
-        self.watch = nodes;
-        self
+    /// [`Runner::with_max_rounds`].
+    pub fn with_max_rounds(self, max_rounds: u32) -> Self {
+        NetRunner(self.0.with_max_rounds(max_rounds))
     }
 
-    /// Enables per-round profiling, exactly as
-    /// [`Runner::with_profiling`](rmt_sim::Runner::with_profiling): observed
-    /// runs additionally emit one [`RunEvent::RoundEnd`] per round, whose
-    /// `drops` field here carries the messages the network destroyed that
-    /// round (crashes, partitions and link drops).
-    ///
-    /// Off by default, preserving the empty-plan byte-identity gate against
-    /// the synchronous scheduler.
-    pub fn with_profiling(mut self, clock: Clock) -> Self {
-        self.profile = Some(clock);
-        self
+    /// [`Runner::watch`].
+    pub fn watch(self, nodes: NodeSet) -> Self {
+        NetRunner(self.0.watch(nodes))
+    }
+
+    /// [`Runner::with_profiling`]; a `RoundEnd` event's `drops` field
+    /// carries the messages the network destroyed that round.
+    pub fn with_profiling(self, clock: Clock) -> Self {
+        NetRunner(self.0.with_profiling(clock))
     }
 
     /// Executes the run to completion.
@@ -235,217 +171,34 @@ where
 
     /// Executes the run to completion, streaming every observable step —
     /// including the network's fault decisions — through `observer`.
-    pub fn run_observed<O: RunObserver>(mut self, observer: &mut O) -> NetOutcome<Q> {
-        let size = self.protocols.len();
-        let mut metrics = Metrics::default();
-        let mut faults = FaultStats::default();
-        let mut watched: DeliveryLog<Q::Payload> = HashMap::new();
-        let mut decided = vec![false; size];
-        let mut queue: BinaryHeap<Scheduled<Q::Payload>> = BinaryHeap::new();
-        let mut next_tie: u64 = 0;
-        let profile = if O::ACTIVE { self.profile.take() } else { None };
-        let mut round_start_ns = profile.as_ref().map_or(0, Clock::now_ns);
-        let mut wire_seen = (0u64, 0u64);
-        let mut lost_seen = 0u64;
+    pub fn run_observed<O: RunObserver>(self, observer: &mut O) -> NetOutcome<Q> {
+        self.0.run_observed(observer)
+    }
+}
 
-        if O::ACTIVE {
-            let corrupted: Vec<u32> = self.adversary.corrupted().iter().map(NodeId::raw).collect();
-            observer.on_event(&RunEvent::RunStart {
-                nodes: self.graph.node_count() as u32,
-                corrupted,
-            });
-            observer.on_event(&RunEvent::RoundStart { round: 0 });
-        }
-        self.emit_crashes(0, observer);
+/// The faulty network: each round's admitted outbox goes through the
+/// optional [`MessageAdversary`] and the [`FaultPlan`], and the surviving
+/// copies wait in a queue for their delivery round.
+struct FaultNet<P> {
+    plan: FaultPlan,
+    rng: FaultRng,
+    suppressor: Option<MessageAdversary>,
+    queue: BinaryHeap<Scheduled<P>>,
+    /// Numbers the send round's messages per directed edge (the `k`
+    /// coordinate of the fault draws).
+    edge_index: HashMap<(NodeId, NodeId), u32>,
+    /// The global admission counter.
+    next_tie: u64,
+    faults: FaultStats,
+}
 
-        // Round 0: initial sends. The whole round's admitted traffic is
-        // buffered before injection so a message adversary sees the
-        // full-information view; with identical admission order the queue
-        // state is unchanged from per-batch injection.
-        let mut edge_index: HashMap<(NodeId, NodeId), u32> = HashMap::new();
-        let mut honest_this_round = 0u64;
-        let mut outbox: Vec<Envelope<Q::Payload>> = Vec::new();
-        for v in self.graph.nodes() {
-            if self.plan.crashed(v, 0) {
-                continue;
-            }
-            if let Some(proto) = self.protocols[v.index()].as_mut() {
-                let ctx = NodeContext {
-                    id: v,
-                    round: 0,
-                    neighbors: self.graph.neighbors(v).clone(),
-                };
-                let sends = proto.start(&ctx);
-                outbox.extend(Transport::new(&self.graph).admit_honest(
-                    0,
-                    v,
-                    sends,
-                    &mut metrics,
-                    &mut honest_this_round,
-                    observer,
-                ));
-            }
-        }
-        let adversarial = self.adversary.start(&self.graph);
-        outbox.extend(Transport::new(&self.graph).admit_adversarial(
-            0,
-            self.adversary.corrupted(),
-            adversarial,
-            &mut metrics,
-            observer,
-        ));
-        let mask = suppression_mask(self.suppressor.as_ref(), 0, &outbox);
-        inject(
-            &self.plan,
-            &self.rng,
-            0,
-            outbox,
-            &mask,
-            &mut edge_index,
-            &mut queue,
-            &mut next_tie,
-            &mut faults,
-            observer,
-        );
-        metrics.honest_messages_per_round.push(honest_this_round);
-        if O::ACTIVE {
-            sweep_decisions(&self.graph, &self.protocols, 0, &mut decided, observer);
-        }
-        if let Some(clock) = &profile {
-            let lost = faults.lost();
-            emit_round_end(
-                0,
-                clock,
-                &mut round_start_ns,
-                &metrics,
-                &mut wire_seen,
-                lost - lost_seen,
-                observer,
-            );
-            lost_seen = lost;
-        }
+impl<P: Payload> Delivery<P> for FaultNet<P> {
+    type Stats = FaultStats;
 
-        for round in 1..=self.max_rounds {
-            if queue.is_empty() {
-                break;
-            }
-            metrics.rounds = round;
-            if O::ACTIVE {
-                observer.on_event(&RunEvent::RoundStart { round });
-            }
-            self.emit_crashes(round, observer);
-
-            let mut delivered = RoundInboxes::new(size);
-            while queue.peek().is_some_and(|s| s.deliver_round <= round) {
-                let env = queue.pop().expect("peeked").env;
-                if O::ACTIVE {
-                    observer.on_event(&RunEvent::Delivery {
-                        round,
-                        from: env.from.raw(),
-                        to: env.to.raw(),
-                        payload: format!("{:?}", env.payload),
-                    });
-                }
-                if self.watch.contains(env.to) {
-                    watched
-                        .entry(env.to)
-                        .or_default()
-                        .push((round, env.clone()));
-                }
-                delivered.push(env);
-            }
-
-            edge_index.clear();
-            let mut honest_this_round = 0u64;
-            let mut outbox: Vec<Envelope<Q::Payload>> = Vec::new();
-            for v in self.graph.nodes() {
-                if self.plan.crashed(v, round) {
-                    continue;
-                }
-                if let Some(proto) = self.protocols[v.index()].as_mut() {
-                    let ctx = NodeContext {
-                        id: v,
-                        round,
-                        neighbors: self.graph.neighbors(v).clone(),
-                    };
-                    let sends = proto.on_round(&ctx, delivered.inbox(v));
-                    outbox.extend(Transport::new(&self.graph).admit_honest(
-                        round,
-                        v,
-                        sends,
-                        &mut metrics,
-                        &mut honest_this_round,
-                        observer,
-                    ));
-                }
-            }
-            let adversarial = self.adversary.on_round(round, &self.graph, &delivered);
-            outbox.extend(Transport::new(&self.graph).admit_adversarial(
-                round,
-                self.adversary.corrupted(),
-                adversarial,
-                &mut metrics,
-                observer,
-            ));
-            let mask = suppression_mask(self.suppressor.as_ref(), round, &outbox);
-            inject(
-                &self.plan,
-                &self.rng,
-                round,
-                outbox,
-                &mask,
-                &mut edge_index,
-                &mut queue,
-                &mut next_tie,
-                &mut faults,
-                observer,
-            );
-            metrics.honest_messages_per_round.push(honest_this_round);
-            if O::ACTIVE {
-                sweep_decisions(&self.graph, &self.protocols, round, &mut decided, observer);
-            }
-            if let Some(clock) = &profile {
-                let lost = faults.lost();
-                emit_round_end(
-                    round,
-                    clock,
-                    &mut round_start_ns,
-                    &metrics,
-                    &mut wire_seen,
-                    lost - lost_seen,
-                    observer,
-                );
-                lost_seen = lost;
-            }
-        }
-
-        if O::ACTIVE {
-            observer.on_event(&RunEvent::RunEnd {
-                rounds: metrics.rounds,
-            });
-        }
-
-        let termination = if queue.is_empty() {
-            Termination::Quiesced {
-                round: metrics.rounds,
-            }
-        } else {
-            Termination::Stalled {
-                round: metrics.rounds,
-            }
-        };
-        NetOutcome {
-            protocols: self.protocols,
-            corrupted: self.adversary.corrupted().clone(),
-            metrics,
-            faults,
-            termination,
-            watched,
-        }
+    fn crashed(&self, v: NodeId, round: u32) -> bool {
+        self.plan.crashed(v, round)
     }
 
-    /// Emits a [`RunEvent::NodeCrashed`] for every node crashing exactly at
-    /// `round`, in ascending node order, right after the round starts.
     fn emit_crashes<O: RunObserver>(&self, round: u32, observer: &mut O) {
         if O::ACTIVE {
             for v in self.plan.crashes_at(round) {
@@ -456,10 +209,146 @@ where
             }
         }
     }
+
+    /// Runs the envelopes admitted in `round` through the fault pipeline
+    /// and enqueues the surviving copies.
+    ///
+    /// Pipeline per envelope: message-adversary suppression (chosen over
+    /// the whole round's admissions) first, then each probabilistic
+    /// decision as an independent seeded draw keyed by the message's
+    /// coordinates: crashed sender → partition → drop → duplicate →
+    /// per-copy delay → enqueue.
+    fn send<O: RunObserver>(&mut self, round: u32, outbox: Vec<Envelope<P>>, observer: &mut O) {
+        let suppress = suppression_mask(self.suppressor.as_ref(), round, &outbox);
+        self.edge_index.clear();
+        for (idx, env) in outbox.into_iter().enumerate() {
+            let (from, to) = (env.from, env.to);
+            let slot = self.edge_index.entry((from, to)).or_insert(0);
+            let k = *slot;
+            *slot += 1;
+            let (f, t) = (from.raw(), to.raw());
+            let policy = *self.plan.policy(from, to);
+
+            let lost = if suppress.get(idx).copied().unwrap_or(false) {
+                Some((DropReason::Suppressed, &mut self.faults.suppressed))
+            } else if self.plan.crashed(from, round) {
+                Some((DropReason::SenderCrashed, &mut self.faults.crashed_sender))
+            } else if self.plan.partitioned(from, to, round) {
+                Some((DropReason::Partitioned, &mut self.faults.partitioned))
+            } else if policy.drop > 0.0 && self.rng.unit(round, f, t, k, Salt::Drop) < policy.drop {
+                Some((DropReason::LinkDrop, &mut self.faults.dropped))
+            } else {
+                None
+            };
+            if let Some((reason, count)) = lost {
+                *count += 1;
+                if O::ACTIVE {
+                    observer.on_event(&RunEvent::FaultDrop {
+                        round,
+                        from: f,
+                        to: t,
+                        reason,
+                    });
+                }
+                continue;
+            }
+
+            // The envelope moves into its last copy; only a duplicate clones.
+            let coords = (round, f, t, k);
+            let duplicated = policy.duplicate > 0.0
+                && self.rng.unit(round, f, t, k, Salt::Duplicate) < policy.duplicate;
+            if duplicated {
+                self.enqueue(coords, 0, policy, env.clone(), observer);
+            }
+            self.enqueue(coords, u32::from(duplicated), policy, env, observer);
+        }
+    }
+
+    fn due(&mut self, round: u32) -> Vec<Envelope<P>> {
+        let mut due = Vec::new();
+        while self.queue.peek().is_some_and(|s| s.deliver_round <= round) {
+            due.push(self.queue.pop().expect("peeked").env);
+        }
+        due
+    }
+
+    fn is_idle(&self) -> bool {
+        self.queue.is_empty()
+    }
+
+    fn lost(&self) -> u64 {
+        self.faults.lost()
+    }
+
+    fn into_stats(self) -> FaultStats {
+        self.faults
+    }
 }
 
-/// Computes the message adversary's victim mask over a round's buffered
-/// admissions (empty when no suppressor is active this round).
+impl<P> FaultNet<P> {
+    /// Enqueues copy number `copy` of the message at `(round, from, to, k)`
+    /// after its own seeded delay and (on reordering links) sequence draws.
+    fn enqueue<O: RunObserver>(
+        &mut self,
+        (round, f, t, k): (u32, u32, u32, u32),
+        copy: u32,
+        policy: LinkPolicy,
+        env: Envelope<P>,
+        observer: &mut O,
+    ) {
+        let delay = if policy.delay > 0.0
+            && policy.max_delay > 0
+            && self.rng.unit(round, f, t, k, Salt::Delay(copy)) < policy.delay
+        {
+            1 + (self.rng.draw(round, f, t, k, Salt::DelayAmount(copy))
+                % u64::from(policy.max_delay)) as u32
+        } else {
+            0
+        };
+        let deliver_round = round + 1 + delay;
+        if delay > 0 {
+            self.faults.delayed += 1;
+            self.faults.max_observed_delay = self.faults.max_observed_delay.max(delay);
+        }
+        if copy > 0 {
+            self.faults.duplicated += 1;
+        }
+        if O::ACTIVE {
+            if copy > 0 {
+                observer.on_event(&RunEvent::FaultDuplicate {
+                    round,
+                    from: f,
+                    to: t,
+                    deliver_round,
+                });
+            } else if delay > 0 {
+                observer.on_event(&RunEvent::FaultDelay {
+                    round,
+                    from: f,
+                    to: t,
+                    delay,
+                    deliver_round,
+                });
+            }
+        }
+        let tie = self.next_tie;
+        self.next_tie += 1;
+        let seq = if policy.reorder {
+            self.rng.draw(round, f, t, k, Salt::Sequence(copy))
+        } else {
+            tie
+        };
+        self.queue.push(Scheduled {
+            deliver_round,
+            seq,
+            tie,
+            env,
+        });
+    }
+}
+
+/// Computes the message adversary's victim mask over a round's admitted
+/// outbox (empty when no suppressor is active this round).
 fn suppression_mask<P>(
     suppressor: Option<&MessageAdversary>,
     round: u32,
@@ -479,199 +368,13 @@ fn suppression_mask<P>(
     mask
 }
 
-/// Runs admitted envelopes of send round `round` through the fault pipeline
-/// and enqueues the surviving copies.
-///
-/// Pipeline per envelope: message-adversary suppression (`suppress[i]`,
-/// chosen over the whole round's admissions) first, then each probabilistic
-/// decision as an independent seeded draw keyed by the message's
-/// coordinates: crashed sender → partition → drop → duplicate → per-copy
-/// delay → enqueue. `edge_index` numbers the round's messages per directed
-/// edge (the `k` coordinate of the draws); `next_tie` is the global
-/// admission counter.
-#[allow(clippy::too_many_arguments)]
-fn inject<P, O>(
-    plan: &FaultPlan,
-    rng: &FaultRng,
-    round: u32,
-    envelopes: Vec<Envelope<P>>,
-    suppress: &[bool],
-    edge_index: &mut HashMap<(NodeId, NodeId), u32>,
-    queue: &mut BinaryHeap<Scheduled<P>>,
-    next_tie: &mut u64,
-    faults: &mut FaultStats,
-    observer: &mut O,
-) where
-    P: rmt_sim::Payload,
-    O: RunObserver,
-{
-    for (idx, env) in envelopes.into_iter().enumerate() {
-        let (from, to) = (env.from, env.to);
-        let k = {
-            let slot = edge_index.entry((from, to)).or_insert(0);
-            let k = *slot;
-            *slot += 1;
-            k
-        };
-        let (f, t) = (from.raw(), to.raw());
-
-        if suppress.get(idx).copied().unwrap_or(false) {
-            faults.suppressed += 1;
-            if O::ACTIVE {
-                observer.on_event(&RunEvent::FaultDrop {
-                    round,
-                    from: f,
-                    to: t,
-                    reason: DropReason::Suppressed,
-                });
-            }
-            continue;
-        }
-        if plan.crashed(from, round) {
-            faults.crashed_sender += 1;
-            if O::ACTIVE {
-                observer.on_event(&RunEvent::FaultDrop {
-                    round,
-                    from: f,
-                    to: t,
-                    reason: DropReason::SenderCrashed,
-                });
-            }
-            continue;
-        }
-        if plan.partitioned(from, to, round) {
-            faults.partitioned += 1;
-            if O::ACTIVE {
-                observer.on_event(&RunEvent::FaultDrop {
-                    round,
-                    from: f,
-                    to: t,
-                    reason: DropReason::Partitioned,
-                });
-            }
-            continue;
-        }
-        let policy = plan.policy(from, to);
-        if policy.drop > 0.0 && rng.unit(round, f, t, k, Salt::Drop) < policy.drop {
-            faults.dropped += 1;
-            if O::ACTIVE {
-                observer.on_event(&RunEvent::FaultDrop {
-                    round,
-                    from: f,
-                    to: t,
-                    reason: DropReason::LinkDrop,
-                });
-            }
-            continue;
-        }
-
-        let copies = if policy.duplicate > 0.0
-            && rng.unit(round, f, t, k, Salt::Duplicate) < policy.duplicate
-        {
-            2u32
-        } else {
-            1u32
-        };
-        for copy in 0..copies {
-            let delay = if policy.delay > 0.0
-                && policy.max_delay > 0
-                && rng.unit(round, f, t, k, Salt::Delay(copy)) < policy.delay
-            {
-                1 + (rng.draw(round, f, t, k, Salt::DelayAmount(copy))
-                    % u64::from(policy.max_delay)) as u32
-            } else {
-                0
-            };
-            let deliver_round = round + 1 + delay;
-            if delay > 0 {
-                faults.delayed += 1;
-                faults.max_observed_delay = faults.max_observed_delay.max(delay);
-            }
-            if copy > 0 {
-                faults.duplicated += 1;
-            }
-            if O::ACTIVE {
-                if copy > 0 {
-                    observer.on_event(&RunEvent::FaultDuplicate {
-                        round,
-                        from: f,
-                        to: t,
-                        deliver_round,
-                    });
-                } else if delay > 0 {
-                    observer.on_event(&RunEvent::FaultDelay {
-                        round,
-                        from: f,
-                        to: t,
-                        delay,
-                        deliver_round,
-                    });
-                }
-            }
-            let tie = *next_tie;
-            *next_tie += 1;
-            let seq = if policy.reorder {
-                rng.draw(round, f, t, k, Salt::Sequence(copy))
-            } else {
-                tie
-            };
-            queue.push(Scheduled {
-                deliver_round,
-                seq,
-                tie,
-                env: env.clone(),
-            });
-        }
-    }
-}
-
-impl<Q: Protocol> NetOutcome<Q> {
-    /// The decision of node `v`, if it is honest and has decided.
-    pub fn decision(&self, v: NodeId) -> Option<Q::Decision> {
-        self.protocols
-            .get(v.index())
-            .and_then(Option::as_ref)
-            .and_then(Protocol::decision)
-    }
-
-    /// The final protocol state of honest node `v`.
-    pub fn protocol(&self, v: NodeId) -> Option<&Q> {
-        self.protocols.get(v.index()).and_then(Option::as_ref)
-    }
-
-    /// The corrupted set of the run.
-    pub fn corrupted(&self) -> &NodeSet {
-        &self.corrupted
-    }
-
-    /// All honest nodes that decided, with their decisions.
-    pub fn decided(&self) -> Vec<(NodeId, Q::Decision)> {
-        self.protocols
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| {
-                p.as_ref()
-                    .and_then(Protocol::decision)
-                    .map(|d| (NodeId::new(i as u32), d))
-            })
-            .collect()
-    }
-
-    /// The messages delivered to a watched node, as `(round, envelope)`.
-    ///
-    /// Empty unless the node was passed to [`NetRunner::watch`].
-    pub fn delivered_to(&self, v: NodeId) -> &[(u32, Envelope<Q::Payload>)] {
-        self.watched.get(&v).map_or(&[], Vec::as_slice)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::{LinkPolicy, Partition};
     use rmt_graph::generators;
     use rmt_sim::testing::Flood;
-    use rmt_sim::SilentAdversary;
+    use rmt_sim::{SilentAdversary, Termination};
 
     fn set(ids: &[u32]) -> NodeSet {
         ids.iter().copied().collect()
@@ -1039,18 +742,110 @@ mod tests {
 
     #[test]
     fn round_cap_scales_with_max_delay() {
+        // A corrupted node that chatters every round never lets the network
+        // quiesce, so the run ends exactly at the default cap.
         let g = generators::path_graph(3);
+        let chatter = rmt_sim::FnAdversary::<u64, _>::new(set(&[1]), |_, _, _| {
+            vec![Envelope::new(1.into(), 2.into(), 9u64)]
+        });
         let plan = FaultPlan::new(0).with_default_policy(LinkPolicy {
             delay: 1.0,
             max_delay: 4,
             ..LinkPolicy::default()
         });
-        let r = NetRunner::new(
-            g,
-            flood_from_zero,
+        let out = NetRunner::new(g, |v| Flood::new(v, None), chatter, plan).run();
+        assert_eq!(
+            out.termination,
+            Termination::Stalled {
+                round: default_max_rounds(3) * 5
+            }
+        );
+    }
+
+    thread_local! {
+        static CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A payload whose `Clone` is counted (per test thread).
+    #[derive(Debug, PartialEq)]
+    struct Counted(u32);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.with(|c| c.set(c.get() + 1));
+            Counted(self.0)
+        }
+    }
+
+    impl rmt_sim::Payload for Counted {
+        fn encoded_bits(&self) -> usize {
+            32
+        }
+    }
+
+    /// Every node sends a fresh payload to each neighbour in rounds 0..3,
+    /// so any clone the run makes is the scheduler's.
+    struct Chatter;
+
+    impl Protocol for Chatter {
+        type Payload = Counted;
+        type Decision = ();
+
+        fn start(&mut self, ctx: &rmt_sim::NodeContext) -> Vec<(NodeId, Counted)> {
+            ctx.neighbors
+                .iter()
+                .map(|w| (w, Counted(ctx.round)))
+                .collect()
+        }
+
+        fn on_round(
+            &mut self,
+            ctx: &rmt_sim::NodeContext,
+            _inbox: &[Envelope<Counted>],
+        ) -> Vec<(NodeId, Counted)> {
+            if ctx.round < 3 {
+                self.start(ctx)
+            } else {
+                Vec::new()
+            }
+        }
+
+        fn decision(&self) -> Option<()> {
+            None
+        }
+    }
+
+    fn counted_run(plan: FaultPlan, watch: NodeSet) -> (NetOutcome<Chatter>, u64) {
+        CLONES.with(|c| c.set(0));
+        let out = NetRunner::new(
+            generators::cycle(5),
+            |_| Chatter,
             SilentAdversary::new(NodeSet::new()),
             plan,
-        );
-        assert_eq!(r.max_rounds, default_max_rounds(3) * 5);
+        )
+        .watch(watch)
+        .run();
+        (out, CLONES.with(std::cell::Cell::get))
+    }
+
+    #[test]
+    fn empty_plan_moves_every_envelope() {
+        let (out, clones) = counted_run(FaultPlan::new(1), set(&[2]));
+        assert!(out.metrics.honest_messages >= 30);
+        // The only copies are the watch log's.
+        assert_eq!(clones, out.delivered_to(2.into()).len() as u64);
+        assert!(clones > 0);
+        assert_eq!(counted_run(FaultPlan::new(1), NodeSet::new()).1, 0);
+    }
+
+    #[test]
+    fn duplication_clones_only_the_extra_copy() {
+        let plan = FaultPlan::new(8).with_default_policy(LinkPolicy {
+            duplicate: 1.0,
+            ..LinkPolicy::default()
+        });
+        let (out, clones) = counted_run(plan, NodeSet::new());
+        assert_eq!(out.faults.duplicated, out.metrics.honest_messages);
+        assert_eq!(clones, out.faults.duplicated);
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! 1. **Transparency**: with an *empty* [`FaultPlan`] the `NetRunner` is
 //!    byte-identical to `rmt-sim`'s synchronous `Runner` — same event
-//!    stream, same [`Metrics`], same delivery log, same decisions — across
-//!    the E2 instance family (random partial-knowledge instances running
-//!    real RMT-PKA under every implemented Byzantine attack).
+//!    stream, same [`Metrics`], same delivery log, same termination, same
+//!    decisions — across the E2 instance family (random partial-knowledge
+//!    instances running real RMT-PKA under every implemented Byzantine
+//!    attack), plain, profiled (`RoundEnd` events included) and cut off by
+//!    a round cap below quiescence.
 //! 2. **Determinism**: a *faulty* run is a pure function of
 //!    `(instance, plan)` — repeating a seed sweep at 1, 2 and 8 threads via
 //!    `rmt-par` yields bit-identical event streams, metrics and fault
@@ -16,8 +18,8 @@ use rmt_core::sampling::random_instance_nonadjacent;
 use rmt_core::Instance;
 use rmt_graph::generators::seeded;
 use rmt_graph::ViewKind;
-use rmt_net::{FaultPlan, LinkPolicy, NetRunner};
-use rmt_obs::{RunEvent, VecObserver};
+use rmt_net::{FaultPlan, LinkPolicy, NetRunner, Termination};
+use rmt_obs::{Clock, RunEvent, VecObserver};
 use rmt_sets::NodeSet;
 use rmt_sim::Runner;
 
@@ -38,46 +40,68 @@ fn e2_instances(count: usize, seed: u64) -> Vec<Instance> {
         .collect()
 }
 
+/// How both schedulers of a paired run are configured.
+#[derive(Clone, Copy, Debug)]
+enum Setup {
+    Plain,
+    /// Profiled with a virtual clock: `RoundEnd` events join the stream.
+    Profiled,
+    /// Cut off by `with_max_rounds(k)`.
+    Capped(u32),
+}
+
 /// Runs RMT-PKA on `inst` under `attack` through both schedulers (the
-/// `NetRunner` under `plan`) and returns the paired observations.
+/// `NetRunner` under `plan`), both configured by `setup`, and returns the
+/// paired observations.
 #[allow(clippy::type_complexity)]
 fn run_both(
     inst: &Instance,
     corrupted: NodeSet,
     attack: rmt_core::protocols::attacks::PkaAttack,
     plan: FaultPlan,
+    setup: Setup,
 ) -> (
-    (Vec<RunEvent>, rmt_sim::Metrics, String),
-    (Vec<RunEvent>, rmt_sim::Metrics, String),
+    (Vec<RunEvent>, rmt_sim::Metrics, String, Termination),
+    (Vec<RunEvent>, rmt_sim::Metrics, String, Termination),
 ) {
     let input = 7;
     let recv = inst.receiver();
     let watch = NodeSet::singleton(recv);
 
     let mut obs_sync = VecObserver::new();
-    let sync = Runner::new(
+    let mut sync = Runner::new(
         inst.graph().clone(),
         |v| RmtPka::node(inst, v, input),
         pka_adversary(inst, input, corrupted.clone(), attack, 11),
     )
-    .watch(watch.clone())
-    .run_observed(&mut obs_sync);
-
-    let mut obs_net = VecObserver::new();
-    let net = NetRunner::new(
+    .watch(watch.clone());
+    let mut net = NetRunner::new(
         inst.graph().clone(),
         |v| RmtPka::node(inst, v, input),
         pka_adversary(inst, input, corrupted, attack, 11),
         plan,
     )
-    .watch(watch)
-    .run_observed(&mut obs_net);
+    .watch(watch);
+    match setup {
+        Setup::Plain => {}
+        Setup::Profiled => {
+            sync = sync.with_profiling(Clock::virtual_ns(13));
+            net = net.with_profiling(Clock::virtual_ns(13));
+        }
+        Setup::Capped(k) => {
+            sync = sync.with_max_rounds(k);
+            net = net.with_max_rounds(k);
+        }
+    }
+    let sync = sync.run_observed(&mut obs_sync);
+    let mut obs_net = VecObserver::new();
+    let net = net.run_observed(&mut obs_net);
 
     let log_sync = format!("{:?}", sync.delivered_to(recv));
     let log_net = format!("{:?}", net.delivered_to(recv));
     (
-        (obs_sync.events, sync.metrics, log_sync),
-        (obs_net.events, net.metrics, log_net),
+        (obs_sync.events, sync.metrics, log_sync, sync.termination),
+        (obs_net.events, net.metrics, log_net, net.termination),
     )
 }
 
@@ -93,10 +117,30 @@ fn empty_plan_is_byte_identical_to_the_synchronous_runner_on_e2() {
             .cloned()
             .unwrap_or_default();
         for attack in PKA_ATTACKS {
-            let (sync, net) = run_both(&inst, corrupted.clone(), attack, FaultPlan::new(99));
-            assert_eq!(sync.0, net.0, "event streams diverge under {attack}");
-            assert_eq!(sync.1, net.1, "metrics diverge under {attack}");
-            assert_eq!(sync.2, net.2, "delivery logs diverge under {attack}");
+            let run = |setup| run_both(&inst, corrupted.clone(), attack, FaultPlan::new(99), setup);
+            let plain = run(Setup::Plain);
+            // One round short of quiescence: traffic is still in flight.
+            let cap = plain.0 .1.rounds - 1;
+            assert!(cap >= 1, "the run must outlast round 1 to be cut off");
+            let setups = [Setup::Plain, Setup::Profiled, Setup::Capped(cap)];
+            let runs = [plain, run(Setup::Profiled), run(Setup::Capped(cap))];
+            for (setup, (sync, net)) in setups.into_iter().zip(runs) {
+                assert_eq!(sync.0, net.0, "event streams diverge under {attack}");
+                assert_eq!(sync.1, net.1, "metrics diverge under {attack}");
+                assert_eq!(sync.2, net.2, "delivery logs diverge under {attack}");
+                assert_eq!(
+                    sync.3, net.3,
+                    "terminations diverge under {attack}, {setup:?}"
+                );
+                match setup {
+                    Setup::Plain => {}
+                    Setup::Profiled => assert!(sync
+                        .0
+                        .iter()
+                        .any(|ev| matches!(ev, RunEvent::RoundEnd { .. }))),
+                    Setup::Capped(k) => assert_eq!(sync.3, Termination::Stalled { round: k }),
+                }
+            }
             checked += 1;
         }
     }

@@ -7,9 +7,13 @@
 //! model:
 //!
 //! * [`Protocol`] — the per-node deterministic state machine interface;
-//! * [`Runner`] — the synchronous scheduler: messages sent in round `r` are
-//!   delivered in round `r+1`, only along edges, with the true sender
-//!   identity (authenticated channels are enforced by construction);
+//! * [`Runner`] — the round loop every in-process scheduler shares: traffic
+//!   flows only along edges, with the true sender identity (authenticated
+//!   channels are enforced by construction), through a [`Delivery`] policy
+//!   that decides when admitted messages arrive. The default, [`Lockstep`],
+//!   is the synchronous network: messages sent in round `r` are delivered
+//!   in round `r+1`. `rmt-net`'s `NetRunner` is the same loop over a faulty
+//!   network;
 //! * [`Adversary`] — full-information Byzantine control of the corrupted
 //!   set, with building blocks ([`SilentAdversary`], [`FnAdversary`],
 //!   [`MapAdversary`]) from which the protocol-specific attacks in
@@ -55,11 +59,9 @@ pub mod transport;
 
 pub use adversary::{Adversary, FnAdversary, MapAdversary, SilentAdversary};
 pub use coupled::{CoupledOutcome, CoupledRunner};
-pub use message::{DeliveryLog, Envelope, Payload, RoundInboxes, WirePayload};
+pub use message::{Envelope, Payload, RoundInboxes, WirePayload};
 pub use metrics::Metrics;
 pub use protocol::{NodeContext, Protocol};
-#[doc(hidden)]
-pub use runner::emit_round_end;
-pub use runner::{RunOutcome, Runner};
+pub use runner::{Delivery, Lockstep, RunOutcome, Runner, Termination};
 pub use trace::Transcript;
-pub use transport::{default_max_rounds, sweep_decisions, Transport, MAX_ROUNDS_SLACK};
+pub use transport::{default_max_rounds, Transport, MAX_ROUNDS_SLACK};

@@ -100,7 +100,8 @@ impl<P: Payload> Envelope<P> {
 /// A per-node log of deliveries: recipient ↦ [(round, envelope)].
 ///
 /// Used by the runner's watch facility and the coupled executor.
-pub type DeliveryLog<P> = std::collections::HashMap<rmt_sets::NodeId, Vec<(u32, Envelope<P>)>>;
+pub(crate) type DeliveryLog<P> =
+    std::collections::HashMap<rmt_sets::NodeId, Vec<(u32, Envelope<P>)>>;
 
 /// The messages delivered to every node in one round, indexed by recipient.
 ///
@@ -113,9 +114,9 @@ pub struct RoundInboxes<P> {
 impl<P: Payload> RoundInboxes<P> {
     /// Creates empty inboxes for `size` nodes.
     ///
-    /// Public so external schedulers (`rmt-net`'s `NetRunner`) can assemble
-    /// the per-round delivery structure the [`Adversary`](crate::Adversary)
-    /// interface expects.
+    /// Public so schedulers outside this crate (`rmt-netd`'s socket loop)
+    /// can assemble the per-round delivery structure the
+    /// [`Adversary`](crate::Adversary) interface expects.
     pub fn new(size: usize) -> Self {
         RoundInboxes {
             inboxes: (0..size).map(|_| Vec::new()).collect(),

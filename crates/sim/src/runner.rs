@@ -10,34 +10,136 @@ use crate::metrics::Metrics;
 use crate::protocol::{NodeContext, Protocol};
 use crate::transport::{default_max_rounds, sweep_decisions, Transport};
 
-/// The synchronous scheduler.
+/// Where admitted envelopes go and when they come back: the one thing in
+/// which schedulers differ.
 ///
-/// Messages sent in round `r` are delivered at the start of round `r+1`;
-/// honest nodes run their [`Protocol`], corrupted nodes are driven by the
-/// [`Adversary`] with full information. The runner enforces the physical
-/// model: traffic flows only along edges of the graph, honest senders are
-/// stamped authentically, and adversarial envelopes claiming an honest
-/// sender or a non-edge are rejected (and counted in
-/// [`Metrics::rejected_adversarial`]).
+/// [`Runner`]'s round loop admits each round's sends through [`Transport`],
+/// hands the round's whole outbox to the policy, and at the start of every
+/// later round delivers what the policy says is due. [`Lockstep`] is the
+/// paper's synchronous network; `rmt-net` implements a faulty one that
+/// drops, delays, duplicates and reorders.
+pub trait Delivery<P> {
+    /// The policy's account of what it did to the traffic, returned as
+    /// [`RunOutcome::faults`].
+    type Stats;
+
+    /// Whether node `v` is crashed in `round`: a crashed node neither runs
+    /// nor sends.
+    fn crashed(&self, _v: NodeId, _round: u32) -> bool {
+        false
+    }
+
+    /// Emits a [`RunEvent::NodeCrashed`] for every node crashing at
+    /// `round`; called right after the round starts.
+    fn emit_crashes<O: RunObserver>(&self, _round: u32, _observer: &mut O) {}
+
+    /// Accepts the envelopes admitted in send round `round`, in admission
+    /// order.
+    fn send<O: RunObserver>(&mut self, round: u32, outbox: Vec<Envelope<P>>, observer: &mut O);
+
+    /// Hands over the envelopes due in `round`, in delivery order.
+    fn due(&mut self, round: u32) -> Vec<Envelope<P>>;
+
+    /// Whether nothing is left in flight.
+    fn is_idle(&self) -> bool;
+
+    /// Messages destroyed so far; each round's increase is billed as its
+    /// `RoundEnd.drops`.
+    fn lost(&self) -> u64 {
+        0
+    }
+
+    /// Ends the run, returning the policy's account of it.
+    fn into_stats(self) -> Self::Stats;
+}
+
+/// The synchronous network of the paper: everything admitted in round `r`
+/// is delivered, in admission order, in round `r + 1`.
+pub struct Lockstep<P> {
+    inflight: Vec<Envelope<P>>,
+}
+
+impl<P> Default for Lockstep<P> {
+    fn default() -> Self {
+        Lockstep {
+            inflight: Vec::new(),
+        }
+    }
+}
+
+impl<P> Delivery<P> for Lockstep<P> {
+    type Stats = ();
+
+    fn send<O: RunObserver>(&mut self, _round: u32, outbox: Vec<Envelope<P>>, _observer: &mut O) {
+        self.inflight = outbox;
+    }
+
+    fn due(&mut self, _round: u32) -> Vec<Envelope<P>> {
+        std::mem::take(&mut self.inflight)
+    }
+
+    fn is_idle(&self) -> bool {
+        self.inflight.is_empty()
+    }
+
+    fn into_stats(self) {}
+}
+
+/// How a run ended.
 ///
-/// The run stops at quiescence (nothing delivered and nothing sent) or after
+/// The hunter needs to tell liveness loss apart from wrong delivery, so the
+/// scheduler reports *why* it stopped instead of folding round-cap
+/// exhaustion into a generic non-decision.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Termination {
+    /// The network quiesced: after `round`, no traffic was left in flight.
+    Quiesced {
+        /// The last round that executed.
+        round: u32,
+    },
+    /// The round cap was exhausted with traffic still queued: the run was
+    /// cut off, not finished.
+    Stalled {
+        /// The round at which the cap hit.
+        round: u32,
+    },
+}
+
+/// The round-based scheduler, over a [`Delivery`] policy (by default
+/// [`Lockstep`], the synchronous network).
+///
+/// Round 0 runs every honest [`Protocol::start`]; every later round first
+/// delivers what the policy says is due, then runs the honest nodes'
+/// [`Protocol`] and the [`Adversary`] (full information) on that round's
+/// inboxes. The runner enforces the physical model: traffic flows only
+/// along edges of the graph, honest senders are stamped authentically, and
+/// adversarial envelopes claiming an honest sender or a non-edge are
+/// rejected (and counted in [`Metrics::rejected_adversarial`]).
+///
+/// The run stops at quiescence (nothing left in flight) or after
 /// `max_rounds` (default [`default_max_rounds`], enough for every
 /// trail-bounded protocol in this workspace).
-pub struct Runner<Q: Protocol, A> {
+pub struct Runner<Q: Protocol, A, D = Lockstep<<Q as Protocol>::Payload>> {
     graph: Graph,
     protocols: Vec<Option<Q>>,
     adversary: A,
+    delivery: D,
     max_rounds: u32,
     watch: NodeSet,
     profile: Option<Clock>,
 }
 
 /// The result of a completed run.
-pub struct RunOutcome<Q: Protocol> {
+pub struct RunOutcome<Q: Protocol, F = ()> {
     protocols: Vec<Option<Q>>,
     corrupted: NodeSet,
-    /// Complexity metrics for the run.
+    /// Complexity metrics for the run (a message the network loses was
+    /// still sent and is still counted).
     pub metrics: Metrics,
+    /// What the delivery policy did to the traffic (`()` for [`Lockstep`]).
+    pub faults: F,
+    /// Whether the run quiesced or hit the round cap with traffic in flight.
+    pub termination: Termination,
     watched: DeliveryLog<Q::Payload>,
 }
 
@@ -46,10 +148,28 @@ where
     Q: Protocol,
     A: Adversary<Q::Payload>,
 {
-    /// Creates a runner on `graph`; honest nodes get protocol instances from
-    /// `make`, nodes in `adversary.corrupted()` are controlled by the
-    /// adversary.
-    pub fn new(graph: Graph, mut make: impl FnMut(NodeId) -> Q, adversary: A) -> Self {
+    /// Creates a synchronous runner on `graph`; honest nodes get protocol
+    /// instances from `make`, nodes in `adversary.corrupted()` are
+    /// controlled by the adversary.
+    pub fn new(graph: Graph, make: impl FnMut(NodeId) -> Q, adversary: A) -> Self {
+        Runner::with_delivery(graph, make, adversary, Lockstep::default())
+    }
+}
+
+impl<Q, A, D> Runner<Q, A, D>
+where
+    Q: Protocol,
+    A: Adversary<Q::Payload>,
+    D: Delivery<Q::Payload>,
+{
+    /// Creates a runner like [`Runner::new`] whose traffic goes through
+    /// `delivery` instead of the synchronous network.
+    pub fn with_delivery(
+        graph: Graph,
+        mut make: impl FnMut(NodeId) -> Q,
+        adversary: A,
+        delivery: D,
+    ) -> Self {
         let size = graph.nodes().last().map_or(0, |v| v.index() + 1);
         let mut protocols: Vec<Option<Q>> = (0..size).map(|_| None).collect();
         for v in graph.nodes() {
@@ -62,6 +182,7 @@ where
             graph,
             protocols,
             adversary,
+            delivery,
             max_rounds,
             watch: NodeSet::new(),
             profile: None,
@@ -83,8 +204,9 @@ where
 
     /// Enables per-round profiling: an observed run additionally emits one
     /// [`RunEvent::RoundEnd`] per round carrying the round's latency
-    /// (stamped by `clock`) and its wire deltas (messages and bits admitted
-    /// that round).
+    /// (stamped by `clock`), its wire deltas (messages and bits admitted
+    /// that round) and the messages the delivery policy destroyed that
+    /// round.
     ///
     /// Off by default so unprofiled observed runs emit byte-identical event
     /// streams to earlier releases. With a virtual clock
@@ -94,8 +216,14 @@ where
         self
     }
 
+    /// The delivery policy, for a scheduler built on this loop to
+    /// configure before the run.
+    pub fn delivery_mut(&mut self) -> &mut D {
+        &mut self.delivery
+    }
+
     /// Executes the run to completion.
-    pub fn run(self) -> RunOutcome<Q> {
+    pub fn run(self) -> RunOutcome<Q, D::Stats> {
         self.run_observed(&mut NoopObserver)
     }
 
@@ -108,188 +236,191 @@ where
     /// delegates here. The event stream carries everything the run's
     /// [`Metrics`] and transcripts need; see [`Metrics::from_events`] and
     /// [`Transcript::from_events`](crate::Transcript::from_events).
-    pub fn run_observed<O: RunObserver>(mut self, observer: &mut O) -> RunOutcome<Q> {
-        let size = self.protocols.len();
-        let mut metrics = Metrics::default();
-        let mut watched: DeliveryLog<Q::Payload> = HashMap::new();
-        let mut decided = vec![false; size];
+    pub fn run_observed<O: RunObserver>(mut self, observer: &mut O) -> RunOutcome<Q, D::Stats> {
         let profile = if O::ACTIVE { self.profile.take() } else { None };
-        let mut round_start_ns = profile.as_ref().map_or(0, Clock::now_ns);
-        let mut wire_seen = (0u64, 0u64); // (messages, bits) already billed
-
+        let mut books = Books {
+            metrics: Metrics::default(),
+            watched: HashMap::new(),
+            decided: vec![false; self.protocols.len()],
+            round_start_ns: profile.as_ref().map_or(0, Clock::now_ns),
+            profile,
+            billed: (0, 0, 0),
+        };
         if O::ACTIVE {
             let corrupted: Vec<u32> = self.adversary.corrupted().iter().map(NodeId::raw).collect();
             observer.on_event(&RunEvent::RunStart {
                 nodes: self.graph.node_count() as u32,
                 corrupted,
             });
-            observer.on_event(&RunEvent::RoundStart { round: 0 });
+        }
+        self.play_round(0, &mut books, observer);
+        for round in 1..=self.max_rounds {
+            if self.delivery.is_idle() {
+                break;
+            }
+            books.metrics.rounds = round;
+            self.play_round(round, &mut books, observer);
+        }
+        if O::ACTIVE {
+            observer.on_event(&RunEvent::RunEnd {
+                rounds: books.metrics.rounds,
+            });
         }
 
-        // Round 0: initial sends.
-        let mut inflight: Vec<Envelope<Q::Payload>> = Vec::new();
+        let round = books.metrics.rounds;
+        let termination = if self.delivery.is_idle() {
+            Termination::Quiesced { round }
+        } else {
+            Termination::Stalled { round }
+        };
+        RunOutcome {
+            protocols: self.protocols,
+            corrupted: self.adversary.corrupted().clone(),
+            metrics: books.metrics,
+            faults: self.delivery.into_stats(),
+            termination,
+            watched: books.watched,
+        }
+    }
+
+    /// Runs one round: delivers what is due (from round 1 on), runs the
+    /// honest nodes and the adversary, admits their sends through
+    /// [`Transport`] and hands the round's outbox to the delivery policy.
+    fn play_round<O: RunObserver>(
+        &mut self,
+        round: u32,
+        books: &mut Books<Q::Payload>,
+        observer: &mut O,
+    ) {
+        if O::ACTIVE {
+            observer.on_event(&RunEvent::RoundStart { round });
+        }
+        self.delivery.emit_crashes(round, observer);
+        let delivered = (round > 0).then(|| self.deliver(round, &mut books.watched, observer));
+
+        let transport = Transport::new(&self.graph);
         let mut honest_this_round = 0u64;
+        let mut outbox: Vec<Envelope<Q::Payload>> = Vec::new();
         for v in self.graph.nodes() {
+            if self.delivery.crashed(v, round) {
+                continue;
+            }
             if let Some(proto) = self.protocols[v.index()].as_mut() {
                 let ctx = NodeContext {
                     id: v,
-                    round: 0,
+                    round,
                     neighbors: self.graph.neighbors(v).clone(),
                 };
-                let sends = proto.start(&ctx);
-                inflight.extend(Transport::new(&self.graph).admit_honest(
-                    0,
+                let sends = match &delivered {
+                    None => proto.start(&ctx),
+                    Some(inboxes) => proto.on_round(&ctx, inboxes.inbox(v)),
+                };
+                outbox.extend(transport.admit_honest(
+                    round,
                     v,
                     sends,
-                    &mut metrics,
+                    &mut books.metrics,
                     &mut honest_this_round,
                     observer,
                 ));
             }
         }
-        let adversarial = self.adversary.start(&self.graph);
-        inflight.extend(Transport::new(&self.graph).admit_adversarial(
-            0,
+        let adversarial = match &delivered {
+            None => self.adversary.start(&self.graph),
+            Some(inboxes) => self.adversary.on_round(round, &self.graph, inboxes),
+        };
+        outbox.extend(transport.admit_adversarial(
+            round,
             self.adversary.corrupted(),
             adversarial,
-            &mut metrics,
+            &mut books.metrics,
             observer,
         ));
-        metrics.honest_messages_per_round.push(honest_this_round);
+        self.delivery.send(round, outbox, observer);
+        books
+            .metrics
+            .honest_messages_per_round
+            .push(honest_this_round);
         if O::ACTIVE {
-            sweep_decisions(&self.graph, &self.protocols, 0, &mut decided, observer);
-        }
-        if let Some(clock) = &profile {
-            emit_round_end(
-                0,
-                clock,
-                &mut round_start_ns,
-                &metrics,
-                &mut wire_seen,
-                0,
+            sweep_decisions(
+                &self.graph,
+                &self.protocols,
+                round,
+                &mut books.decided,
                 observer,
             );
         }
+        books.end_round(round, self.delivery.lost(), observer);
+    }
 
-        for round in 1..=self.max_rounds {
-            if inflight.is_empty() {
-                break;
-            }
-            metrics.rounds = round;
+    /// Takes the envelopes due in `round` from the delivery policy and files
+    /// them by recipient, emitting a [`RunEvent::Delivery`] for each and
+    /// logging those addressed to watched nodes.
+    fn deliver<O: RunObserver>(
+        &mut self,
+        round: u32,
+        watched: &mut DeliveryLog<Q::Payload>,
+        observer: &mut O,
+    ) -> RoundInboxes<Q::Payload> {
+        let mut delivered = RoundInboxes::new(self.protocols.len());
+        for env in self.delivery.due(round) {
             if O::ACTIVE {
-                observer.on_event(&RunEvent::RoundStart { round });
-            }
-            let mut delivered = RoundInboxes::new(size);
-            for env in inflight.drain(..) {
-                if O::ACTIVE {
-                    observer.on_event(&RunEvent::Delivery {
-                        round,
-                        from: env.from.raw(),
-                        to: env.to.raw(),
-                        payload: format!("{:?}", env.payload),
-                    });
-                }
-                if self.watch.contains(env.to) {
-                    watched
-                        .entry(env.to)
-                        .or_default()
-                        .push((round, env.clone()));
-                }
-                delivered.push(env);
-            }
-
-            let mut outgoing: Vec<Envelope<Q::Payload>> = Vec::new();
-            let mut honest_this_round = 0u64;
-            for v in self.graph.nodes() {
-                if let Some(proto) = self.protocols[v.index()].as_mut() {
-                    let ctx = NodeContext {
-                        id: v,
-                        round,
-                        neighbors: self.graph.neighbors(v).clone(),
-                    };
-                    let sends = proto.on_round(&ctx, delivered.inbox(v));
-                    outgoing.extend(Transport::new(&self.graph).admit_honest(
-                        round,
-                        v,
-                        sends,
-                        &mut metrics,
-                        &mut honest_this_round,
-                        observer,
-                    ));
-                }
-            }
-            let adversarial = self.adversary.on_round(round, &self.graph, &delivered);
-            outgoing.extend(Transport::new(&self.graph).admit_adversarial(
-                round,
-                self.adversary.corrupted(),
-                adversarial,
-                &mut metrics,
-                observer,
-            ));
-            metrics.honest_messages_per_round.push(honest_this_round);
-            if O::ACTIVE {
-                sweep_decisions(&self.graph, &self.protocols, round, &mut decided, observer);
-            }
-            if let Some(clock) = &profile {
-                emit_round_end(
+                observer.on_event(&RunEvent::Delivery {
                     round,
-                    clock,
-                    &mut round_start_ns,
-                    &metrics,
-                    &mut wire_seen,
-                    0,
-                    observer,
-                );
+                    from: env.from.raw(),
+                    to: env.to.raw(),
+                    payload: format!("{:?}", env.payload),
+                });
             }
-            inflight = outgoing;
+            if self.watch.contains(env.to) {
+                watched
+                    .entry(env.to)
+                    .or_default()
+                    .push((round, env.clone()));
+            }
+            delivered.push(env);
         }
-
-        if O::ACTIVE {
-            observer.on_event(&RunEvent::RunEnd {
-                rounds: metrics.rounds,
-            });
-        }
-
-        RunOutcome {
-            protocols: self.protocols,
-            corrupted: self.adversary.corrupted().clone(),
-            metrics,
-            watched,
-        }
+        delivered
     }
 }
 
-/// Emits one [`RunEvent::RoundEnd`] billing everything admitted since the
-/// previous round boundary: latency from `round_start_ns` to now (which
-/// becomes the next boundary), message/bit deltas against `wire_seen`, plus
-/// `drops` destroyed messages (always 0 for the fault-free [`Runner`]; the
-/// fault-injecting scheduler passes its per-round loss).
-///
-/// Exported for the `rmt-net` scheduler; not a stable public API.
-#[doc(hidden)]
-pub fn emit_round_end<O: RunObserver>(
-    round: u32,
-    clock: &Clock,
-    round_start_ns: &mut u64,
-    metrics: &Metrics,
-    wire_seen: &mut (u64, u64),
-    drops: u64,
-    observer: &mut O,
-) {
-    let now = clock.now_ns();
-    let (messages, bits) = (metrics.total_messages(), metrics.honest_bits);
-    observer.on_event(&RunEvent::RoundEnd {
-        round,
-        ns: now.saturating_sub(*round_start_ns),
-        messages: messages - wire_seen.0,
-        bits: bits - wire_seen.1,
-        drops,
-    });
-    *round_start_ns = now;
-    *wire_seen = (messages, bits);
+/// What one run accumulates across its rounds.
+struct Books<P> {
+    metrics: Metrics,
+    watched: DeliveryLog<P>,
+    /// One flag per node: has its decision been reported yet?
+    decided: Vec<bool>,
+    /// The profiling clock; `None` unless profiling an observed run.
+    profile: Option<Clock>,
+    round_start_ns: u64,
+    /// `(messages, bits, lost)` already billed in `RoundEnd` events.
+    billed: (u64, u64, u64),
 }
 
-impl<Q: Protocol> RunOutcome<Q> {
+impl<P> Books<P> {
+    /// When profiling, emits one [`RunEvent::RoundEnd`] billing everything
+    /// since the previous round boundary: latency from `round_start_ns` to
+    /// now (which becomes the next boundary), plus message, bit and loss
+    /// deltas against `billed`.
+    fn end_round<O: RunObserver>(&mut self, round: u32, lost: u64, observer: &mut O) {
+        let Some(clock) = &self.profile else {
+            return;
+        };
+        let now = clock.now_ns();
+        let (messages, bits) = (self.metrics.total_messages(), self.metrics.honest_bits);
+        observer.on_event(&RunEvent::RoundEnd {
+            round,
+            ns: now.saturating_sub(self.round_start_ns),
+            messages: messages - self.billed.0,
+            bits: bits - self.billed.1,
+            drops: lost - self.billed.2,
+        });
+        self.round_start_ns = now;
+        self.billed = (messages, bits, lost);
+    }
+}
+
+impl<Q: Protocol, F> RunOutcome<Q, F> {
     /// The decision of node `v`, if it is honest and has decided.
     pub fn decision(&self, v: NodeId) -> Option<Q::Decision> {
         self.protocols
@@ -354,6 +485,12 @@ mod tests {
         // Cycle of 6: value reaches the antipode in 3 rounds, one more round
         // of sends, nothing in flight afterwards.
         assert!(out.metrics.rounds <= 5);
+        assert_eq!(
+            out.termination,
+            Termination::Quiesced {
+                round: out.metrics.rounds
+            }
+        );
         assert_eq!(out.metrics.honest_messages_per_round[0], 2);
     }
 
@@ -477,6 +614,7 @@ mod tests {
             .with_max_rounds(1)
             .run();
         assert_eq!(out.metrics.rounds, 1);
+        assert_eq!(out.termination, Termination::Stalled { round: 1 });
         assert_eq!(out.decision(4.into()), None); // too far for one round
     }
 }

@@ -4,12 +4,12 @@
 //! only along edges of the graph, and channels are authenticated (the
 //! adversary cannot forge an honest sender) — plus the bookkeeping every
 //! experiment relies on: message/bit accounting and the observable event
-//! stream. [`Transport`] packages those so the synchronous [`Runner`] and
-//! the fault-injecting `NetRunner` of `rmt-net` enforce *the same* model
-//! with *the same* event emission order: a scheduler that admits sends
-//! through this seam and delivers them unchanged is observationally
-//! identical to [`Runner`] (the empty-`FaultPlan` differential gate in
-//! `rmt-net` checks this byte for byte).
+//! stream. [`Transport`] packages those so the round loop of [`Runner`]
+//! (under any delivery policy) and the socket loop of `rmt-netd` enforce
+//! *the same* model with *the same* event emission order: a scheduler that
+//! admits sends through this seam and delivers them unchanged is
+//! observationally identical to [`Runner`] (the differential gates of
+//! `rmt-net` and `rmt-netd` check this byte for byte).
 //!
 //! [`Runner`]: crate::Runner
 
@@ -150,9 +150,9 @@ impl<'g> Transport<'g> {
 /// the last sweep, in ascending node order.
 ///
 /// `decided` carries the sweep state across rounds (one flag per node
-/// index). Only meaningful when the observer is active; schedulers guard the
-/// call with `O::ACTIVE` so the inactive path stays event-free.
-pub fn sweep_decisions<Q: Protocol, O: RunObserver>(
+/// index). Only meaningful when the observer is active; the round loop
+/// guards the call with `O::ACTIVE` so the inactive path stays event-free.
+pub(crate) fn sweep_decisions<Q: Protocol, O: RunObserver>(
     graph: &Graph,
     protocols: &[Option<Q>],
     round: u32,
