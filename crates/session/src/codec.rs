@@ -30,10 +30,21 @@
 //! `tests/codec_props.rs`), and the receiver reads messages in place
 //! through the borrowed iterator whose owning form `expand` is.
 //!
+//! A frame is a shared, immutable handle: [`pack`](SessionFrame::pack),
+//! [`relay`](SessionFrame::relay), `decode` and
+//! [`from_parts`](SessionFrame::from_parts) build the body once and wrap it
+//! in an `Arc`, so the per-neighbour copies of a broadcast are reference
+//! count bumps rather than deep copies of every trail, value run and
+//! knowledge entry. The wire size is computed lazily, on the first
+//! `encoded_bits` call, and cached in the shared body, so the transport
+//! bills every copy the same bits without re-encoding.
+//!
 //! [`Values`]: SessionEntry::Values
 //! [`Knowledge`]: SessionEntry::Knowledge
 
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use rmt_adversary::AdversaryStructure;
 use rmt_core::protocols::rmt_pka::PkaPayload;
@@ -137,26 +148,56 @@ pub(crate) fn valid_arrival(trail: &[NodeId], from: NodeId, me: NodeId) -> bool 
 }
 
 /// Everything one node sends one neighbour in one round.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SessionFrame {
+///
+/// A frame is a shared handle to one immutable body: `clone` bumps a
+/// reference count, so a broadcast's per-neighbour copies are one frame,
+/// and equality compares bodies. The wire size is computed on the first
+/// [`encoded_bits`](Payload::encoded_bits) call and cached in the body,
+/// so every copy is billed the same bits without re-encoding.
+#[derive(Clone)]
+pub struct SessionFrame(Arc<FrameBody>);
+
+/// The shared body of a [`SessionFrame`]; never mutated once wrapped.
+struct FrameBody {
     /// The trail table: every distinct propagation trail this frame uses.
-    pub trails: Vec<Vec<NodeId>>,
+    trails: Vec<Vec<NodeId>>,
     /// The batched messages, referencing trails by index.
-    pub entries: Vec<SessionEntry>,
+    entries: Vec<SessionEntry>,
+    /// The framed wire size in bits, filled on first use (lazily, so a
+    /// frame too large to encode can still be built and inspected).
+    bits: OnceLock<usize>,
 }
 
 impl SessionFrame {
     /// An empty frame.
     pub fn new() -> Self {
-        SessionFrame {
-            trails: Vec::new(),
-            entries: Vec::new(),
-        }
+        SessionFrame::from_parts(Vec::new(), Vec::new())
+    }
+
+    /// A frame over a given trail table and entry list, taken as is (an
+    /// entry may reference a missing trail; [`expand`](Self::expand)
+    /// rejects such frames).
+    pub fn from_parts(trails: Vec<Vec<NodeId>>, entries: Vec<SessionEntry>) -> Self {
+        SessionFrame(Arc::new(FrameBody {
+            trails,
+            entries,
+            bits: OnceLock::new(),
+        }))
+    }
+
+    /// The trail table: every distinct propagation trail this frame uses.
+    pub fn trails(&self) -> &[Vec<NodeId>] {
+        &self.0.trails
+    }
+
+    /// The batched messages, referencing trails by index.
+    pub fn entries(&self) -> &[SessionEntry] {
+        &self.0.entries
     }
 
     /// `true` if the frame carries no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries().is_empty()
     }
 
     /// Packs per-message `(slot, payload)` logical messages into one frame,
@@ -165,7 +206,8 @@ impl SessionFrame {
     /// `Knowledge` payloads are slot-independent; their slot component is
     /// ignored (and comes back as `0` from [`expand`](Self::expand)).
     pub fn pack(items: &[(u32, PkaPayload)]) -> SessionFrame {
-        let mut frame = SessionFrame::new();
+        let mut trails: Vec<Vec<NodeId>> = Vec::new();
+        let mut entries = Vec::new();
         let mut interned: HashMap<Vec<NodeId>, u32> = HashMap::new();
         for (slot, payload) in items {
             let trail_id = {
@@ -173,16 +215,16 @@ impl SessionFrame {
                 match interned.get(trail) {
                     Some(&id) => id,
                     None => {
-                        let id = frame.trails.len() as u32;
+                        let id = trails.len() as u32;
                         interned.insert(trail.to_vec(), id);
-                        frame.trails.push(trail.to_vec());
+                        trails.push(trail.to_vec());
                         id
                     }
                 }
             };
             match payload {
                 PkaPayload::DealerValue { value, .. } => {
-                    frame.push_values(trail_id, *slot, std::slice::from_ref(value));
+                    push_values(&mut entries, trail_id, *slot, std::slice::from_ref(value));
                 }
                 PkaPayload::Knowledge {
                     node,
@@ -190,7 +232,7 @@ impl SessionFrame {
                     structure,
                     ..
                 } => {
-                    frame.entries.push(SessionEntry::Knowledge {
+                    entries.push(SessionEntry::Knowledge {
                         node: *node,
                         view: view.clone(),
                         structure: structure.clone(),
@@ -199,39 +241,16 @@ impl SessionFrame {
                 }
             }
         }
-        frame
-    }
-
-    /// Appends a nonempty value run, extending the previous entry when it
-    /// is a run over the same trail ending right before `first_slot`.
-    fn push_values(&mut self, trail_id: u32, first_slot: u32, run: &[Value]) {
-        if let Some(SessionEntry::Values {
-            trail,
-            first_slot: prev_first,
-            values,
-        }) = self.entries.last_mut()
-        {
-            if *trail == trail_id
-                && u64::from(*prev_first) + values.len() as u64 == u64::from(first_slot)
-            {
-                values.extend_from_slice(run);
-                return;
-            }
-        }
-        self.entries.push(SessionEntry::Values {
-            trail: trail_id,
-            first_slot,
-            values: run.to_vec(),
-        });
+        SessionFrame::from_parts(trails, entries)
     }
 
     /// Fails on the first entry whose trail index is outside the table.
     fn check_trail_indices(&self) -> Result<(), String> {
         match self
-            .entries
+            .entries()
             .iter()
             .map(SessionEntry::trail)
-            .find(|&t| t as usize >= self.trails.len())
+            .find(|&t| t as usize >= self.trails().len())
         {
             Some(t) => Err(format!("entry references missing trail {t}")),
             None => Ok(()),
@@ -242,8 +261,8 @@ impl SessionFrame {
     /// entry order — the order [`expand`](Self::expand) defines.
     pub(crate) fn messages(&self) -> Result<impl Iterator<Item = (u32, Message<'_>)>, String> {
         self.check_trail_indices()?;
-        Ok(self.entries.iter().flat_map(move |entry| {
-            let trail = self.trails[entry.trail() as usize].as_slice();
+        Ok(self.entries().iter().flat_map(move |entry| {
+            let trail = self.trails()[entry.trail() as usize].as_slice();
             let count = match entry {
                 SessionEntry::Values { values, .. } => values.len(),
                 SessionEntry::Knowledge { .. } => 1,
@@ -311,7 +330,8 @@ impl SessionFrame {
         inbox: impl IntoIterator<Item = (NodeId, &'a SessionFrame)>,
         invalid: &mut u64,
     ) -> SessionFrame {
-        let mut out = SessionFrame::new();
+        let mut trails: Vec<Vec<NodeId>> = Vec::new();
+        let mut entries = Vec::new();
         // Output trail ids, keyed by the incoming trail (`trail ‖ me` is
         // injective in `trail`).
         let mut interned: HashMap<&'a [NodeId], u32> = HashMap::new();
@@ -322,21 +342,21 @@ impl SessionFrame {
             }
             // Per incoming trail: `None` until first referenced, then
             // `Some(None)` if it fails the trail check, else its output id.
-            let mut fate: Vec<Option<Option<u32>>> = vec![None; frame.trails.len()];
-            for entry in &frame.entries {
+            let mut fate: Vec<Option<Option<u32>>> = vec![None; frame.trails().len()];
+            for entry in frame.entries() {
                 if matches!(entry, SessionEntry::Values { values, .. } if values.is_empty()) {
                     continue;
                 }
                 let t = entry.trail() as usize;
                 let kept = *fate[t].get_or_insert_with(|| {
-                    let trail = frame.trails[t].as_slice();
+                    let trail = frame.trails()[t].as_slice();
                     valid_arrival(trail, from, me).then(|| {
                         *interned.entry(trail).or_insert_with(|| {
                             let mut extended = Vec::with_capacity(trail.len() + 1);
                             extended.extend_from_slice(trail);
                             extended.push(me);
-                            out.trails.push(extended);
-                            out.trails.len() as u32 - 1
+                            trails.push(extended);
+                            trails.len() as u32 - 1
                         })
                     })
                 });
@@ -344,13 +364,13 @@ impl SessionFrame {
                 match entry {
                     SessionEntry::Values {
                         first_slot, values, ..
-                    } => out.push_values(trail_id, *first_slot, values),
+                    } => push_values(&mut entries, trail_id, *first_slot, values),
                     SessionEntry::Knowledge {
                         node,
                         view,
                         structure,
                         ..
-                    } => out.entries.push(SessionEntry::Knowledge {
+                    } => entries.push(SessionEntry::Knowledge {
                         node: *node,
                         view: view.clone(),
                         structure: structure.clone(),
@@ -359,7 +379,7 @@ impl SessionFrame {
                 }
             }
         }
-        out
+        SessionFrame::from_parts(trails, entries)
     }
 
     /// The frame's cost in the *model layer*: `(messages, bits)` of the
@@ -373,11 +393,14 @@ impl SessionFrame {
     pub fn model_cost(&self) -> (u64, u64) {
         const ID_BITS: u64 = 32;
         let trail_bits = |idx: u32| -> u64 {
-            self.trails.get(idx as usize).map_or(0, |t| t.len() as u64) * ID_BITS
+            self.trails()
+                .get(idx as usize)
+                .map_or(0, |t| t.len() as u64)
+                * ID_BITS
         };
         let mut msgs = 0u64;
         let mut bits = 0u64;
-        for entry in &self.entries {
+        for entry in self.entries() {
             match entry {
                 SessionEntry::Values { trail, values, .. } => {
                     msgs += values.len() as u64;
@@ -410,7 +433,7 @@ impl SessionFrame {
     pub fn trail_suffix_nodes(&self) -> u64 {
         let mut total = 0u64;
         let mut prev: &[NodeId] = &[];
-        for trail in &self.trails {
+        for trail in self.trails() {
             total += (trail.len() - shared_prefix(prev, trail)) as u64;
             prev = trail;
         }
@@ -418,9 +441,9 @@ impl SessionFrame {
     }
 
     fn encode_body(&self, out: &mut impl Sink) {
-        out.varint(self.trails.len() as u64);
+        out.varint(self.trails().len() as u64);
         let mut prev: &[NodeId] = &[];
-        for trail in &self.trails {
+        for trail in self.trails() {
             let shared = shared_prefix(prev, trail);
             out.varint(shared as u64);
             out.varint((trail.len() - shared) as u64);
@@ -429,8 +452,8 @@ impl SessionFrame {
             }
             prev = trail;
         }
-        out.varint(self.entries.len() as u64);
-        for entry in &self.entries {
+        out.varint(self.entries().len() as u64);
+        for entry in self.entries() {
             match entry {
                 SessionEntry::Values {
                     trail,
@@ -538,7 +561,7 @@ impl SessionFrame {
                 body.len() - *pos
             ));
         }
-        Ok(SessionFrame { trails, entries })
+        Ok(SessionFrame::from_parts(trails, entries))
     }
 }
 
@@ -546,6 +569,48 @@ impl Default for SessionFrame {
     fn default() -> Self {
         SessionFrame::new()
     }
+}
+
+/// Prints the body exactly as a derived `Debug` on a plain
+/// `SessionFrame { trails, entries }` struct does, so event streams that
+/// carry `format!("{frame:?}")` do not depend on the handle.
+impl fmt::Debug for SessionFrame {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SessionFrame")
+            .field("trails", &self.0.trails)
+            .field("entries", &self.0.entries)
+            .finish()
+    }
+}
+
+/// Body equality: the cached wire size is derived, so it takes no part.
+impl PartialEq for SessionFrame {
+    fn eq(&self, other: &Self) -> bool {
+        self.trails() == other.trails() && self.entries() == other.entries()
+    }
+}
+
+/// Appends a nonempty value run to `entries`, extending the previous entry
+/// when it is a run over the same trail ending right before `first_slot`.
+fn push_values(entries: &mut Vec<SessionEntry>, trail_id: u32, first_slot: u32, run: &[Value]) {
+    if let Some(SessionEntry::Values {
+        trail,
+        first_slot: prev_first,
+        values,
+    }) = entries.last_mut()
+    {
+        if *trail == trail_id
+            && u64::from(*prev_first) + values.len() as u64 == u64::from(first_slot)
+        {
+            values.extend_from_slice(run);
+            return;
+        }
+    }
+    entries.push(SessionEntry::Values {
+        trail: trail_id,
+        first_slot,
+        values: run.to_vec(),
+    });
 }
 
 /// Where [`SessionFrame::encode_body`] writes: the bytes themselves, or
@@ -665,13 +730,17 @@ impl Payload for SessionFrame {
     /// wire accounting bills real bytes, not the per-message estimate
     /// (which [`model_cost`](SessionFrame::model_cost) reports separately).
     ///
-    /// Sized by a counting pass over the encoder, without allocating; panics
-    /// like [`encode`](WirePayload::encode) if the body outgrows
-    /// [`MAX_FRAME_BYTES`](framing::MAX_FRAME_BYTES).
+    /// Sized by a counting pass over the encoder, without allocating, on
+    /// the first call for the shared body; every clone then reads the
+    /// cached size. Panics like [`encode`](WirePayload::encode) if the body
+    /// outgrows [`MAX_FRAME_BYTES`](framing::MAX_FRAME_BYTES), on every
+    /// call, since a panicking sizing pass caches nothing.
     fn encoded_bits(&self) -> usize {
-        let mut body = ByteCount(0);
-        self.encode_body(&mut body);
-        framing::framed_len(body.0) * 8
+        *self.0.bits.get_or_init(|| {
+            let mut body = ByteCount(0);
+            self.encode_body(&mut body);
+            framing::framed_len(body.0) * 8
+        })
     }
 }
 
@@ -707,13 +776,13 @@ mod tests {
     }
 
     fn sample() -> SessionFrame {
-        SessionFrame {
-            trails: vec![
+        SessionFrame::from_parts(
+            vec![
                 vec![0.into()],
                 vec![0.into(), 1.into()],
                 vec![0.into(), 1.into(), 4.into()],
             ],
-            entries: vec![
+            vec![
                 SessionEntry::Values {
                     trail: 1,
                     first_slot: 0,
@@ -731,7 +800,7 @@ mod tests {
                     values: vec![u64::MAX],
                 },
             ],
-        }
+        )
     }
 
     #[test]
@@ -780,8 +849,8 @@ mod tests {
             ),
         ];
         let frame = SessionFrame::pack(&items);
-        assert_eq!(frame.trails.len(), 2); // the two distinct trails interned
-        assert_eq!(frame.entries.len(), 3); // slots 0..2 coalesced into one run
+        assert_eq!(frame.trails().len(), 2); // the two distinct trails interned
+        assert_eq!(frame.entries().len(), 3); // slots 0..2 coalesced into one run
         assert_eq!(frame.expand().expect("expand"), items);
     }
 
@@ -873,6 +942,96 @@ mod tests {
         padded.push(0xAB);
         framing::end_frame(&mut padded, mark);
         assert!(SessionFrame::from_bytes(&padded).is_err());
+    }
+
+    #[test]
+    fn clones_share_one_body_and_one_size() {
+        let items: Vec<(u32, PkaPayload)> = (0..4)
+            .map(|slot| {
+                (
+                    slot,
+                    PkaPayload::DealerValue {
+                        value: 7 + u64::from(slot),
+                        trail: vec![0.into(), 1.into()],
+                    },
+                )
+            })
+            .collect();
+        let frame = SessionFrame::pack(&items);
+        let copy = frame.clone();
+        assert_eq!(copy.trails().as_ptr(), frame.trails().as_ptr());
+        assert_eq!(copy.entries().as_ptr(), frame.entries().as_ptr());
+        assert_eq!(copy, frame);
+        assert_eq!(copy.to_bytes(), frame.to_bytes());
+        assert_eq!(copy.encoded_bits(), frame.encoded_bits());
+        assert_eq!(copy.encoded_bits(), frame.to_bytes().len() * 8);
+    }
+
+    #[test]
+    fn debug_prints_the_plain_struct_form() {
+        let mut view = Graph::new();
+        view.add_edge(0.into(), 1.into());
+        let frame = SessionFrame::from_parts(
+            vec![vec![0.into()], vec![0.into(), 1.into()]],
+            vec![
+                SessionEntry::Values {
+                    trail: 1,
+                    first_slot: 2,
+                    values: vec![7, 8],
+                },
+                SessionEntry::Knowledge {
+                    node: 1.into(),
+                    view,
+                    structure: AdversaryStructure::from_sets([set(&[2])]),
+                    trail: 0,
+                },
+            ],
+        );
+        assert_eq!(
+            format!("{frame:?}"),
+            "SessionFrame { trails: [[NodeId(0)], [NodeId(0), NodeId(1)]], \
+             entries: [Values { trail: 1, first_slot: 2, values: [7, 8] }, \
+             Knowledge { node: NodeId(1), \
+             view: Graph(2 nodes, 1 edges: [(NodeId(0), NodeId(1))]), \
+             structure: AdversaryStructure([{2}]), trail: 0 }] }"
+        );
+    }
+
+    #[test]
+    fn oversized_frame_builds_lazily_and_sizing_panics_every_time() {
+        // u64::MAX costs 10 varint bytes: one run more than fills the cap.
+        let run = vec![u64::MAX; framing::MAX_FRAME_BYTES / 10 + 1];
+        let entries = vec![SessionEntry::Values {
+            trail: 0,
+            first_slot: 0,
+            values: run,
+        }];
+        let frame = SessionFrame::from_parts(vec![vec![0.into()]], entries);
+        let copy = frame.clone();
+        assert_eq!(copy, frame);
+        assert_eq!(
+            SessionFrame::from_parts(frame.trails().to_vec(), frame.entries().to_vec()),
+            frame
+        );
+        assert_eq!(
+            frame.messages().expect("trail indices valid").count(),
+            framing::MAX_FRAME_BYTES / 10 + 1
+        );
+        let size_panic = |f: &SessionFrame| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f.encoded_bits()))
+                .expect_err("an oversized frame must not size");
+            err.downcast::<String>()
+                .map(|m| *m)
+                .expect("formatted message")
+        };
+        let first = size_panic(&frame);
+        assert!(
+            first.starts_with("encoded frame body (")
+                && first.ends_with(") exceeds MAX_FRAME_BYTES"),
+            "{first}"
+        );
+        assert_eq!(size_panic(&frame), first);
+        assert_eq!(size_panic(&copy), first);
     }
 
     #[test]

@@ -19,6 +19,11 @@
 //! for byte. The receiver walks each frame's `(slot, message)`s in place,
 //! in the order `expand` defines.
 //!
+//! A broadcast is one frame: the dealer's and each relay's round build a
+//! single [`SessionFrame`] and hand every neighbour a clone of it, which
+//! shares the frame's immutable body (and its cached wire size) instead of
+//! copying it.
+//!
 //! Three amortizations make bigger batches cheaper per payload:
 //!
 //! * **knowledge once** — type-2 messages are payload-independent and flow

@@ -98,7 +98,7 @@ fn arb_frame() -> impl Strategy<Value = SessionFrame> {
                     },
                 )
                 .collect();
-            SessionFrame { trails, entries }
+            SessionFrame::from_parts(trails, entries)
         })
 }
 
@@ -181,7 +181,7 @@ fn arb_inbox_frame() -> impl Strategy<Value = (NodeId, SessionFrame)> {
                     },
                 )
                 .collect();
-            (from, SessionFrame { trails, entries })
+            (from, SessionFrame::from_parts(trails, entries))
         })
 }
 

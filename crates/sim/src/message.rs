@@ -11,6 +11,10 @@ pub trait Payload: Clone + PartialEq + fmt::Debug {
     ///
     /// Estimates are fine as long as they are consistent across protocols
     /// being compared.
+    ///
+    /// The transport calls this once per admitted copy, so a payload that
+    /// fans out to many neighbours as clones of one value should cache its
+    /// size rather than recompute it per copy.
     fn encoded_bits(&self) -> usize;
 }
 

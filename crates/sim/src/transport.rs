@@ -83,13 +83,14 @@ impl<'g> Transport<'g> {
             if self.graph.has_edge(from, to) {
                 metrics.honest_messages += 1;
                 *honest_this_round += 1;
-                metrics.honest_bits += payload.encoded_bits() as u64;
+                let bits = payload.encoded_bits() as u64;
+                metrics.honest_bits += bits;
                 if O::ACTIVE {
                     observer.on_event(&RunEvent::HonestSend {
                         round,
                         from: from.raw(),
                         to: to.raw(),
-                        bits: payload.encoded_bits() as u64,
+                        bits,
                         payload: format!("{payload:?}"),
                     });
                 }
