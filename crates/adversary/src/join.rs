@@ -98,61 +98,6 @@ impl JointView {
         Some(acc)
     }
 
-    /// [`JointView::materialize_bounded`] with each binary ⊕'s pairwise
-    /// cross-product computed on up to `threads` OS threads.
-    ///
-    /// The *fold sequence* stays sequential and left-to-right — only the
-    /// inner cross-product of each [`RestrictedStructure::join_par`] fans
-    /// out — so every intermediate antichain, and therefore the
-    /// `Some`/`None` bound decision, is **bit-identical** to
-    /// [`JointView::materialize_bounded`] for any thread count.
-    pub fn materialize_bounded_par(
-        &self,
-        max_antichain: usize,
-        threads: usize,
-    ) -> Option<RestrictedStructure> {
-        let mut acc = RestrictedStructure::from_parts(NodeSet::new(), []);
-        for p in &self.parts {
-            acc = acc.join_par(p, threads);
-            if acc.structure().maximal_sets().len() > max_antichain {
-                return None;
-            }
-        }
-        Some(acc)
-    }
-
-    /// [`JointView::materialize_bounded_par`] with the fold effort recorded
-    /// in `reg`, under the same metric names as
-    /// [`JointView::materialize_bounded_observed`] (`join.folds`,
-    /// `join.antichain_size`, `join.fold_ns`, `family.*`). The counter
-    /// values are deterministic across thread counts because the fold
-    /// sequence is — and because the antichain backend is a pure function of
-    /// the candidate count.
-    pub fn materialize_bounded_par_observed(
-        &self,
-        max_antichain: usize,
-        threads: usize,
-        reg: &rmt_obs::Registry,
-    ) -> Option<RestrictedStructure> {
-        let _timer = reg.timer("join.fold_ns");
-        let folds = reg.counter("join.folds");
-        let sizes = reg.histogram("join.antichain_size");
-        let family = FamilyCounters::new(reg);
-        let mut acc = RestrictedStructure::from_parts(NodeSet::new(), []);
-        for p in &self.parts {
-            family.observe(&acc, p);
-            acc = acc.join_par(p, threads);
-            folds.inc();
-            let len = acc.structure().maximal_sets().len();
-            family.kept.add(len as u64);
-            sizes.record(len as u64);
-            if len > max_antichain {
-                return None;
-            }
-        }
-        Some(acc)
-    }
-
     /// [`JointView::materialize_bounded`] with the fold effort recorded in
     /// `reg`:
     ///
@@ -330,68 +275,6 @@ mod tests {
             .collect();
         assert!(v.materialize_bounded(1).is_none());
         assert!(v.materialize_bounded(1 << 16).is_some());
-    }
-
-    #[test]
-    fn parallel_fold_is_bit_identical_to_sequential() {
-        let z = structure(&[&[0, 1], &[2, 3], &[0, 3], &[1, 2], &[1, 4], &[0, 4]]);
-        let v: JointView = [
-            set(&[0, 1, 2]),
-            set(&[1, 2, 3]),
-            set(&[0, 2, 3]),
-            set(&[2, 3, 4]),
-        ]
-        .into_iter()
-        .map(|d| RestrictedStructure::restrict(&z, d))
-        .collect();
-        let seq = v.materialize_bounded(1 << 16);
-        for threads in [1, 2, 8] {
-            let par = v.materialize_bounded_par(1 << 16, threads);
-            assert_eq!(
-                seq.as_ref().map(RestrictedStructure::structure),
-                par.as_ref().map(RestrictedStructure::structure),
-                "threads={threads}"
-            );
-            assert_eq!(
-                seq.as_ref().map(RestrictedStructure::domain),
-                par.as_ref().map(RestrictedStructure::domain),
-            );
-            // Bound behaviour matches too, including the None cases.
-            for bound in [0, 1, 2, 4, 37] {
-                assert_eq!(
-                    v.materialize_bounded(bound).is_some(),
-                    v.materialize_bounded_par(bound, threads).is_some(),
-                    "threads={threads}, bound={bound}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_observed_fold_records_the_same_counters() {
-        let z = structure(&[&[0, 1], &[2, 3], &[0, 3], &[1, 2]]);
-        let v: JointView = [set(&[0, 1, 2]), set(&[1, 2, 3]), set(&[0, 2, 3])]
-            .into_iter()
-            .map(|d| RestrictedStructure::restrict(&z, d))
-            .collect();
-        let reg_seq = rmt_obs::Registry::new();
-        let reg_par = rmt_obs::Registry::new();
-        let seq = v.materialize_bounded_observed(1 << 16, &reg_seq).unwrap();
-        let par = v
-            .materialize_bounded_par_observed(1 << 16, 4, &reg_par)
-            .unwrap();
-        assert_eq!(seq.structure(), par.structure());
-        assert_eq!(
-            reg_seq.counter("join.folds").get(),
-            reg_par.counter("join.folds").get()
-        );
-        let (hs, hp) = (
-            reg_seq.histogram("join.antichain_size"),
-            reg_par.histogram("join.antichain_size"),
-        );
-        assert_eq!(hs.count(), hp.count());
-        assert_eq!(hs.sum(), hp.sum());
-        assert_eq!(hs.max(), hp.max());
     }
 
     #[test]

@@ -137,53 +137,6 @@ impl RestrictedStructure {
         left * right
     }
 
-    /// [`RestrictedStructure::join`] with the pairwise-intersection
-    /// cross-product computed on up to `threads` OS threads.
-    ///
-    /// The result is **bit-identical** to the sequential join for any thread
-    /// count: each worker prunes its contiguous slice of the `|ℰ|·|ℱ|` pair
-    /// grid to a partial antichain, and re-pruning the union of partial
-    /// antichains yields the same monotone family — whose canonical (sorted)
-    /// antichain representation does not depend on insertion order.
-    pub fn join_par(&self, other: &RestrictedStructure, threads: usize) -> RestrictedStructure {
-        let (left, right, domain) = self.cylinder_sets(other);
-        let pairs = left.len() * right.len();
-        // Below this the pair grid is too small for threading to pay for
-        // itself; the sequential path is bit-identical anyway.
-        const MIN_PAIRS_PER_WORKER: usize = 64;
-        let workers = rmt_par::effective_threads(threads, pairs / MIN_PAIRS_PER_WORKER);
-        let backend = FamilyBackend::select(pairs);
-        if workers <= 1 {
-            let structure = AdversaryStructure::from_sets_with(
-                backend,
-                left.iter()
-                    .flat_map(|l| right.iter().map(move |r| l.intersection(r))),
-            );
-            return RestrictedStructure { domain, structure };
-        }
-        let ranges: Vec<std::ops::Range<usize>> = (0..workers)
-            .map(|w| (w * pairs / workers)..((w + 1) * pairs / workers))
-            .collect();
-        let partials = rmt_par::parallel_map(ranges, workers, |range| {
-            AdversaryStructure::from_sets_with(
-                backend,
-                range.map(|p| {
-                    let l = &left[p / right.len()];
-                    let r = &right[p % right.len()];
-                    l.intersection(r)
-                }),
-            )
-        });
-        let merged: usize = partials.iter().map(|p| p.maximal_sets().len()).sum();
-        let structure = AdversaryStructure::from_sets_with(
-            FamilyBackend::select(merged),
-            partials
-                .iter()
-                .flat_map(|p| p.maximal_sets().iter().cloned()),
-        );
-        RestrictedStructure { domain, structure }
-    }
-
     /// The maximal sets of the two cylinders whose intersection is
     /// `self ⊕ other`, plus the joined domain (see [`RestrictedStructure::join`]).
     fn cylinder_sets(&self, other: &RestrictedStructure) -> (Vec<NodeSet>, Vec<NodeSet>, NodeSet) {

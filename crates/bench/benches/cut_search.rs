@@ -1,11 +1,10 @@
 //! Criterion bench for the separator-anchored cut search against the
 //! exhaustive scan: fixed gallery instances plus the E13 ring+chords
-//! family, sequential and parallel.
+//! family.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rmt_core::cuts::{
-    find_rmt_cut, find_rmt_cut_anchored, find_rmt_cut_anchored_par, zpp_cut_by_enumeration,
-    zpp_cut_by_enumeration_anchored,
+    find_rmt_cut, find_rmt_cut_anchored, zpp_cut_by_enumeration, zpp_cut_by_enumeration_anchored,
 };
 use rmt_core::sampling::threshold_instance;
 use rmt_core::{gallery, Instance};
@@ -53,9 +52,6 @@ fn bench_ring_family(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("anchored", n), &inst, |b, inst| {
             b.iter(|| black_box(find_rmt_cut_anchored(inst)))
-        });
-        group.bench_with_input(BenchmarkId::new("anchored_par8", n), &inst, |b, inst| {
-            b.iter(|| black_box(find_rmt_cut_anchored_par(inst, 8)))
         });
         group.bench_with_input(BenchmarkId::new("zpp_exhaustive", n), &inst, |b, inst| {
             b.iter(|| black_box(zpp_cut_by_enumeration(inst)))

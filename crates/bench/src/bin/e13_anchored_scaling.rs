@@ -19,7 +19,7 @@
 //! profile); `--json` writes `BENCH_E13.json`.
 
 use rmt_bench::{fmt_duration, timed, Experiment, Table};
-use rmt_core::cuts::{find_rmt_cut, find_rmt_cut_anchored, find_rmt_cut_anchored_par};
+use rmt_core::cuts::{find_rmt_cut, find_rmt_cut_anchored};
 use rmt_core::sampling::threshold_instance;
 use rmt_graph::generators::{self, seeded};
 use rmt_graph::ViewKind;
@@ -49,7 +49,6 @@ fn main() {
         "exhaustive_max_n",
         i64::try_from(exhaustive_max_n).unwrap_or(i64::MAX),
     );
-    let threads = exp.threads();
     let mut rng = seeded(0xE13);
 
     let mut table = Table::new(
@@ -63,7 +62,6 @@ fn main() {
             "verdict",
             "exhaustive",
             "anchored",
-            "anchored-par",
             "speedup",
         ],
     );
@@ -86,8 +84,6 @@ fn main() {
             let components = local.counter("rmt_cut.components_enumerated").get();
 
             let (anchored, t_anchored) = timed(|| find_rmt_cut_anchored(&inst));
-            let (anchored_par, t_par) = timed(|| find_rmt_cut_anchored_par(&inst, threads));
-            assert_eq!(anchored, anchored_par, "par diverged at n = {n}, t = {t}");
             assert_eq!(anchored, observed, "observed diverged at n = {n}, t = {t}");
             let verdict = if anchored.is_some() { "cut" } else { "no cut" };
 
@@ -113,7 +109,6 @@ fn main() {
                 verdict.into(),
                 exhaustive_cell,
                 fmt_duration(t_anchored),
-                fmt_duration(t_par),
                 speedup_cell,
             ]);
         }

@@ -18,7 +18,6 @@ fn main() {
     let mut exp = Experiment::new("e1_join_growth");
     exp.param("seed", "0xE1");
     exp.param("trials_per_config", 20);
-    let threads = exp.threads();
     let mut table = Table::new(
         "E1: ⊕ join growth (universe n, k operands, antichain ≤ s sets of ≤ 3 nodes)",
         &[
@@ -61,7 +60,7 @@ fn main() {
                 .collect();
             let view: JointView = parts.into_iter().collect();
             let (materialized, t_fold) = timed(|| {
-                view.materialize_bounded_par_observed(usize::MAX, threads, exp.registry())
+                view.materialize_bounded_observed(usize::MAX, exp.registry())
                     .expect("unbounded materialization cannot blow up")
             });
             sizes.push(materialized.structure().maximal_sets().len() as f64);

@@ -14,7 +14,7 @@
 
 use rmt_bench::{Experiment, Table};
 use rmt_core::analysis::{pka_attack_suite, run_coupled_attack};
-use rmt_core::cuts::{find_rmt_cut_anchored_par_observed, find_rmt_cut_par};
+use rmt_core::cuts::{find_rmt_cut, find_rmt_cut_anchored_observed};
 use rmt_core::protocols::attacks::PKA_ATTACKS;
 use rmt_core::sampling::random_instance_nonadjacent;
 use rmt_graph::generators::seeded;
@@ -24,7 +24,6 @@ fn main() {
     let mut rng = seeded(0xE2);
     let mut exp = Experiment::new("e2_characterization");
     exp.param("seed", "0xE2");
-    let threads = exp.threads();
     exp.param("trials_per_view", 40);
     exp.param("join_limit", 1 << 14);
     let mut table = Table::new(
@@ -49,12 +48,12 @@ fn main() {
         for trial in 0..trials {
             let n = 6 + trial % 4;
             let inst = random_instance_nonadjacent(n, 0.35, views, 3, 2, &mut rng);
-            let witness = find_rmt_cut_anchored_par_observed(&inst, exp.registry(), threads);
+            let witness = find_rmt_cut_anchored_observed(&inst, exp.registry());
             // The anchored search is the decider under test; the exhaustive
             // scan remains the in-run ground truth for the verdict.
             assert_eq!(
                 witness.is_some(),
-                find_rmt_cut_par(&inst, threads).is_some(),
+                find_rmt_cut(&inst).is_some(),
                 "anchored verdict diverged on trial {trial} ({views:?})"
             );
             match witness {

@@ -7,7 +7,7 @@
 
 use rmt_bench::{Experiment, Table};
 use rmt_core::analysis::pka_attack_suite;
-use rmt_core::cuts::find_rmt_cut_par_observed;
+use rmt_core::cuts::find_rmt_cut_observed;
 use rmt_core::protocols::attacks::{PkaAttack, PKA_ATTACKS};
 use rmt_core::sampling::random_instance;
 use rmt_graph::generators::seeded;
@@ -17,7 +17,6 @@ fn main() {
     let mut rng = seeded(0xE3);
     let mut exp = Experiment::new("e3_safety");
     exp.param("seed", "0xE3");
-    let threads = exp.threads();
     exp.param("trials_per_attack", 50);
     let mut table = Table::new(
         "E3: safety sweep (receiver outcomes per attack, 50 random instances each)",
@@ -39,7 +38,7 @@ fn main() {
             let inst = random_instance(n, 0.4, views, 3, 2, &mut rng);
             // Classify with the instrumented decider so the artifact's
             // counters record the search effort behind the sweep.
-            if find_rmt_cut_par_observed(&inst, exp.registry(), threads).is_some() {
+            if find_rmt_cut_observed(&inst, exp.registry()).is_some() {
                 exp.registry().counter("e3.unsolvable_instances").inc();
             } else {
                 exp.registry().counter("e3.solvable_instances").inc();

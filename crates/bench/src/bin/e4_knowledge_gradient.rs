@@ -10,7 +10,7 @@
 use rmt_bench::{Experiment, Table};
 use rmt_core::analysis::minimal_knowledge_radius;
 use rmt_core::analysis::pka_attack_suite;
-use rmt_core::cuts::find_rmt_cut_par_observed;
+use rmt_core::cuts::find_rmt_cut_observed;
 use rmt_core::protocols::attacks::PKA_ATTACKS;
 use rmt_core::sampling::random_structure;
 use rmt_core::Instance;
@@ -22,7 +22,6 @@ fn main() {
     let max_k = 4;
     let mut exp = Experiment::new("e4_knowledge_gradient");
     exp.param("seed", "0xE4");
-    let threads = exp.threads();
     exp.param("trials_per_family", 30);
     exp.param("max_k", max_k as i64);
     let mut table = Table::new(
@@ -60,7 +59,7 @@ fn main() {
             let mut prev_solvable = false;
             for (k, slot) in solvable_at.iter_mut().enumerate() {
                 let inst = Instance::new(g.clone(), z.clone(), ViewKind::Radius(k), d, r).unwrap();
-                let s = find_rmt_cut_par_observed(&inst, exp.registry(), threads).is_none();
+                let s = find_rmt_cut_observed(&inst, exp.registry()).is_none();
                 assert!(!prev_solvable || s, "knowledge monotonicity violated");
                 prev_solvable = s;
                 if s {
@@ -102,7 +101,7 @@ fn main() {
             9.into(),
         )
         .unwrap();
-        *slot = find_rmt_cut_par_observed(&inst, exp.registry(), threads).is_none();
+        *slot = find_rmt_cut_observed(&inst, exp.registry()).is_none();
     }
     let min_k = minimal_knowledge_radius(&g, &z, 0.into(), 9.into(), max_k).unwrap();
     let inst = Instance::new(g.clone(), z, ViewKind::Radius(min_k), 0.into(), 9.into()).unwrap();

@@ -13,7 +13,7 @@
 use rand::Rng;
 use rmt_bench::{Experiment, Table};
 use rmt_core::analysis::zcpa_attack_suite;
-use rmt_core::cuts::{zpp_cut_by_enumeration_par, zpp_cut_by_fixpoint_par_observed};
+use rmt_core::cuts::{zpp_cut_by_enumeration, zpp_cut_by_fixpoint_observed};
 use rmt_core::protocols::attacks::ZCPA_ATTACKS;
 use rmt_core::protocols::cpa::{zcpa_threshold_node, CpaClassic};
 use rmt_core::sampling::{random_instance_nonadjacent, random_structure};
@@ -28,7 +28,6 @@ fn main() {
     let trials = 60;
     let mut exp = Experiment::new("e5_adhoc");
     exp.param("seed", "0xE5");
-    let threads = exp.threads();
     exp.param("trials", trials as i64);
 
     // 1 + 2: deciders agree; protocol matches the characterization.
@@ -38,8 +37,8 @@ fn main() {
     for trial in 0..trials {
         let n = 6 + trial % 4;
         let inst = random_instance_nonadjacent(n, 0.35, ViewKind::AdHoc, 3, 2, &mut rng);
-        let enumerated = zpp_cut_by_enumeration_par(&inst, threads).is_some();
-        let fixpoint = zpp_cut_by_fixpoint_par_observed(&inst, exp.registry(), threads).is_some();
+        let enumerated = zpp_cut_by_enumeration(&inst).is_some();
+        let fixpoint = zpp_cut_by_fixpoint_observed(&inst, exp.registry()).is_some();
         if enumerated == fixpoint {
             agree += 1;
         } else {

@@ -8,10 +8,7 @@
 //! with the simple-path count of the family.
 
 use rmt_bench::{fmt_duration, timed, Experiment, Table};
-use rmt_core::cuts::{
-    find_rmt_cut, find_rmt_cut_anchored, find_rmt_cut_anchored_par, find_rmt_cut_par,
-    zcpa_fixpoint_observed,
-};
+use rmt_core::cuts::{find_rmt_cut, find_rmt_cut_anchored, zcpa_fixpoint_observed};
 use rmt_core::protocols::rmt_pka::RmtPka;
 use rmt_core::protocols::zcpa::run_zcpa;
 use rmt_core::sampling::threshold_instance;
@@ -24,7 +21,6 @@ fn main() {
     let mut exp = Experiment::new("e6_scaling");
     exp.param("seed", "0xE6");
     exp.param("dealer_value", 7);
-    let threads = exp.threads();
     let mut table = Table::new(
         "E6: honest-run complexity, Z-CPA vs RMT-PKA (threshold 𝒵, adaptive t)",
         &[
@@ -135,70 +131,41 @@ fn main() {
     }
     big.print();
 
-    // Sequential vs parallel decision engine on a full exhaustive scan: a
-    // *solvable* ring forces `find_rmt_cut` through every one of the
-    // 2^(n−2) candidate cuts before answering `None`, which is the
-    // worst case the parallel search is built for. The witness equality
-    // is asserted, not assumed. Speedup tracks the available cores
-    // (`--threads`/`RMT_THREADS`); on a single-core host both rows
-    // coincide.
-    let mut par = Table::new(
+    // Exhaustive vs anchored decision on a full scan: a *solvable* ring
+    // forces `find_rmt_cut` through every one of the 2^(n−2) candidate cuts
+    // before answering `None`; the anchored decider visits only the
+    // receiver components of the minimal separators. The verdict equality
+    // is asserted, not assumed.
+    let mut decide = Table::new(
         "E6c: find_rmt_cut, exhaustive vs anchored (ring+chords, solvable instances)",
-        &["n", "subsets", "mode", "threads", "result", "time"],
+        &["n", "subsets", "mode", "result", "time"],
     );
     for &n in &[14usize, 18] {
         let g = generators::ring_with_chords(n, n / 4, &mut rng);
         let inst = threshold_instance(g, 0, ViewKind::AdHoc, 0, (n / 2) as u32);
         let subsets = 1u64 << (n - 2);
         let (seq, t_seq) = timed(|| find_rmt_cut(&inst));
-        let (parallel, t_par) = timed(|| find_rmt_cut_par(&inst, threads));
-        assert_eq!(seq, parallel, "parallel decider diverged at n = {n}");
         let (anchored, t_anc) = timed(|| find_rmt_cut_anchored(&inst));
-        let (anchored_par, t_anc_par) = timed(|| find_rmt_cut_anchored_par(&inst, threads));
-        assert_eq!(anchored, anchored_par, "anchored par diverged at n = {n}");
         assert_eq!(
             seq.is_some(),
             anchored.is_some(),
             "anchored verdict diverged at n = {n}"
         );
         let result = if seq.is_some() { "cut" } else { "no cut" };
-        par.row(&[
-            n.to_string(),
-            subsets.to_string(),
-            "sequential".into(),
-            "1".into(),
-            result.into(),
-            fmt_duration(t_seq),
-        ]);
-        par.row(&[
-            n.to_string(),
-            subsets.to_string(),
-            "parallel".into(),
-            threads.to_string(),
-            result.into(),
-            fmt_duration(t_par),
-        ]);
-        par.row(&[
-            n.to_string(),
-            subsets.to_string(),
-            "anchored".into(),
-            "1".into(),
-            result.into(),
-            fmt_duration(t_anc),
-        ]);
-        par.row(&[
-            n.to_string(),
-            subsets.to_string(),
-            "anchored-par".into(),
-            threads.to_string(),
-            result.into(),
-            fmt_duration(t_anc_par),
-        ]);
+        for (mode, time) in [("sequential", t_seq), ("anchored", t_anc)] {
+            decide.row(&[
+                n.to_string(),
+                subsets.to_string(),
+                mode.into(),
+                result.into(),
+                fmt_duration(time),
+            ]);
+        }
     }
-    par.print();
+    decide.print();
     exp.record_table(&table);
     exp.record_table(&big);
-    exp.record_table(&par);
+    exp.record_table(&decide);
     exp.finish();
     println!("Shape check: Z-CPA columns grow polynomially with n; the PKA columns track");
     println!("the simple-path count (exponential on the layered family) — exactly the");

@@ -21,9 +21,6 @@ fn main() {
     let mut exp = Experiment::new("e7_self_reduction");
     exp.param("seed", "0xE7");
     exp.param("trials_per_n", 20);
-    // Π-simulation runs are rng-coupled and inherently sequential; the knob
-    // is recorded for artifact uniformity.
-    let _ = exp.threads();
     let mut table = Table::new(
         "E7: Z-CPA explicit oracle vs Π-simulation oracle (20 instances per n)",
         &[

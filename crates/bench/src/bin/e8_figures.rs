@@ -12,7 +12,7 @@
 use rmt_adversary::AdversaryStructure;
 use rmt_bench::{Experiment, Table};
 use rmt_core::analysis::run_coupled_attack;
-use rmt_core::cuts::find_rmt_cut_par_observed;
+use rmt_core::cuts::find_rmt_cut_observed;
 use rmt_core::protocols::rmt_pka::RmtPka;
 use rmt_core::reduction::StarInstance;
 use rmt_core::Instance;
@@ -26,7 +26,6 @@ fn set(ids: &[u32]) -> NodeSet {
 
 fn main() {
     let mut exp = Experiment::new("e8_figures");
-    let _ = exp.threads();
     figure_1(&mut exp);
     figure_2(&mut exp);
     exp.finish();
@@ -90,9 +89,7 @@ fn figure_2(exp: &mut Experiment) {
     g.add_edge(2.into(), 3.into());
     let z = AdversaryStructure::from_sets([set(&[1]), set(&[2])]);
     let inst = Instance::new(g, z, ViewKind::AdHoc, 0.into(), 3.into()).unwrap();
-    let threads = rmt_bench::configured_threads();
-    let witness =
-        find_rmt_cut_par_observed(&inst, exp.registry(), threads).expect("diamond is unsolvable");
+    let witness = find_rmt_cut_observed(&inst, exp.registry()).expect("diamond is unsolvable");
 
     println!("## F2: coupled runs e₀/e₁ on the unsolvable diamond");
     println!(

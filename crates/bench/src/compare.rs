@@ -187,7 +187,8 @@ pub fn compare_artifacts(baseline: &Json, candidate: &Json, cfg: &CompareConfig)
         cfg,
         &|key| {
             // Thread count is an execution setting, not a result: the
-            // deciders guarantee thread-count-identical verdicts.
+            // sweeps guarantee thread-count-identical verdicts, and a binary
+            // without a parallel sweep records none.
             if key == "threads" {
                 Severity::Soft
             } else {
@@ -247,7 +248,7 @@ pub fn compare_artifacts(baseline: &Json, candidate: &Json, cfg: &CompareConfig)
 }
 
 /// Union-of-keys walk over two JSON objects; `severity_of(key)` classifies
-/// plain-value mismatches.
+/// plain-value mismatches and keys present on one side only.
 fn compare_objects(
     baseline: Option<&Json>,
     candidate: Option<&Json>,
@@ -279,10 +280,10 @@ fn compare_objects(
                 compare_values(&b, &c, &here, report, cfg, severity_of(&key));
             }
             (Some(_), None) => {
-                report.push(Severity::Hard, here, "missing from candidate");
+                report.push(severity_of(&key), here, "missing from candidate");
             }
             (None, Some(_)) => {
-                report.push(Severity::Hard, here, "missing from baseline");
+                report.push(severity_of(&key), here, "missing from baseline");
             }
             (None, None) => {}
         }
@@ -575,24 +576,29 @@ mod tests {
 
     #[test]
     fn thread_param_differences_stay_soft() {
+        fn params(artifact: &mut Json) -> &mut Vec<(String, Json)> {
+            let Json::Obj(pairs) = artifact else {
+                panic!("artifact is an object")
+            };
+            match pairs.iter_mut().find(|(k, _)| k == "params") {
+                Some((_, Json::Obj(params))) => params,
+                _ => panic!("artifact has params"),
+            }
+        }
         let a = artifact("safe", 1, 1);
         let mut b = artifact("safe", 1, 1);
-        if let Some(Json::Obj(params)) = {
-            if let Json::Obj(pairs) = &mut b {
-                pairs
-                    .iter_mut()
-                    .find(|(k, _)| k == "params")
-                    .map(|(_, v)| v)
-            } else {
-                None
-            }
-        } {
-            params[1].1 = Json::Int(8);
-        }
+        params(&mut b)[1].1 = Json::Int(8);
         let report = compare_artifacts(&a, &b, &CompareConfig::default());
         assert_eq!(report.hard_count(), 0);
         assert_eq!(report.soft_count(), 1);
         assert!(report.render().contains("params.threads"));
+        // A `threads` param on one side only is soft in both directions.
+        params(&mut b).retain(|(k, _)| k != "threads");
+        for (base, cand) in [(&a, &b), (&b, &a)] {
+            let report = compare_artifacts(base, cand, &CompareConfig::default());
+            assert_eq!(report.hard_count(), 0, "{}", report.render());
+            assert_eq!(report.soft_count(), 1, "{}", report.render());
+        }
     }
 
     #[test]

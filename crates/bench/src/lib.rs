@@ -286,8 +286,8 @@ pub fn stddev(xs: &[f64]) -> f64 {
 }
 
 // The experiments are embarrassingly parallel over instances; the executor
-// lives in `rmt-par` (shared with the parallel deciders) and is re-exported
-// here so the `e*` binaries keep their historical import path.
+// lives in `rmt-par` (shared with the `rmt-net` differential) and is
+// re-exported here so the `e*` binaries keep their historical import path.
 pub use rmt_par::{configured_threads, parallel_map, threads_from};
 
 /// Runs `f`, returning its result and wall-clock duration.

@@ -17,8 +17,7 @@
 //!    per anchor `S` from [`rmt_graph::separators`], the connected subsets
 //!    of `S`'s receiver-side region whose neighbourhood contains `S`
 //!    visits every candidate exactly once, with no cross-anchor
-//!    deduplication ([`rmt_graph::separators::scan_anchor`]). The anchors
-//!    are independent, so they can be scanned on several threads.
+//!    deduplication ([`rmt_graph::separators::scan_anchor`]).
 //! 3. **Everything is allocation-light.** Component extraction is masked
 //!    BFS (no graph clones) and the [`KnowledgeCache`] memoizes
 //!    `V(γ(B))` per component bitset.
@@ -30,31 +29,26 @@
 //! `crates/core/tests/anchored_differential.rs`).
 //!
 //! One private driver runs both questions for every entry point — plain,
-//! `_with` budget, `_observed`, `_par` and the
+//! `_with` budget, `_observed` and the
 //! [`IncrementalEngine`](crate::engine::IncrementalEngine): it enumerates
-//! the anchors, scans them through [`rmt_par::search_min`] (a plain
-//! `find_map` at one worker), takes the least-index outcome and applies the
-//! exhaustive fallback. So every entry point returns the same witness and
-//! records the same counters at any thread count; only one-worker searches
-//! add the knowledge-cache memo pair.
+//! the anchors, scans them in order on the calling thread until one yields
+//! a witness or overflows its budget, and applies the exhaustive fallback.
 //!
 //! Witnesses may differ from the exhaustive deciders' (the search order
 //! differs), but they are always genuine: every returned witness verifies
 //! via [`is_rmt_cut`](super::is_rmt_cut) / [`is_zpp_cut`](super::is_zpp_cut).
 
-use std::sync::Mutex;
+use std::cell::OnceCell;
 
 use rmt_graph::separators::{cut_anchors, scan_anchor, AnchorScan};
 use rmt_obs::{Counter, Registry};
-use rmt_par::search_min;
 use rmt_sets::NodeSet;
 
 use crate::instance::Instance;
 use crate::knowledge::KnowledgeCache;
 
-use super::par::{find_rmt_cut_par, find_rmt_cut_par_observed, zpp_cut_by_enumeration_par};
-use super::rmt_cut::{admissible_partition, RmtCutWitness};
-use super::zpp::{zpp_admissible_partition, ZppCutWitness};
+use super::rmt_cut::{admissible_partition, exhaustive_search, RmtCutWitness};
+use super::zpp::{zpp_admissible_partition, zpp_cut_by_enumeration, ZppCutWitness};
 
 /// Budgets bounding the anchored search. Exceeding either one triggers the
 /// exact exhaustive fallback (counted as `*.exhaustive_fallbacks`), so the
@@ -74,18 +68,6 @@ impl Default for AnchorBudget {
             max_components_per_anchor: 1 << 20,
         }
     }
-}
-
-/// Who scans the anchors.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Workers {
-    /// The calling thread, in anchor order. Only this mode records the
-    /// `rmt_cut.cache_hits` / `rmt_cut.cache_misses` pair: under concurrency
-    /// its values would depend on worker interleaving.
-    One,
-    /// Up to this many threads. Every recorded value is independent of the
-    /// thread count.
-    Upto(usize),
 }
 
 /// How scanning one anchor ended, when it did not simply run dry (`None`).
@@ -109,8 +91,8 @@ struct Names {
 }
 
 /// What the driver needs from one of the two anchored questions.
-trait Question: Sync {
-    type Witness: Send;
+trait Question {
+    type Witness;
     const NAMES: Names;
     fn instance(&self) -> &Instance;
     /// The witness if `cut = N(b)` admits a partition for receiver
@@ -122,8 +104,8 @@ trait Question: Sync {
         checks: Option<&Counter>,
     ) -> Option<Self::Witness>;
     /// The exhaustive decider a budget overflow falls back to.
-    fn exhaustive(&self, threads: usize, reg: Option<&Registry>) -> Option<Self::Witness>;
-    /// The knowledge cache whose memo statistics a one-worker observed search
+    fn exhaustive(&self, reg: Option<&Registry>) -> Option<Self::Witness>;
+    /// The knowledge cache whose memo statistics an observed search
     /// reports, with the two counter names (hits, misses).
     fn memo(&self) -> Option<(&KnowledgeCache, [&'static str; 2])> {
         None
@@ -133,7 +115,17 @@ trait Question: Sync {
 /// "Is there an RMT-cut?" (Definition 3).
 struct Rmt<'a> {
     inst: &'a Instance,
-    cache: &'a KnowledgeCache,
+    /// The caller's cache; without one, `fresh` is built on first use, so a
+    /// search that ends at the D–R adjacency check builds none.
+    shared: Option<&'a KnowledgeCache>,
+    fresh: OnceCell<KnowledgeCache>,
+}
+
+impl Rmt<'_> {
+    fn cache(&self) -> &KnowledgeCache {
+        self.shared
+            .unwrap_or_else(|| self.fresh.get_or_init(|| KnowledgeCache::new(self.inst)))
+    }
 }
 
 impl Question for Rmt<'_> {
@@ -159,23 +151,24 @@ impl Question for Rmt<'_> {
         b: &NodeSet,
         checks: Option<&Counter>,
     ) -> Option<RmtCutWitness> {
-        admissible_partition(self.inst, self.cache, cut, b, checks).map(|(c1, c2)| RmtCutWitness {
-            cut: cut.clone(),
-            c1,
-            c2,
-            receiver_component: b.clone(),
+        admissible_partition(self.inst, self.cache(), cut, b, checks).map(|(c1, c2)| {
+            RmtCutWitness {
+                cut: cut.clone(),
+                c1,
+                c2,
+                receiver_component: b.clone(),
+            }
         })
     }
 
-    fn exhaustive(&self, threads: usize, reg: Option<&Registry>) -> Option<RmtCutWitness> {
-        match reg {
-            Some(reg) => find_rmt_cut_par_observed(self.inst, reg, threads),
-            None => find_rmt_cut_par(self.inst, threads),
-        }
+    /// The exhaustive scan builds a cache of its own, so a fallback leaves
+    /// the memo of a caller-held cache as it found it.
+    fn exhaustive(&self, reg: Option<&Registry>) -> Option<RmtCutWitness> {
+        exhaustive_search(self.inst, reg)
     }
 
     fn memo(&self) -> Option<(&KnowledgeCache, [&'static str; 2])> {
-        Some((self.cache, ["rmt_cut.cache_hits", "rmt_cut.cache_misses"]))
+        Some((self.cache(), ["rmt_cut.cache_hits", "rmt_cut.cache_misses"]))
     }
 }
 
@@ -215,23 +208,17 @@ impl Question for Zpp<'_> {
     }
 
     /// The exhaustive 𝒵-pp enumeration records nothing, observed or not.
-    fn exhaustive(&self, threads: usize, _reg: Option<&Registry>) -> Option<ZppCutWitness> {
-        zpp_cut_by_enumeration_par(self.inst, threads)
+    fn exhaustive(&self, _reg: Option<&Registry>) -> Option<ZppCutWitness> {
+        zpp_cut_by_enumeration(self.inst)
     }
 }
 
 /// The anchored search behind every entry point of this module and the
-/// incremental engine.
-///
-/// Observed counters are derived from the least-index outcome: per-anchor
-/// effort is recorded into shards, and only the shards of the anchors the
-/// one-worker scan visits (`0..=winner`, or all of them) are summed. Spans
-/// open before the fan-out and close after the join, so the recorded values
-/// and span positions do not depend on the thread count.
+/// incremental engine: the anchors in order, until one yields a witness or
+/// overflows its budget.
 fn anchored_search<Q: Question>(
     q: &Q,
     budget: &AnchorBudget,
-    workers: Workers,
     reg: Option<&Registry>,
 ) -> Option<Q::Witness> {
     let names = &Q::NAMES;
@@ -241,15 +228,11 @@ fn anchored_search<Q: Question>(
     if inst.graph().has_edge(inst.dealer(), inst.receiver()) {
         return None;
     }
-    let threads = match workers {
-        Workers::One => 1,
-        Workers::Upto(threads) => threads,
-    };
     let fallback = || {
         if let Some(reg) = reg {
             reg.counter(names.fallbacks).inc();
         }
-        q.exhaustive(threads, reg)
+        q.exhaustive(reg)
     };
     let anchors = {
         let _span = reg.and_then(|reg| reg.phase(names.anchors_span));
@@ -265,89 +248,72 @@ fn anchored_search<Q: Question>(
     };
     let _scan = reg.and_then(|reg| reg.phase(names.scan_span));
     // Per-call memo delta: the incremental engine's cache lives across calls.
-    let memo = q
-        .memo()
+    let memo = reg
+        .and_then(|_| q.memo())
         .map(|(cache, counters)| (cache, counters, cache.memo_hits(), cache.memo_misses()));
-    // (anchor index, components emitted, partition checks) shards.
-    let shards: Mutex<Vec<(u64, u64, u64)>> = Mutex::new(Vec::new());
-    let found = search_min(anchors.len() as u64, threads, 1, |idx| {
-        let checks = reg.map(|_| Counter::new());
+    let counters = reg.map(|reg| {
+        [names.separators, names.components, names.checks].map(|name| reg.counter(name))
+    });
+    let mut outcome = None;
+    for anchor in &anchors {
         let mut found = None;
         let stats = scan_anchor(
             inst.graph(),
-            &anchors[idx as usize],
+            anchor,
             inst.receiver(),
             budget.max_components_per_anchor,
             |b, cut| {
-                found = q.admissible(cut, b, checks.as_ref());
+                found = q.admissible(cut, b, counters.as_ref().map(|[_, _, checks]| checks));
                 found.is_none()
             },
         );
-        if let Some(checks) = checks {
-            let shard = (idx, stats.emitted, checks.get());
-            shards.lock().expect("shard lock").push(shard);
+        if let Some([separators, components, _]) = &counters {
+            separators.inc();
+            components.add(stats.emitted);
         }
-        match stats.outcome {
+        outcome = match stats.outcome {
             AnchorScan::Exhausted => None,
             AnchorScan::Stopped => found.map(AnchorOutcome::Witness),
             AnchorScan::BudgetExceeded => Some(AnchorOutcome::Overflow),
-        }
-    });
-    if let Some(reg) = reg {
-        let winner = found.as_ref().map(|(idx, _)| *idx);
-        let (components, checks) = shards
-            .into_inner()
-            .expect("shard lock")
-            .into_iter()
-            .filter(|(idx, _, _)| winner.is_none_or(|w| *idx <= w))
-            .fold((0, 0), |(e, c), (_, emitted, checks)| {
-                (e + emitted, c + checks)
-            });
-        reg.counter(names.separators)
-            .add(winner.map_or(anchors.len() as u64, |w| w + 1));
-        reg.counter(names.components).add(components);
-        reg.counter(names.checks).add(checks);
-        if let (Workers::One, Some((cache, [hits, misses], hits0, misses0))) = (workers, memo) {
-            reg.counter(hits).add(cache.memo_hits() - hits0);
-            reg.counter(misses).add(cache.memo_misses() - misses0);
+        };
+        if outcome.is_some() {
+            break;
         }
     }
-    match found {
-        Some((_, AnchorOutcome::Witness(w))) => Some(w),
-        Some((_, AnchorOutcome::Overflow)) => fallback(),
+    if let (Some(reg), Some((cache, [hits, misses], hits0, misses0))) = (reg, memo) {
+        reg.counter(hits).add(cache.memo_hits() - hits0);
+        reg.counter(misses).add(cache.memo_misses() - misses0);
+    }
+    match outcome {
+        Some(AnchorOutcome::Witness(w)) => Some(w),
+        Some(AnchorOutcome::Overflow) => fallback(),
         None => None,
     }
 }
 
-/// The anchored RMT-cut search over a caller-held cache.
+/// The anchored RMT-cut search over `cache`, or over a cache built for this
+/// call once the search gets past the D–R adjacency check.
 pub(crate) fn rmt_search(
     inst: &Instance,
-    cache: &KnowledgeCache,
+    cache: Option<&KnowledgeCache>,
     budget: &AnchorBudget,
-    workers: Workers,
     reg: Option<&Registry>,
 ) -> Option<RmtCutWitness> {
-    anchored_search(&Rmt { inst, cache }, budget, workers, reg)
-}
-
-/// [`rmt_search`] over a cache built for this call.
-fn rmt_search_fresh(
-    inst: &Instance,
-    budget: &AnchorBudget,
-    workers: Workers,
-    reg: Option<&Registry>,
-) -> Option<RmtCutWitness> {
-    rmt_search(inst, &KnowledgeCache::new(inst), budget, workers, reg)
+    let q = Rmt {
+        inst,
+        shared: cache,
+        fresh: OnceCell::new(),
+    };
+    anchored_search(&q, budget, reg)
 }
 
 /// The anchored 𝒵-pp-cut search.
 pub(crate) fn zpp_search(
     inst: &Instance,
     budget: &AnchorBudget,
-    workers: Workers,
     reg: Option<&Registry>,
 ) -> Option<ZppCutWitness> {
-    anchored_search(&Zpp { inst }, budget, workers, reg)
+    anchored_search(&Zpp { inst }, budget, reg)
 }
 
 /// Separator-anchored RMT-cut search with the default [`AnchorBudget`]:
@@ -373,7 +339,7 @@ pub fn find_rmt_cut_anchored(inst: &Instance) -> Option<RmtCutWitness> {
 /// [`find_rmt_cut_anchored`] with an explicit budget (tests use tiny
 /// budgets to exercise the exhaustive fallback).
 pub fn find_rmt_cut_anchored_with(inst: &Instance, budget: &AnchorBudget) -> Option<RmtCutWitness> {
-    rmt_search_fresh(inst, budget, Workers::One, None)
+    rmt_search(inst, None, budget, None)
 }
 
 /// [`find_rmt_cut_anchored`] with the search effort recorded in `reg`:
@@ -386,46 +352,15 @@ pub fn find_rmt_cut_anchored_with(inst: &Instance, budget: &AnchorBudget) -> Opt
 /// * `rmt_cut.cache_hits` / `rmt_cut.cache_misses` — lookups in the
 ///   [`KnowledgeCache`] joint-domain memo during this call;
 /// * `rmt_cut.exhaustive_fallbacks` — budget overflows that re-ran the
-///   exhaustive decider;
+///   exhaustive decider (which then records its own counters, see
+///   [`find_rmt_cut_observed`](super::find_rmt_cut_observed));
 /// * `rmt_cut.anchored_ns` — wall time of the whole search (histogram).
-///
-/// The cache hit/miss pair is recorded by one-worker searches only (this
-/// function and
-/// [`IncrementalEngine::decide_rmt_observed`](crate::engine::IncrementalEngine::decide_rmt_observed)):
-/// under [`find_rmt_cut_anchored_par_observed`] its values would depend on
-/// worker interleaving, and that decider guarantees thread-count-independent
-/// counters.
 pub fn find_rmt_cut_anchored_observed(inst: &Instance, reg: &Registry) -> Option<RmtCutWitness> {
-    rmt_search_fresh(inst, &AnchorBudget::default(), Workers::One, Some(reg))
-}
-
-/// [`find_rmt_cut_anchored`] with the anchors scanned on up to `threads` OS
-/// threads sharing one read-only [`KnowledgeCache`]. The anchors partition
-/// the candidate space, so workers never duplicate work, and the witness
-/// comes from the least anchor index with an outcome: the same witness for
-/// every thread count.
-pub fn find_rmt_cut_anchored_par(inst: &Instance, threads: usize) -> Option<RmtCutWitness> {
-    rmt_search_fresh(inst, &AnchorBudget::default(), Workers::Upto(threads), None)
-}
-
-/// [`find_rmt_cut_anchored_par`] recording the counters, spans and timer of
-/// [`find_rmt_cut_anchored_observed`] with the same values, except the
-/// cache hit/miss pair, which it does not record.
-pub fn find_rmt_cut_anchored_par_observed(
-    inst: &Instance,
-    reg: &Registry,
-    threads: usize,
-) -> Option<RmtCutWitness> {
-    rmt_search_fresh(
-        inst,
-        &AnchorBudget::default(),
-        Workers::Upto(threads),
-        Some(reg),
-    )
+    rmt_search(inst, None, &AnchorBudget::default(), Some(reg))
 }
 
 /// Separator-anchored 𝒵-pp-cut search with the default [`AnchorBudget`]:
-/// same verdict as [`zpp_cut_by_enumeration`](super::zpp_cut_by_enumeration).
+/// same verdict as [`zpp_cut_by_enumeration`].
 pub fn zpp_cut_by_enumeration_anchored(inst: &Instance) -> Option<ZppCutWitness> {
     zpp_cut_by_enumeration_anchored_with(inst, &AnchorBudget::default())
 }
@@ -435,7 +370,7 @@ pub fn zpp_cut_by_enumeration_anchored_with(
     inst: &Instance,
     budget: &AnchorBudget,
 ) -> Option<ZppCutWitness> {
-    zpp_search(inst, budget, Workers::One, None)
+    zpp_search(inst, budget, None)
 }
 
 /// [`zpp_cut_by_enumeration_anchored`] with the search effort recorded in
@@ -446,16 +381,7 @@ pub fn zpp_cut_by_enumeration_anchored_observed(
     inst: &Instance,
     reg: &Registry,
 ) -> Option<ZppCutWitness> {
-    zpp_search(inst, &AnchorBudget::default(), Workers::One, Some(reg))
-}
-
-/// [`zpp_cut_by_enumeration_anchored`] with the anchors scanned on up to
-/// `threads` OS threads; same witness for every thread count.
-pub fn zpp_cut_by_enumeration_anchored_par(
-    inst: &Instance,
-    threads: usize,
-) -> Option<ZppCutWitness> {
-    zpp_search(inst, &AnchorBudget::default(), Workers::Upto(threads), None)
+    zpp_search(inst, &AnchorBudget::default(), Some(reg))
 }
 
 #[cfg(test)]
@@ -584,6 +510,55 @@ mod tests {
     }
 
     #[test]
+    fn observed_fallback_records_the_exhaustive_counters() {
+        use crate::cuts::find_rmt_cut_observed;
+        // Nine minimal separators on the 8-cycle: a one-separator budget
+        // overflows before any anchor is scanned, a one-component budget at
+        // the first anchor scan.
+        let starved = [
+            AnchorBudget {
+                max_separators: 1,
+                max_components_per_anchor: 1 << 20,
+            },
+            AnchorBudget {
+                max_separators: 4096,
+                max_components_per_anchor: 1,
+            },
+        ];
+        for t in [0, 1] {
+            let inst =
+                crate::sampling::threshold_instance(generators::cycle(8), t, ViewKind::AdHoc, 0, 4);
+            let exhaustive = Registry::new();
+            let expected = find_rmt_cut_observed(&inst, &exhaustive);
+            for (i, budget) in starved.iter().enumerate() {
+                let reg = Registry::new();
+                let cache = KnowledgeCache::new(&inst);
+                let got = rmt_search(&inst, Some(&cache), budget, Some(&reg));
+                assert_eq!(got, expected, "t = {t}, budget {i}");
+                assert_eq!(reg.counter("rmt_cut.exhaustive_fallbacks").get(), 1);
+                assert_eq!(
+                    reg.counter("rmt_cut.candidates_examined").get(),
+                    exhaustive.counter("rmt_cut.candidates_examined").get(),
+                    "t = {t}, budget {i}"
+                );
+                // Only the separator overflow stops before any anchored
+                // partition check adds to the shared counter.
+                if i == 0 {
+                    assert_eq!(
+                        reg.counter("rmt_cut.partition_checks").get(),
+                        exhaustive.counter("rmt_cut.partition_checks").get(),
+                        "t = {t}"
+                    );
+                }
+                let reg = Registry::new();
+                let got = zpp_search(&inst, budget, Some(&reg));
+                assert_eq!(got, zpp_cut_by_enumeration(&inst), "t = {t}, budget {i}");
+                assert_eq!(reg.counter("zpp.exhaustive_fallbacks").get(), 1);
+            }
+        }
+    }
+
+    #[test]
     fn profiled_decider_emits_well_nested_phase_spans() {
         let reg = rmt_obs::Registry::new().with_clock(rmt_obs::Clock::virtual_ns(1));
         let prof = rmt_obs::Profiler::new(reg.clock());
@@ -604,56 +579,6 @@ mod tests {
         find_rmt_cut_anchored_observed(&inst, &reg2);
         assert_eq!(prof.events(), prof2.events());
         assert_eq!(reg.render(), reg2.render());
-    }
-
-    #[test]
-    fn anchored_parallel_twins_match_sequential() {
-        let mut rng = generators::seeded(0xA12);
-        for trial in 0..12usize {
-            let n = 5 + trial % 3;
-            let inst = crate::sampling::random_instance_nonadjacent(
-                n,
-                0.35,
-                ViewKind::AdHoc,
-                3,
-                2,
-                &mut rng,
-            );
-            let seq_rmt = crate::cuts::find_rmt_cut_anchored(&inst);
-            let seq_zpp = crate::cuts::zpp_cut_by_enumeration_anchored(&inst);
-            for threads in [1, 2, 8] {
-                assert_eq!(
-                    seq_rmt,
-                    find_rmt_cut_anchored_par(&inst, threads),
-                    "trial {trial}, {threads} threads"
-                );
-                assert_eq!(
-                    seq_zpp,
-                    zpp_cut_by_enumeration_anchored_par(&inst, threads),
-                    "trial {trial}, {threads} threads"
-                );
-            }
-            let (reg_seq, reg_par) = (Registry::new(), Registry::new());
-            assert_eq!(
-                crate::cuts::find_rmt_cut_anchored_observed(&inst, &reg_seq),
-                find_rmt_cut_anchored_par_observed(&inst, &reg_par, 4),
-                "trial {trial}"
-            );
-            // Same deterministic counters as the sequential variant — the
-            // cache hit/miss pair is sequential-only by design.
-            for name in [
-                "rmt_cut.separators_enumerated",
-                "rmt_cut.components_enumerated",
-                "rmt_cut.partition_checks",
-                "rmt_cut.exhaustive_fallbacks",
-            ] {
-                assert_eq!(
-                    reg_seq.counter(name).get(),
-                    reg_par.counter(name).get(),
-                    "trial {trial}: {name}"
-                );
-            }
-        }
     }
 
     #[test]

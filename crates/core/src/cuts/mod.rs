@@ -9,26 +9,21 @@
 //!   verdict-identical, but driven by the minimal-separator anchors of
 //!   `rmt_graph::separators` instead of the `2^n` subset lattice, with a
 //!   budgeted exhaustive fallback keeping the verdict exact. One driver per
-//!   question serves every anchored entry point, sequential or `_par`, and
-//!   the [`IncrementalEngine`](crate::engine::IncrementalEngine).
-//! * [`par`] — deterministic parallel twins of the exhaustive and fixpoint
-//!   deciders: same witnesses, same observed counters, on up to `threads`
-//!   OS threads.
+//!   question serves every anchored entry point and the
+//!   [`IncrementalEngine`](crate::engine::IncrementalEngine).
+//!
+//! Every decider runs on the calling thread: splitting one decision across
+//! threads never beat one thread (EXPERIMENTS.md §E6c). Callers that decide
+//! many instances fan them out with `rmt_par::parallel_map`.
 
 pub mod anchored;
-pub mod par;
 pub mod rmt_cut;
 pub mod zpp;
 
 pub use anchored::{
-    find_rmt_cut_anchored, find_rmt_cut_anchored_observed, find_rmt_cut_anchored_par,
-    find_rmt_cut_anchored_par_observed, find_rmt_cut_anchored_with,
+    find_rmt_cut_anchored, find_rmt_cut_anchored_observed, find_rmt_cut_anchored_with,
     zpp_cut_by_enumeration_anchored, zpp_cut_by_enumeration_anchored_observed,
-    zpp_cut_by_enumeration_anchored_par, zpp_cut_by_enumeration_anchored_with, AnchorBudget,
-};
-pub use par::{
-    find_rmt_cut_par, find_rmt_cut_par_observed, zpp_cut_by_enumeration_par,
-    zpp_cut_by_fixpoint_par, zpp_cut_by_fixpoint_par_observed,
+    zpp_cut_by_enumeration_anchored_with, AnchorBudget,
 };
 pub use rmt_cut::{find_rmt_cut, find_rmt_cut_observed, is_rmt_cut, rmt_cut_exists, RmtCutWitness};
 pub use zpp::{

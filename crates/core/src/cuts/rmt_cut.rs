@@ -118,17 +118,7 @@ pub(crate) fn admissible_partition(
 /// assert!(cuts::find_rmt_cut(&gallery::tolerant_diamond(ViewKind::AdHoc)).is_none());
 /// ```
 pub fn find_rmt_cut(inst: &Instance) -> Option<RmtCutWitness> {
-    let cache = KnowledgeCache::new(inst);
-    let mut candidates = inst.graph().nodes().clone();
-    candidates.remove(inst.dealer());
-    candidates.remove(inst.receiver());
-    // If D and R are adjacent no node cut exists at all.
-    if inst.graph().has_edge(inst.dealer(), inst.receiver()) {
-        return None;
-    }
-    candidates
-        .subsets()
-        .find_map(|c| is_rmt_cut(inst, &cache, &c))
+    exhaustive_search(inst, None)
 }
 
 /// [`find_rmt_cut`] with the search effort recorded in `reg`:
@@ -140,20 +130,29 @@ pub fn find_rmt_cut(inst: &Instance) -> Option<RmtCutWitness> {
 ///
 /// plus a `rmt_cut.search` phase span when the registry carries a profiler.
 pub fn find_rmt_cut_observed(inst: &Instance, reg: &Registry) -> Option<RmtCutWitness> {
-    let _phase = reg.phase("rmt_cut.search");
-    let _timer = reg.timer("rmt_cut.search_ns");
-    let candidates_examined = reg.counter("rmt_cut.candidates_examined");
-    let partition_checks = reg.counter("rmt_cut.partition_checks");
+    exhaustive_search(inst, Some(reg))
+}
+
+/// The exhaustive search behind [`find_rmt_cut`], [`find_rmt_cut_observed`]
+/// and the anchored deciders' budget fallback.
+pub(crate) fn exhaustive_search(inst: &Instance, reg: Option<&Registry>) -> Option<RmtCutWitness> {
+    let _phase = reg.and_then(|reg| reg.phase("rmt_cut.search"));
+    let _timer = reg.map(|reg| reg.timer("rmt_cut.search_ns"));
+    let candidates_examined = reg.map(|reg| reg.counter("rmt_cut.candidates_examined"));
+    let partition_checks = reg.map(|reg| reg.counter("rmt_cut.partition_checks"));
+    // If D and R are adjacent no node cut exists at all.
+    if inst.graph().has_edge(inst.dealer(), inst.receiver()) {
+        return None;
+    }
     let cache = KnowledgeCache::new(inst);
     let mut candidates = inst.graph().nodes().clone();
     candidates.remove(inst.dealer());
     candidates.remove(inst.receiver());
-    if inst.graph().has_edge(inst.dealer(), inst.receiver()) {
-        return None;
-    }
     candidates.subsets().find_map(|c| {
-        candidates_examined.inc();
-        is_rmt_cut_counted(inst, &cache, &c, Some(&partition_checks))
+        if let Some(examined) = &candidates_examined {
+            examined.inc();
+        }
+        is_rmt_cut_counted(inst, &cache, &c, partition_checks.as_ref())
     })
 }
 

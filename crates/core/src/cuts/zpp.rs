@@ -183,6 +183,27 @@ fn certified_fixpoint(
 /// undecided region, and every undecided `u` has `𝒩(u) ∩ C₂ ∈ 𝒵_u` by
 /// the fixpoint's stopping condition).
 pub fn zpp_cut_by_fixpoint(inst: &Instance) -> Option<ZppCutWitness> {
+    fixpoint_search(inst, None)
+}
+
+/// [`zpp_cut_by_fixpoint`] with decision effort recorded in `reg`:
+/// everything [`zcpa_fixpoint_observed`] records, plus
+///
+/// * `zpp.corruption_sets_checked` — maximal corruption sets tried;
+/// * `zpp.decide_ns` — wall time of the whole decision (histogram);
+///
+/// plus a `zpp.decide` phase span (with one `zcpa.fixpoint` child per
+/// corruption set tried) when the registry carries a profiler.
+pub fn zpp_cut_by_fixpoint_observed(inst: &Instance, reg: &Registry) -> Option<ZppCutWitness> {
+    fixpoint_search(inst, Some(reg))
+}
+
+/// The fixpoint search behind [`zpp_cut_by_fixpoint`] and
+/// [`zpp_cut_by_fixpoint_observed`]: the worst-case corruption sets in list
+/// order, until one keeps R undecided.
+fn fixpoint_search(inst: &Instance, reg: Option<&Registry>) -> Option<ZppCutWitness> {
+    let _phase = reg.and_then(|reg| reg.phase("zpp.decide"));
+    let _timer = reg.map(|reg| reg.timer("zpp.decide_ns"));
     let (d, r) = (inst.dealer(), inst.receiver());
     if inst.graph().has_edge(d, r) {
         return None;
@@ -195,45 +216,15 @@ pub fn zpp_cut_by_fixpoint(inst: &Instance) -> Option<ZppCutWitness> {
             c2: NodeSet::new(),
         });
     }
-    zpp_fixpoint_search(inst, |t| zcpa_fixpoint(inst, t))
-}
-
-/// [`zpp_cut_by_fixpoint`] with decision effort recorded in `reg`:
-/// everything [`zcpa_fixpoint_observed`] records, plus
-///
-/// * `zpp.corruption_sets_checked` — maximal corruption sets tried;
-/// * `zpp.decide_ns` — wall time of the whole decision (histogram);
-///
-/// plus a `zpp.decide` phase span (with one `zcpa.fixpoint` child per
-/// corruption set tried) when the registry carries a profiler.
-pub fn zpp_cut_by_fixpoint_observed(inst: &Instance, reg: &Registry) -> Option<ZppCutWitness> {
-    let _phase = reg.phase("zpp.decide");
-    let _timer = reg.timer("zpp.decide_ns");
-    let (d, r) = (inst.dealer(), inst.receiver());
-    if inst.graph().has_edge(d, r) {
-        return None;
-    }
-    if !inst.endpoints_connected() {
-        return Some(ZppCutWitness {
-            cut: NodeSet::new(),
-            c1: NodeSet::new(),
-            c2: NodeSet::new(),
-        });
-    }
-    let sets_checked = reg.counter("zpp.corruption_sets_checked");
-    zpp_fixpoint_search(inst, |t| {
-        sets_checked.inc();
-        zcpa_fixpoint_observed(inst, t, reg)
-    })
-}
-
-fn zpp_fixpoint_search(
-    inst: &Instance,
-    mut fixpoint: impl FnMut(&NodeSet) -> NodeSet,
-) -> Option<ZppCutWitness> {
-    let r = inst.receiver();
+    let sets_checked = reg.map(|reg| reg.counter("zpp.corruption_sets_checked"));
     for t in inst.worst_case_corruptions() {
-        let decided = fixpoint(&t);
+        if let Some(checked) = &sets_checked {
+            checked.inc();
+        }
+        let decided = match reg {
+            Some(reg) => zcpa_fixpoint_observed(inst, &t, reg),
+            None => zcpa_fixpoint(inst, &t),
+        };
         if !decided.contains(r) {
             return Some(witness_from_failed_corruption(inst, &t, &decided));
         }
@@ -242,9 +233,8 @@ fn zpp_fixpoint_search(
 }
 
 /// The 𝒵-pp-cut witness a failing corruption set yields: `C₁ = T`,
-/// `C₂ = ` the decided honest nodes (shared by the sequential and parallel
-/// fixpoint deciders so their witnesses are byte-identical).
-pub(crate) fn witness_from_failed_corruption(
+/// `C₂ = ` the decided honest nodes.
+fn witness_from_failed_corruption(
     inst: &Instance,
     t: &NodeSet,
     decided: &NodeSet,

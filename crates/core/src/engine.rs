@@ -33,7 +33,7 @@ use rmt_graph::{Graph, ViewKind};
 use rmt_obs::Registry;
 use rmt_sets::NodeId;
 
-use crate::cuts::anchored::{rmt_search, zpp_search, AnchorBudget, Workers};
+use crate::cuts::anchored::{rmt_search, zpp_search, AnchorBudget};
 use crate::cuts::rmt_cut::RmtCutWitness;
 use crate::cuts::zpp::ZppCutWitness;
 use crate::instance::{Instance, InstanceError};
@@ -209,7 +209,7 @@ impl IncrementalEngine {
     /// refreshed cache. Byte-identical to
     /// [`find_rmt_cut_anchored`](crate::cuts::find_rmt_cut_anchored).
     pub fn decide_rmt(&mut self) -> Option<RmtCutWitness> {
-        rmt_search(&self.inst, &self.cache, &self.budget, Workers::One, None)
+        rmt_search(&self.inst, Some(&self.cache), &self.budget, None)
     }
 
     /// [`IncrementalEngine::decide_rmt`] recording the counters and spans of
@@ -217,27 +217,21 @@ impl IncrementalEngine {
     /// in `reg`; `rmt_cut.cache_hits` / `rmt_cut.cache_misses` count this
     /// call's lookups in the engine's long-lived memo.
     pub fn decide_rmt_observed(&mut self, reg: &Registry) -> Option<RmtCutWitness> {
-        rmt_search(
-            &self.inst,
-            &self.cache,
-            &self.budget,
-            Workers::One,
-            Some(reg),
-        )
+        rmt_search(&self.inst, Some(&self.cache), &self.budget, Some(reg))
     }
 
     /// Decides the 𝒵-pp-cut question on the current instance. Byte-identical
     /// to
     /// [`zpp_cut_by_enumeration_anchored`](crate::cuts::zpp_cut_by_enumeration_anchored).
     pub fn decide_zpp(&mut self) -> Option<ZppCutWitness> {
-        zpp_search(&self.inst, &self.budget, Workers::One, None)
+        zpp_search(&self.inst, &self.budget, None)
     }
 
     /// [`IncrementalEngine::decide_zpp`] recording the counters and spans of
     /// [`zpp_cut_by_enumeration_anchored_observed`](crate::cuts::zpp_cut_by_enumeration_anchored_observed)
     /// in `reg`.
     pub fn decide_zpp_observed(&mut self, reg: &Registry) -> Option<ZppCutWitness> {
-        zpp_search(&self.inst, &self.budget, Workers::One, Some(reg))
+        zpp_search(&self.inst, &self.budget, Some(reg))
     }
 }
 

@@ -1,5 +1,5 @@
-//! Differential suite for the separator-anchored cut deciders: anchored,
-//! anchored-parallel and budget-starved (fallback) searches must all agree
+//! Differential suite for the separator-anchored cut deciders: anchored
+//! and budget-starved (fallback) searches must all agree
 //! with the exhaustive ground truth on the **verdict**, and every witness
 //! they return must verify against the ground-truth cut checkers.
 //!
@@ -8,15 +8,13 @@
 
 use proptest::prelude::*;
 use rmt_core::cuts::{
-    find_rmt_cut, find_rmt_cut_anchored, find_rmt_cut_anchored_par, find_rmt_cut_anchored_with,
-    is_rmt_cut, is_zpp_cut, zpp_cut_by_enumeration, zpp_cut_by_enumeration_anchored,
-    zpp_cut_by_enumeration_anchored_par, zpp_cut_by_enumeration_anchored_with, AnchorBudget,
+    find_rmt_cut, find_rmt_cut_anchored, find_rmt_cut_anchored_with, is_rmt_cut, is_zpp_cut,
+    zpp_cut_by_enumeration, zpp_cut_by_enumeration_anchored, zpp_cut_by_enumeration_anchored_with,
+    AnchorBudget,
 };
 use rmt_core::sampling::{random_instance, random_instance_nonadjacent};
 use rmt_core::{Instance, KnowledgeCache};
 use rmt_graph::{generators, ViewKind};
-
-const THREADS: [usize; 3] = [1, 2, 8];
 
 /// Budgets that force the separator-enumeration and the per-anchor
 /// component-scan fallback paths respectively.
@@ -61,14 +59,6 @@ fn check_rmt(inst: &Instance) {
             w
         );
     }
-    for threads in THREADS {
-        assert_eq!(
-            &anchored,
-            &find_rmt_cut_anchored_par(inst, threads),
-            "threads = {}",
-            threads
-        );
-    }
     for budget in &STARVED {
         assert_eq!(
             exhaustive.is_some(),
@@ -90,14 +80,6 @@ fn check_zpp(inst: &Instance) {
             w
         );
     }
-    for threads in THREADS {
-        assert_eq!(
-            &anchored,
-            &zpp_cut_by_enumeration_anchored_par(inst, threads),
-            "threads = {}",
-            threads
-        );
-    }
     for budget in &STARVED {
         assert_eq!(
             exhaustive.is_some(),
@@ -112,8 +94,8 @@ proptest! {
     #![proptest_config(cases())]
 
     /// Anchored RMT-cut search: verdict equals the exhaustive decider's,
-    /// witnesses verify, the parallel twin matches at every thread count and
-    /// the budget-starved fallback path stays verdict-exact.
+    /// witnesses verify and the budget-starved fallback path stays
+    /// verdict-exact.
     #[test]
     fn anchored_rmt_cut_agrees_with_exhaustive((n, seed, view) in instance_params()) {
         let mut rng = generators::seeded(seed);
@@ -161,7 +143,6 @@ fn anchored_deciders_replay_the_e2_family() {
                 let cache = KnowledgeCache::new(&inst);
                 assert!(is_rmt_cut(&inst, &cache, &w.cut).is_some());
             }
-            assert_eq!(anchored, find_rmt_cut_anchored_par(&inst, 8));
         }
     }
 }

@@ -1,32 +1,30 @@
 //! Deterministic parallel execution for the rmt workspace.
 //!
-//! The deciders of `rmt-core` are pure functions over a fixed instance, so
-//! their exhaustive searches parallelize embarrassingly — but correctness of
-//! everything downstream (witness checks, coupled attacks, recorded
-//! artifacts) hinges on the *exact* witness found. Every primitive here is
-//! therefore **deterministic**: for a fixed input the result is bit-identical
-//! for any thread count, including `1`.
+//! The experiment binaries and the differential suites sweep many
+//! independent instances, attacks or fault seeds; each item is a pure
+//! function of its input, so the sweep parallelizes embarrassingly. The
+//! recorded artifacts must not depend on how many threads ran it, so the
+//! primitive here is **deterministic**: the output is in input order and
+//! bit-identical for any thread count, including `1`.
 //!
 //! * [`parallel_map`] — ordered map over items on a bounded pool of scoped
 //!   OS threads (no idle spawns, worker panics propagate with context);
-//! * [`search_min`] — the least-index hit of a predicate over an index
-//!   range, searched in parallel with chunked work claiming and early-exit
-//!   cancellation. This is the engine under `find_rmt_cut_par` and friends:
-//!   the sequential deciders return the *first* hit of an ascending subset
-//!   enumeration, and the least index is exactly that hit;
 //! * [`configured_threads`] — the `--threads` / `RMT_THREADS` knob shared by
 //!   the experiment binaries.
 //!
+//! Only sweeps run in parallel. Each cut decision and ⊕ fold runs on one
+//! thread: a single decision is micro- to milliseconds of work, and splitting
+//! one across 2 or 8 threads never beat one thread on E6c, E11b, E13 or E1
+//! (EXPERIMENTS.md §E6c has the measurements).
+//!
 //! The layer is std-only (scoped threads, atomics, mutexes); no work-stealing
-//! runtime is involved, which keeps the scheduling analyzable: workers claim
-//! ascending chunks from a single atomic cursor, so every index below the
-//! final answer is provably examined exactly once.
+//! runtime is involved: workers claim items from a single atomic cursor.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The number of worker threads actually used for `items` work items:
@@ -169,85 +167,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The chunk size [`search_min`] uses when the caller passes `0`: large
-/// enough to amortize claiming, small enough that early exit does not strand
-/// workers deep in doomed ranges.
-pub fn default_chunk(len: u64, threads: usize) -> u64 {
-    (len / (16 * threads.max(1) as u64)).clamp(1, 4096)
-}
-
-/// Finds the **least** index in `0..len` for which `pred` returns `Some`,
-/// searching in parallel.
-///
-/// This is the deterministic core of the parallel deciders: the sequential
-/// deciders scan an ascending enumeration and return the first hit, and the
-/// least satisfying index *is* that first hit — so for a pure `pred` the
-/// result (index and witness alike) is bit-identical for every thread count.
-///
-/// Mechanics: workers claim ascending chunks of `chunk` indices from a
-/// shared atomic cursor and publish improvements to a shared best index.
-/// A worker abandons its chunk as soon as the best known index undercuts its
-/// position, and stops entirely once its next chunk would start at or beyond
-/// the best — early exit without sacrificing minimality:
-///
-/// * any *skipped* index was `>=` the best at skip time, and the best only
-///   decreases, so skipped indices can never beat the final answer;
-/// * conversely every index below the final answer belonged to some claimed
-///   chunk and was evaluated (to `None`) exactly once.
-///
-/// `chunk = 0` selects [`default_chunk`]. Panics in `pred` propagate to the
-/// caller.
-pub fn search_min<R, F>(len: u64, threads: usize, chunk: u64, pred: F) -> Option<(u64, R)>
-where
-    R: Send,
-    F: Fn(u64) -> Option<R> + Sync,
-{
-    assert!(threads > 0, "need at least one thread");
-    if len == 0 {
-        return None;
-    }
-    let workers = effective_threads(threads, usize::try_from(len).unwrap_or(usize::MAX));
-    if workers <= 1 {
-        return (0..len).find_map(|idx| pred(idx).map(|r| (idx, r)));
-    }
-    let chunk = if chunk == 0 {
-        default_chunk(len, workers)
-    } else {
-        chunk
-    };
-    let cursor = AtomicU64::new(0);
-    let best_idx = AtomicU64::new(u64::MAX);
-    let best: Mutex<Option<(u64, R)>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                // The cursor hands out ascending chunks, so once the best
-                // undercuts our start nothing later can improve it either.
-                if start >= len || start >= best_idx.load(Ordering::Relaxed) {
-                    break;
-                }
-                let end = start.saturating_add(chunk).min(len);
-                for idx in start..end {
-                    if idx >= best_idx.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if let Some(r) = pred(idx) {
-                        let mut guard = best.lock().expect("best lock");
-                        if guard.as_ref().is_none_or(|(b, _)| idx < *b) {
-                            best_idx.store(idx, Ordering::Relaxed);
-                            *guard = Some((idx, r));
-                        }
-                        // Later indices in this chunk cannot beat `idx`.
-                        break;
-                    }
-                }
-            });
-        }
-    });
-    best.into_inner().expect("best lock")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,16 +216,5 @@ mod tests {
         let msg = panic_message(err.as_ref());
         assert!(msg.contains("worker panicked on item 7"), "{msg}");
         assert!(msg.contains("boom at 7"), "{msg}");
-    }
-
-    #[test]
-    fn search_min_finds_least_hit() {
-        let hits = [13u64, 40, 900];
-        for threads in [1, 2, 8] {
-            let got = search_min(1000, threads, 7, |i| hits.contains(&i).then_some(i * 10));
-            assert_eq!(got, Some((13, 130)), "threads={threads}");
-        }
-        assert_eq!(search_min(1000, 4, 0, |_| None::<()>), None);
-        assert_eq!(search_min(0, 4, 0, Some), None);
     }
 }

@@ -1,13 +1,11 @@
 //! Property tests for the parallel executor: order preservation, panic
-//! propagation, idle-thread avoidance and `search_min`'s least-index
-//! guarantee, differentially against the sequential scan.
+//! propagation and idle-thread avoidance.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use proptest::prelude::*;
-use rmt_par::{default_chunk, effective_threads, parallel_map, search_min, threads_from};
+use rmt_par::{effective_threads, parallel_map, threads_from};
 
 fn cases() -> ProptestConfig {
     let n = std::env::var("PROPTEST_CASES")
@@ -42,37 +40,6 @@ proptest! {
             distinct <= effective_threads(threads, len),
             "{distinct} workers for {len} items on {threads} threads"
         );
-    }
-
-    /// `search_min` returns exactly what the sequential first-match scan
-    /// returns — same index, same witness — for any thread count and chunk
-    /// size, on a predicate with arbitrary hit positions.
-    #[test]
-    fn search_min_matches_sequential_scan(
-        len in 0u64..300,
-        hits in proptest::collection::btree_set(0u64..300, 0..20),
-        threads in 1usize..9,
-        chunk in 0u64..8,
-    ) {
-        let pred = |i: u64| hits.contains(&i).then(|| i * 10);
-        let sequential = (0..len).find_map(|i| pred(i).map(|r| (i, r)));
-        prop_assert_eq!(search_min(len, threads, chunk, pred), sequential);
-    }
-
-    /// Every index below the winner is evaluated exactly once, and the
-    /// winner itself exactly once: no skipped prefix, no double work there.
-    #[test]
-    fn search_min_covers_the_prefix(len in 1u64..200, win in 0u64..200, threads in 1usize..9) {
-        let win = win % len;
-        let counts: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-        let found = search_min(len, threads, default_chunk(len, threads), |i| {
-            counts[i as usize].fetch_add(1, Ordering::Relaxed);
-            (i == win).then_some(())
-        });
-        prop_assert_eq!(found, Some((win, ())));
-        for (i, c) in counts.iter().take(win as usize + 1).enumerate() {
-            prop_assert_eq!(c.load(Ordering::Relaxed), 1, "index {i}");
-        }
     }
 }
 

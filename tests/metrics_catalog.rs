@@ -64,7 +64,7 @@ fn emitted_names() -> (Vec<&'static str>, Vec<String>) {
         let _ = zpp_cut_by_enumeration_anchored_observed(inst, &reg);
         let cache = KnowledgeCache::new(inst);
         let view = cache.joint_view(inst.graph().nodes());
-        let _ = view.materialize_bounded_par_observed(usize::MAX, 1, &reg);
+        let _ = view.materialize_bounded_observed(usize::MAX, &reg);
     }
 
     // The incremental decision engine: an edge toggle plus a structure
