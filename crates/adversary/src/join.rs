@@ -105,10 +105,8 @@ impl JointView {
     /// * `join.antichain_size` — size of each intermediate antichain
     ///   (histogram; its `max` is the peak blow-up of the fold);
     /// * `join.fold_ns` — wall time of the whole fold (histogram);
-    /// * `family.joins_explicit` / `family.joins_trie` — which antichain
-    ///   backend each binary ⊕ selected;
     /// * `family.candidate_sets` / `family.kept_sets` — pair-grid candidates
-    ///   fed to the backends vs. maximal sets surviving subsumption.
+    ///   pruned by each binary ⊕ vs. maximal sets surviving subsumption.
     pub fn materialize_bounded_observed(
         &self,
         max_antichain: usize,
@@ -117,51 +115,21 @@ impl JointView {
         let _timer = reg.timer("join.fold_ns");
         let folds = reg.counter("join.folds");
         let sizes = reg.histogram("join.antichain_size");
-        let family = FamilyCounters::new(reg);
+        let candidates = reg.counter("family.candidate_sets");
+        let kept = reg.counter("family.kept_sets");
         let mut acc = RestrictedStructure::from_parts(NodeSet::new(), []);
         for p in &self.parts {
-            family.observe(&acc, p);
+            candidates.add(acc.join_candidates(p) as u64);
             acc = acc.join(p);
             folds.inc();
             let len = acc.structure().maximal_sets().len();
-            family.kept.add(len as u64);
+            kept.add(len as u64);
             sizes.record(len as u64);
             if len > max_antichain {
                 return None;
             }
         }
         Some(acc)
-    }
-}
-
-/// The `family.*` counter bundle recorded by observed materializations.
-struct FamilyCounters {
-    joins_explicit: rmt_obs::Counter,
-    joins_trie: rmt_obs::Counter,
-    candidates: rmt_obs::Counter,
-    kept: rmt_obs::Counter,
-}
-
-impl FamilyCounters {
-    fn new(reg: &rmt_obs::Registry) -> Self {
-        FamilyCounters {
-            joins_explicit: reg.counter("family.joins_explicit"),
-            joins_trie: reg.counter("family.joins_trie"),
-            candidates: reg.counter("family.candidate_sets"),
-            kept: reg.counter("family.kept_sets"),
-        }
-    }
-
-    /// Records the backend selection and candidate count of the upcoming
-    /// `acc ⊕ p`, before the join runs (the choice is a pure function of
-    /// the operand sizes, so this matches what the join does).
-    fn observe(&self, acc: &RestrictedStructure, p: &RestrictedStructure) {
-        let candidates = acc.join_candidates(p);
-        match crate::family::FamilyBackend::select(candidates) {
-            crate::family::FamilyBackend::Explicit => self.joins_explicit.inc(),
-            crate::family::FamilyBackend::Trie => self.joins_trie.inc(),
-        }
-        self.candidates.add(candidates as u64);
     }
 }
 

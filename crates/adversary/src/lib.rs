@@ -6,8 +6,9 @@
 //! crate provides:
 //!
 //! * [`AdversaryStructure`] — a monotone family represented by the antichain
-//!   of its **maximal** sets, with membership, union, intersection and
-//!   monotone-closure operations;
+//!   of its **maximal** sets (one sorted list, built by subsumption-checked
+//!   insertion), with membership, union, intersection and monotone-closure
+//!   operations;
 //! * [`RestrictedStructure`] — a structure together with the *domain* it has
 //!   been restricted to (the paper's ℰ^A = {Z ∩ A | Z ∈ ℰ}), the inputs and
 //!   outputs of the ⊕ operation;
@@ -56,15 +57,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod family;
 mod join;
 mod restricted;
 mod structure;
 mod threshold;
 
-pub use family::{
-    ExplicitFamily, FamilyBackend, FamilyBuilder, MonotoneFamily, TrieFamily, TRIE_SELECT_THRESHOLD,
-};
 pub use join::JointView;
 pub use restricted::RestrictedStructure;
 pub use structure::AdversaryStructure;

@@ -2,7 +2,6 @@ use std::fmt;
 
 use rmt_sets::NodeSet;
 
-use crate::family::FamilyBackend;
 use crate::structure::AdversaryStructure;
 
 /// An adversary structure together with the domain it is restricted to:
@@ -99,20 +98,8 @@ impl RestrictedStructure {
     ///
     /// [`JointView`]: crate::JointView
     pub fn join(&self, other: &RestrictedStructure) -> RestrictedStructure {
-        self.join_with(other, FamilyBackend::select(self.join_candidates(other)))
-    }
-
-    /// [`RestrictedStructure::join`] with a forced antichain backend, for
-    /// the differential suites and benches; regular callers should let
-    /// [`RestrictedStructure::join`] select per pair-grid size.
-    pub fn join_with(
-        &self,
-        other: &RestrictedStructure,
-        backend: FamilyBackend,
-    ) -> RestrictedStructure {
         let (left, right, domain) = self.cylinder_sets(other);
-        let structure = AdversaryStructure::from_sets_with(
-            backend,
+        let structure = AdversaryStructure::from_sets(
             left.iter()
                 .flat_map(|l| right.iter().map(move |r| l.intersection(r))),
         );
@@ -121,8 +108,7 @@ impl RestrictedStructure {
 
     /// The number of candidate sets a `self ⊕ other` materialization prunes:
     /// the size of the cylinder pair grid (trivial structures contribute one
-    /// cylinder set). This is the quantity [`FamilyBackend::select`] keys on,
-    /// exposed so observed joins can record the choice deterministically.
+    /// cylinder set). Observed joins record it as `family.candidate_sets`.
     pub fn join_candidates(&self, other: &RestrictedStructure) -> usize {
         let left = if self.structure.is_trivial() {
             1

@@ -3,8 +3,6 @@ use std::fmt;
 
 use rmt_sets::NodeSet;
 
-use crate::family::{FamilyBackend, MonotoneFamily};
-
 /// A monotone family of node sets, represented by the antichain of its
 /// maximal sets.
 ///
@@ -18,6 +16,12 @@ use crate::family::{FamilyBackend, MonotoneFamily};
 /// * the empty set is never stored (it is implied);
 /// * stored sets are sorted in the canonical [`NodeSet`] order, so equal
 ///   families compare equal with `==`.
+///
+/// Every constructor builds that sorted list the same way, by
+/// subsumption-checked insertion ([`AdversaryStructure::add_set`]). It is
+/// the representation the deciders iterate and the one the ⊕ of Definition 2
+/// is stated over; a set-trie build was measured slower on every workload
+/// that reached it (EXPERIMENTS.md, §E17b).
 ///
 /// # Example
 ///
@@ -47,33 +51,13 @@ impl AdversaryStructure {
     }
 
     /// Builds the monotone closure of the given sets, pruning non-maximal
-    /// ones.
-    ///
-    /// The antichain backend (explicit list vs. set-trie) is chosen by
-    /// [`FamilyBackend::select`] from the iterator's size hint; the result
-    /// is identical either way.
+    /// ones: one [`AdversaryStructure::add_set`] per input set.
     pub fn from_sets<I: IntoIterator<Item = NodeSet>>(sets: I) -> Self {
-        let iter = sets.into_iter();
-        let backend = FamilyBackend::select(iter.size_hint().0);
-        AdversaryStructure::from_sets_with(backend, iter)
-    }
-
-    /// [`AdversaryStructure::from_sets`] with a forced antichain backend.
-    ///
-    /// The differential suites and the `antichain_ops` bench use this to pin
-    /// the explicit and trie-compressed builds against each other; regular
-    /// callers should let [`AdversaryStructure::from_sets`] select.
-    pub fn from_sets_with<I: IntoIterator<Item = NodeSet>>(
-        backend: FamilyBackend,
-        sets: I,
-    ) -> Self {
-        let mut builder = backend.builder();
-        for z in sets {
-            builder.insert_maximal(z);
+        let mut z = AdversaryStructure::trivial();
+        for set in sets {
+            z.add_set(set);
         }
-        AdversaryStructure {
-            max_sets: builder.into_antichain(),
-        }
+        z
     }
 
     /// Adds `set` (and implicitly all its subsets) to the family.
@@ -291,6 +275,31 @@ mod tests {
         assert!(z.add_set(set(&[2])));
         assert!(z.add_set(set(&[0, 1, 2]))); // supersedes both
         assert_eq!(z.maximal_sets(), &[set(&[0, 1, 2])]);
+    }
+
+    #[test]
+    fn add_set_follows_a_scripted_build() {
+        let script = [
+            set(&[0, 1]),
+            set(&[0]),
+            NodeSet::new(),
+            set(&[2, 4]),
+            set(&[0, 1, 2]),
+            set(&[2]),
+            set(&[3]),
+            set(&[2, 4]),
+        ];
+        let mut z = AdversaryStructure::trivial();
+        let grew: Vec<bool> = script.iter().map(|s| z.add_set(s.clone())).collect();
+        assert_eq!(grew, [true, false, false, true, true, false, true, false]);
+        assert!(z.contains(&set(&[1, 2])));
+        assert!(z.contains(&NodeSet::new()));
+        assert!(!z.contains(&set(&[3, 4])));
+        let mut expected = vec![set(&[0, 1, 2]), set(&[2, 4]), set(&[3])];
+        expected.sort();
+        assert_eq!(z.maximal_sets(), expected.as_slice());
+        assert!(z.maximal_sets().windows(2).all(|w| w[0] < w[1]));
+        assert!(z.invariant_holds());
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Property tests for the ⊕ operation: the paper's Theorems 1, 11, 13, 14
 //! (semilattice laws, maximality) and Corollary 2, checked against brute
-//! force on random structures over small domains.
+//! force on random structures over small domains. The antichain the
+//! structures are built on is itself checked against a brute-force oracle:
+//! insertion scripts, `from_sets` and membership over a 9-node universe.
 
 use proptest::prelude::*;
 use rmt_adversary::{AdversaryStructure, JointView, RestrictedStructure};
@@ -135,5 +137,68 @@ proptest! {
         }
         prop_assert!(z.invariant_holds());
         prop_assert!(r.structure().invariant_holds());
+    }
+}
+
+/// The universe of the antichain-oracle cases: small enough to enumerate all
+/// 512 subsets, large enough for long insertion scripts.
+const ORACLE_UNIVERSE: u32 = 9;
+
+fn oracle_sets(max: usize) -> impl Strategy<Value = Vec<NodeSet>> {
+    let set = proptest::collection::btree_set(0u32..ORACLE_UNIVERSE, 0..=5)
+        .prop_map(|s| s.into_iter().collect::<NodeSet>());
+    proptest::collection::vec(set, 0..max)
+}
+
+/// The maximal elements of `sets`, brute force: the strictly sorted,
+/// de-duplicated non-empty sets that no other element strictly contains.
+fn brute_maximal(sets: &[NodeSet]) -> Vec<NodeSet> {
+    let mut out: Vec<NodeSet> = sets
+        .iter()
+        .filter(|s| !s.is_empty() && !sets.iter().any(|o| s.is_subset(o) && *s != o))
+        .cloned()
+        .collect();
+    out.sort();
+    out.dedup();
+    out
+}
+
+/// Brute-force membership in the down-closure of `sets` (∅ always in).
+fn brute_contains(sets: &[NodeSet], q: &NodeSet) -> bool {
+    q.is_empty() || sets.iter().any(|s| q.is_subset(s))
+}
+
+proptest! {
+    /// Insert scripts: `add_set` reports growth exactly when the set was not
+    /// yet a member, and the antichain after every step is the brute-force
+    /// maximal elements of the prefix inserted so far.
+    #[test]
+    fn insert_scripts_match_brute_force(script in oracle_sets(12)) {
+        let mut z = AdversaryStructure::trivial();
+        for (i, s) in script.iter().enumerate() {
+            let was_member = z.contains(s);
+            prop_assert_eq!(z.add_set(s.clone()), !was_member, "growth report inserting {}", s);
+            prop_assert_eq!(z.maximal_sets(), brute_maximal(&script[..=i]).as_slice());
+        }
+    }
+
+    /// `from_sets` keeps exactly the brute-force maximal elements, whatever
+    /// the input order.
+    #[test]
+    fn from_sets_matches_brute_force(script in oracle_sets(12)) {
+        let z = AdversaryStructure::from_sets(script.iter().cloned());
+        prop_assert_eq!(z.maximal_sets(), brute_maximal(&script).as_slice());
+        prop_assert_eq!(&AdversaryStructure::from_sets(script.iter().rev().cloned()), &z);
+        prop_assert!(z.invariant_holds());
+    }
+
+    /// `contains` agrees with the brute-force down-closure on every subset
+    /// of the universe.
+    #[test]
+    fn membership_matches_brute_force(script in oracle_sets(8)) {
+        let z = AdversaryStructure::from_sets(script.iter().cloned());
+        for q in NodeSet::universe(ORACLE_UNIVERSE as usize).subsets() {
+            prop_assert_eq!(z.contains(&q), brute_contains(&script, &q), "membership of {}", q);
+        }
     }
 }

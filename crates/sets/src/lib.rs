@@ -30,9 +30,7 @@
 mod iter;
 mod node;
 mod nodeset;
-mod trie;
 
 pub use iter::{Combinations, Iter, Subsets};
 pub use node::NodeId;
 pub use nodeset::NodeSet;
-pub use trie::SetTrie;

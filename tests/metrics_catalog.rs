@@ -164,8 +164,6 @@ fn every_emitted_metric_is_documented_in_metrics_md() {
         "pka.selections_examined",
         "pka.decide_ns",
         "join.folds",
-        "family.joins_explicit",
-        "family.joins_trie",
         "family.candidate_sets",
         "family.kept_sets",
         "cache.invalidate.parts",
