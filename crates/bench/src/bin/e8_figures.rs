@@ -4,21 +4,21 @@
 //! sets and structures, tabulating the solvability condition and Π's
 //! behaviour on each.
 //!
-//! **Figure 2** (runs e₀ / e₁): executes the coupled scenario-swap runs on
-//! the canonical unsolvable diamond and prints the receiver's per-round
-//! deliveries in both runs side by side — they are identical, which is the
-//! whole point of the construction.
+//! **Figure 2** (runs e₀ / e₁): executes the coupled scenario-swap attack on
+//! the canonical unsolvable diamond and prints, from its report, the
+//! receiver's per-round deliveries in both runs side by side — they are
+//! identical, which is the whole point of the construction.
 
 use rmt_adversary::AdversaryStructure;
 use rmt_bench::{Experiment, Table};
 use rmt_core::analysis::run_coupled_attack;
 use rmt_core::cuts::find_rmt_cut_observed;
-use rmt_core::protocols::rmt_pka::RmtPka;
+use rmt_core::protocols::rmt_pka::PkaPayload;
 use rmt_core::reduction::StarInstance;
 use rmt_core::Instance;
 use rmt_graph::{Graph, ViewKind};
 use rmt_sets::NodeSet;
-use rmt_sim::{CoupledRunner, Runner, SilentAdversary};
+use rmt_sim::{Envelope, Runner, SilentAdversary};
 
 fn set(ids: &[u32]) -> NodeSet {
     ids.iter().copied().collect()
@@ -107,31 +107,6 @@ fn figure_2(exp: &mut Experiment) {
         report.safety_violation
     );
 
-    // Transcript: rerun the coupled pair and print R's deliveries per round.
-    let forged = {
-        // Reconstruct the forged structure the attack used, for the printout.
-        let cache = rmt_core::KnowledgeCache::new(&inst);
-        let z_b = cache.joint_view(&witness.receiver_component).materialize();
-        let mut sets: Vec<NodeSet> = z_b.structure().maximal_sets().to_vec();
-        sets.push(witness.c2.clone());
-        AdversaryStructure::from_sets(sets)
-    };
-    let inst2 = Instance::with_views(
-        inst.graph().clone(),
-        forged,
-        inst.views().clone(),
-        inst.dealer(),
-        inst.receiver(),
-    )
-    .unwrap();
-    let outcome = CoupledRunner::new(
-        inst.graph().clone(),
-        witness.c1.clone(),
-        witness.c2.clone(),
-        |v| RmtPka::node(&inst, v, 0),
-        |v| RmtPka::node(&inst2, v, 1),
-    )
-    .run();
     let mut table = Table::new(
         "F2 transcript: messages delivered to R per round (type only)",
         &[
@@ -141,28 +116,21 @@ fn figure_2(exp: &mut Experiment) {
             "equal",
         ],
     );
-    let describe = |msgs: &[(
-        u32,
-        rmt_sim::Envelope<rmt_core::protocols::rmt_pka::PkaPayload>,
-    )],
-                    round: u32| {
+    let describe = |msgs: &[(u32, Envelope<PkaPayload>)], round: u32| {
         msgs.iter()
             .filter(|(r, _)| *r == round)
             .map(|(_, env)| match &env.payload {
-                rmt_core::protocols::rmt_pka::PkaPayload::DealerValue { value, trail } => {
+                PkaPayload::DealerValue { value, trail } => {
                     format!("val({value},|p|={})", trail.len())
                 }
-                rmt_core::protocols::rmt_pka::PkaPayload::Knowledge { node, .. } => {
-                    format!("info({node})")
-                }
+                PkaPayload::Knowledge { node, .. } => format!("info({node})"),
             })
             .collect::<Vec<_>>()
             .join(" ")
     };
-    let r = inst.receiver();
-    for round in 1..=outcome.rounds {
-        let a = describe(outcome.delivered_e(r), round);
-        let b = describe(outcome.delivered_e2(r), round);
+    for round in 1..=report.rounds {
+        let a = describe(&report.delivered_e, round);
+        let b = describe(&report.delivered_e2, round);
         let eq = a == b;
         table.row(&[round.to_string(), a, b, eq.to_string()]);
     }

@@ -15,9 +15,11 @@
 //! `C₂ ∩ V(γ(B)) ∈ 𝒵_B` buys), and `C₂` is admissible in 𝒵′.
 //!
 //! Corrupted nodes mirror their honest alter ego from the twin run
-//! ([`CoupledRunner`]). The theory predicts — and the experiments assert —
-//! that every node of `B` receives identical messages in both runs, so a
-//! *safe* protocol cannot decide in either.
+//! ([`CoupledRunner`], which executes both runs as one product-protocol run
+//! on the shared round loop). The theory predicts — and the experiments
+//! assert — that every node of `B` receives identical messages in both
+//! runs, so a *safe* protocol cannot decide in either. The report carries
+//! R's per-round deliveries in both runs, which experiment E8 prints.
 
 use rmt_adversary::AdversaryStructure;
 use rmt_sets::NodeSet;
@@ -25,9 +27,9 @@ use rmt_sets::NodeSet;
 use crate::cuts::RmtCutWitness;
 use crate::instance::Instance;
 use crate::knowledge::KnowledgeCache;
-use crate::protocols::rmt_pka::RmtPka;
+use crate::protocols::rmt_pka::{PkaPayload, RmtPka};
 use crate::protocols::Value;
-use rmt_sim::CoupledRunner;
+use rmt_sim::{CoupledRunner, Envelope};
 
 /// Why the coupled attack could not be constructed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -68,6 +70,12 @@ pub struct CoupledAttackReport {
     pub safety_violation: bool,
     /// `true` if the attack *blocked* the protocol: no decision in run e.
     pub blocked: bool,
+    /// Rounds executed (the same in both runs).
+    pub rounds: u32,
+    /// The messages delivered to R in run e, as `(round, envelope)`.
+    pub delivered_e: Vec<(u32, Envelope<PkaPayload>)>,
+    /// The messages delivered to R in run e′.
+    pub delivered_e2: Vec<(u32, Envelope<PkaPayload>)>,
 }
 
 /// Executes the scenario-swap attack for an RMT-cut witness.
@@ -154,6 +162,9 @@ where
         safety_violation: decision_e.is_some_and(|x| x != x0)
             || decision_e2.is_some_and(|x| x != x1),
         blocked: decision_e.is_none(),
+        rounds: outcome.rounds,
+        delivered_e: outcome.delivered_e(r).to_vec(),
+        delivered_e2: outcome.delivered_e2(r).to_vec(),
     })
 }
 

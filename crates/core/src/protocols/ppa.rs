@@ -25,6 +25,7 @@ use rmt_sets::{NodeId, NodeSet};
 use rmt_sim::{Envelope, NodeContext, Payload, Protocol};
 
 use crate::instance::Instance;
+use crate::protocols::rmt_pka::valid_arrival;
 use crate::protocols::Value;
 
 /// A PPA message: the claimed dealer value with its propagation trail.
@@ -114,7 +115,7 @@ impl Protocol for Ppa {
         let mut out = Vec::new();
         for env in inbox {
             let trail = &env.payload.trail;
-            if trail.last() != Some(&env.from) || trail.contains(&self.id) {
+            if !valid_arrival(trail, env.from, self.id) {
                 continue; // forged tail or loop: discard
             }
             if self.id == self.receiver {

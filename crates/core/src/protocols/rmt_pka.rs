@@ -295,6 +295,18 @@ enum Role {
     Receiver(Box<ReceiverState>),
 }
 
+/// Trail validation of a message node `me` received from `from`: it is
+/// kept iff `tail(trail) = from` and `me ∉ trail`, so a forged trail always
+/// names a corrupted node.
+///
+/// The one rule every trail-carrying relay and receiver applies:
+/// [`RmtPka`]'s, [`Ppa`](crate::protocols::ppa::Ppa)'s, and the session
+/// engine's frame relay and receiver in `rmt-session`.
+#[inline]
+pub fn valid_arrival(trail: &[NodeId], from: NodeId, me: NodeId) -> bool {
+    trail.last() == Some(&from) && !trail.contains(&me)
+}
+
 /// One player's RMT-PKA state machine.
 #[derive(Clone, Debug)]
 pub struct RmtPka {
@@ -370,12 +382,6 @@ impl RmtPka {
         }
     }
 
-    /// Trail validation: `v ∈ p` or `tail(p) ≠ from` ⇒ discard.
-    fn valid_arrival(&self, env: &Envelope<PkaPayload>) -> bool {
-        let trail = env.payload.trail();
-        trail.last() == Some(&env.from) && !trail.contains(&self.id)
-    }
-
     fn my_knowledge_message(&self) -> PkaPayload {
         PkaPayload::Knowledge {
             node: self.id,
@@ -423,11 +429,9 @@ impl Protocol for RmtPka {
             Role::Relay => {
                 let mut out = Vec::new();
                 for env in inbox {
-                    if env.payload.trail().last() == Some(&env.from)
-                        && !env.payload.trail().contains(&self.id)
-                        && self
-                            .trail_bound
-                            .is_none_or(|b| env.payload.trail().len() < b)
+                    let trail = env.payload.trail();
+                    if valid_arrival(trail, env.from, self.id)
+                        && self.trail_bound.is_none_or(|b| trail.len() < b)
                     {
                         let fwd = env.payload.extended(self.id);
                         out.extend(ctx.neighbors.iter().map(|n| (n, fwd.clone())));
@@ -439,8 +443,10 @@ impl Protocol for RmtPka {
                 if self.decision.is_some() {
                     return Vec::new(); // output was produced; terminated
                 }
-                let valid: Vec<&Envelope<PkaPayload>> =
-                    inbox.iter().filter(|e| self.valid_arrival(e)).collect();
+                let valid: Vec<&Envelope<PkaPayload>> = inbox
+                    .iter()
+                    .filter(|e| valid_arrival(e.payload.trail(), e.from, self.id))
+                    .collect();
                 let Role::Receiver(state) = &mut self.role else {
                     unreachable!()
                 };

@@ -10,7 +10,8 @@
 //!   `e₀ˡ`,
 //!
 //! and proves `decision_{e₀ˡ}(v) = 0 ⇔ A_l ∉ 𝒵_v`. [`PiSimulationOracle`]
-//! executes exactly this construction with the [`CoupledRunner`], enforcing
+//! executes exactly this construction with the [`CoupledRunner`] (both runs
+//! as one product-protocol run on the shared round loop), enforcing
 //! the paper's explicit local-step bound `B` on the simulated subroutine
 //! (runs whose Π instances exceed the bound are halted — the modification
 //! described in the proof).

@@ -47,7 +47,7 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use rmt_adversary::AdversaryStructure;
-use rmt_core::protocols::rmt_pka::PkaPayload;
+use rmt_core::protocols::rmt_pka::{valid_arrival, PkaPayload};
 use rmt_core::Value;
 use rmt_graph::Graph;
 use rmt_sets::{NodeId, NodeSet};
@@ -139,12 +139,6 @@ impl Message<'_> {
             },
         }
     }
-}
-
-/// Trail validation of a logical message, identical to the per-message
-/// protocol: `tail(trail) = from` and `me ∉ trail`.
-pub(crate) fn valid_arrival(trail: &[NodeId], from: NodeId, me: NodeId) -> bool {
-    trail.last() == Some(&from) && !trail.contains(&me)
 }
 
 /// Everything one node sends one neighbour in one round.

@@ -40,12 +40,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use rmt_core::protocols::pka_decision::{DecisionConfig, ReceiverState};
-use rmt_core::protocols::rmt_pka::PkaPayload;
+use rmt_core::protocols::rmt_pka::{valid_arrival, PkaPayload};
 use rmt_core::Value;
 use rmt_sets::NodeId;
 use rmt_sim::{Envelope, NodeContext, Protocol};
 
-use crate::codec::{valid_arrival, Message, SessionFrame};
+use crate::codec::{Message, SessionFrame};
 use crate::plan::{NodeKnowledge, SessionPlan};
 
 /// Receiver-side counters of one session, for reporting.

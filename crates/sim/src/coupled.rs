@@ -1,11 +1,143 @@
-use std::collections::HashMap;
+//! The two coupled runs of the paper's lower bounds (Figure 2; proofs of
+//! Theorems 3 and 8), as one product protocol on the one round loop.
+//!
+//! Each node runs [`Coupled`]: its run-e instance `a[v]` and its run-e′
+//! instance `b[v]` side by side. Messages carry a world tag that costs no
+//! bits; a node splits its inbox by tag, feeds each half to its instance
+//! of that world, and tags what it sends. A node of `C₁` (corrupted in e)
+//! sends `b[v]`'s output under both tags, a node of `C₂` (corrupted in e′)
+//! sends `a[v]`'s output under both tags. [`Runner`] with no corrupted node
+//! on [`Lockstep`] then does all the scheduling, edge filtering and round
+//! capping of both runs at once.
+//!
+//! [`Lockstep`]: crate::Lockstep
+
+use std::convert::Infallible;
+use std::fmt;
 
 use rmt_graph::Graph;
-use rmt_obs::{NoopObserver, RunEvent, RunObserver};
+use rmt_obs::{NoopObserver, RunEvent, RunObserver, VecObserver};
 use rmt_sets::{NodeId, NodeSet};
 
-use crate::message::{DeliveryLog, Envelope};
+use crate::adversary::SilentAdversary;
+use crate::message::{Envelope, Payload};
 use crate::protocol::{NodeContext, Protocol};
+use crate::runner::{RunOutcome, Runner};
+
+/// One of the two coupled runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum World {
+    /// Run e: scenario-e parameters, corruption set `C₁`.
+    E = 0,
+    /// Run e′: scenario-e′ parameters, corruption set `C₂`.
+    E2 = 1,
+}
+
+impl World {
+    /// The prefix of a tagged payload's `Debug` form, which the per-world
+    /// event streams strip.
+    fn tag(self) -> &'static str {
+        match self {
+            World::E => "e:",
+            World::E2 => "e′:",
+        }
+    }
+}
+
+/// A payload of one world.
+#[derive(Clone, PartialEq)]
+struct Tagged<P> {
+    world: World,
+    payload: P,
+}
+
+impl<P: fmt::Debug> fmt::Debug for Tagged<P> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}{:?}", self.world.tag(), self.payload)
+    }
+}
+
+impl<P: Payload> Payload for Tagged<P> {
+    /// The tag is free: a world's traffic costs what its payloads cost.
+    fn encoded_bits(&self) -> usize {
+        self.payload.encoded_bits()
+    }
+}
+
+/// One node of the product protocol: `inst[E] = a[v]`, `inst[E2] = b[v]`.
+///
+/// It never reports a decision to the round loop, whose sweep reports each
+/// node once; instead it records, per run, the round in which that run's
+/// instance first decided. It also logs what each run delivered to it.
+struct Coupled<Q: Protocol> {
+    inst: [Q; 2],
+    /// The run in which this node is corrupted (`C₁` → e, `C₂` → e′).
+    corrupt_in: Option<World>,
+    decided: [Option<(u32, Q::Decision)>; 2],
+    delivered: [Vec<(u32, Envelope<Q::Payload>)>; 2],
+}
+
+impl<Q: Protocol> Coupled<Q> {
+    /// Records first decisions and tags this round's sends of both
+    /// instances; a corrupted node replays, in both runs, the instance of
+    /// the run in which it is honest.
+    fn tag_sends(
+        &mut self,
+        round: u32,
+        [a, b]: [Vec<(NodeId, Q::Payload)>; 2],
+    ) -> Vec<(NodeId, Tagged<Q::Payload>)> {
+        for (inst, decided) in self.inst.iter().zip(&mut self.decided) {
+            if decided.is_none() {
+                *decided = inst.decision().map(|d| (round, d));
+            }
+        }
+        let (to_e, to_e2) = match self.corrupt_in {
+            Some(World::E) => (b.clone(), b),
+            Some(World::E2) => (a.clone(), a),
+            None => (a, b),
+        };
+        let tag = |world, sends: Vec<_>| {
+            sends
+                .into_iter()
+                .map(move |(to, payload)| (to, Tagged { world, payload }))
+        };
+        tag(World::E, to_e).chain(tag(World::E2, to_e2)).collect()
+    }
+}
+
+impl<Q: Protocol> Protocol for Coupled<Q> {
+    type Payload = Tagged<Q::Payload>;
+    type Decision = Infallible;
+
+    fn start(&mut self, ctx: &NodeContext) -> Vec<(NodeId, Self::Payload)> {
+        let sends = [self.inst[0].start(ctx), self.inst[1].start(ctx)];
+        self.tag_sends(ctx.round, sends)
+    }
+
+    fn on_round(
+        &mut self,
+        ctx: &NodeContext,
+        inbox: &[Envelope<Self::Payload>],
+    ) -> Vec<(NodeId, Self::Payload)> {
+        let mut split: [Vec<Envelope<Q::Payload>>; 2] = Default::default();
+        for env in inbox {
+            let Tagged { world, payload } = env.payload.clone();
+            split[world as usize].push(Envelope::new(env.from, env.to, payload));
+        }
+        let sends = [
+            self.inst[0].on_round(ctx, &split[0]),
+            self.inst[1].on_round(ctx, &split[1]),
+        ];
+        for (log, inbox) in self.delivered.iter_mut().zip(split) {
+            log.extend(inbox.into_iter().map(|env| (ctx.round, env)));
+        }
+        self.tag_sends(ctx.round, sends)
+    }
+
+    fn decision(&self) -> Option<Infallible> {
+        None
+    }
+}
 
 /// The two-run lockstep executor behind the paper's indistinguishability
 /// arguments (Figure 2; proofs of Theorems 3 and 8).
@@ -27,25 +159,23 @@ use crate::protocol::{NodeContext, Protocol};
 /// component's deliveries **identical** in both runs, which
 /// [`CoupledOutcome::views_equal`] checks and the impossibility experiments
 /// assert.
+///
+/// Both runs are one [`Runner`] run of the product protocol described in
+/// the module docs, so they share its round cap and quiescence rule.
 pub struct CoupledRunner<Q: Protocol> {
     graph: Graph,
-    c1: NodeSet,
-    c2: NodeSet,
-    a: Vec<Option<Q>>,
-    b: Vec<Option<Q>>,
+    /// `[C₁, C₂]`, indexed by [`World`].
+    corrupted: [NodeSet; 2],
+    nodes: Vec<Option<Coupled<Q>>>,
     max_rounds: u32,
 }
 
 /// The result of a coupled run pair.
 pub struct CoupledOutcome<Q: Protocol> {
-    a: Vec<Option<Q>>,
-    b: Vec<Option<Q>>,
-    c1: NodeSet,
-    c2: NodeSet,
+    run: RunOutcome<Coupled<Q>>,
+    corrupted: [NodeSet; 2],
     /// Rounds executed (same for both runs by construction).
     pub rounds: u32,
-    delivered_e: DeliveryLog<Q::Payload>,
-    delivered_e2: DeliveryLog<Q::Payload>,
 }
 
 impl<Q: Protocol> CoupledRunner<Q> {
@@ -68,19 +198,22 @@ impl<Q: Protocol> CoupledRunner<Q> {
     ) -> Self {
         assert!(c1.is_disjoint(&c2), "C₁ and C₂ must be disjoint");
         let size = graph.nodes().last().map_or(0, |v| v.index() + 1);
-        let mut a: Vec<Option<Q>> = (0..size).map(|_| None).collect();
-        let mut b: Vec<Option<Q>> = (0..size).map(|_| None).collect();
+        let mut nodes: Vec<Option<Coupled<Q>>> = (0..size).map(|_| None).collect();
         for v in graph.nodes() {
-            a[v.index()] = Some(make_e(v));
-            b[v.index()] = Some(make_e2(v));
+            nodes[v.index()] = Some(Coupled {
+                inst: [make_e(v), make_e2(v)],
+                corrupt_in: [World::E, World::E2]
+                    .into_iter()
+                    .find(|&w| [&c1, &c2][w as usize].contains(v)),
+                decided: [None, None],
+                delivered: Default::default(),
+            });
         }
         let max_rounds = crate::transport::default_max_rounds(graph.node_count());
         CoupledRunner {
             graph,
-            c1,
-            c2,
-            a,
-            b,
+            corrupted: [c1, c2],
+            nodes,
             max_rounds,
         }
     }
@@ -107,286 +240,136 @@ impl<Q: Protocol> CoupledRunner<Q> {
     /// Diffing the two streams restricted to the receiver's view is the
     /// mechanical Figure 2 check.
     ///
-    /// [`Runner::run_observed`]: crate::Runner::run_observed
+    /// An observed run buffers the product run's stream and then
+    /// demultiplexes it: each event goes to the run its world tag names,
+    /// and each run's [`RunEvent::Decision`]s are placed at the end of the
+    /// round in which they were reached, in ascending node order.
     pub fn run_observed<O1, O2>(mut self, obs_e: &mut O1, obs_e2: &mut O2) -> CoupledOutcome<Q>
     where
         O1: RunObserver,
         O2: RunObserver,
     {
-        let mut delivered_e: DeliveryLog<Q::Payload> = HashMap::new();
-        let mut delivered_e2: DeliveryLog<Q::Payload> = HashMap::new();
-        let size = self.a.len();
-        let mut decided_e = vec![false; size];
-        let mut decided_e2 = vec![false; size];
-
-        if O1::ACTIVE {
-            obs_e.on_event(&RunEvent::RunStart {
-                nodes: self.graph.node_count() as u32,
-                corrupted: self.c1.iter().map(NodeId::raw).collect(),
-            });
-            obs_e.on_event(&RunEvent::RoundStart { round: 0 });
-        }
-        if O2::ACTIVE {
-            obs_e2.on_event(&RunEvent::RunStart {
-                nodes: self.graph.node_count() as u32,
-                corrupted: self.c2.iter().map(NodeId::raw).collect(),
-            });
-            obs_e2.on_event(&RunEvent::RoundStart { round: 0 });
-        }
-
-        fn emit_sends<P: crate::message::Payload, O: RunObserver>(
-            obs: &mut O,
-            round: u32,
-            adversarial: bool,
-            envs: &[Envelope<P>],
-        ) {
-            if !O::ACTIVE {
-                return;
-            }
-            for env in envs {
-                if adversarial {
-                    obs.on_event(&RunEvent::AdversarialSend {
-                        round,
-                        from: env.from.raw(),
-                        to: env.to.raw(),
-                        payload: format!("{:?}", env.payload),
-                    });
-                } else {
-                    obs.on_event(&RunEvent::HonestSend {
-                        round,
-                        from: env.from.raw(),
-                        to: env.to.raw(),
-                        bits: env.payload.encoded_bits() as u64,
-                        payload: format!("{:?}", env.payload),
-                    });
-                }
-            }
-        }
-
-        // outs_a[v] = messages produced by instance a[v] this round (run-e
-        // dynamics); outs_b[v] likewise for e′.
-        let mut inflight_e: Vec<Envelope<Q::Payload>> = Vec::new();
-        let mut inflight_e2: Vec<Envelope<Q::Payload>> = Vec::new();
-
-        let graph = self.graph.clone();
-        let ctx = |v: NodeId, round: u32| NodeContext {
-            id: v,
-            round,
-            neighbors: graph.neighbors(v).clone(),
+        let runner = Runner::new(
+            self.graph.clone(),
+            |v| self.nodes[v.index()].take().expect("one pair per node"),
+            SilentAdversary::new(NodeSet::new()),
+        )
+        .with_max_rounds(self.max_rounds);
+        let mut product = VecObserver::new();
+        let run = if O1::ACTIVE || O2::ACTIVE {
+            runner.run_observed(&mut product)
+        } else {
+            runner.run()
         };
-
-        // Round 0.
-        for v in graph.nodes() {
-            let outs_a: Vec<_> = self.a[v.index()]
-                .as_mut()
-                .expect("instance exists")
-                .start(&ctx(v, 0))
-                .into_iter()
-                .filter(|(to, _)| graph.has_edge(v, *to))
-                .map(|(to, p)| Envelope::new(v, to, p))
-                .collect();
-            let outs_b: Vec<_> = self.b[v.index()]
-                .as_mut()
-                .expect("instance exists")
-                .start(&ctx(v, 0))
-                .into_iter()
-                .filter(|(to, _)| graph.has_edge(v, *to))
-                .map(|(to, p)| Envelope::new(v, to, p))
-                .collect();
-            // Run e takes a[v] unless v ∈ C₁ (then its e′-honest self).
-            let chosen_e = if self.c1.contains(v) {
-                &outs_b
-            } else {
-                &outs_a
-            };
-            emit_sends(obs_e, 0, self.c1.contains(v), chosen_e);
-            inflight_e.extend(chosen_e.iter().cloned());
-            // Run e′ takes b[v] unless v ∈ C₂.
-            let chosen_e2 = if self.c2.contains(v) {
-                &outs_a
-            } else {
-                &outs_b
-            };
-            emit_sends(obs_e2, 0, self.c2.contains(v), chosen_e2);
-            inflight_e2.extend(chosen_e2.iter().cloned());
-        }
+        let outcome = CoupledOutcome {
+            rounds: run.metrics.rounds,
+            run,
+            corrupted: self.corrupted,
+        };
         if O1::ACTIVE {
-            self.emit_new_decisions_e(obs_e, 0, &mut decided_e);
+            outcome.replay(World::E, self.graph.nodes(), &product.events, obs_e);
         }
         if O2::ACTIVE {
-            self.emit_new_decisions_e2(obs_e2, 0, &mut decided_e2);
+            outcome.replay(World::E2, self.graph.nodes(), &product.events, obs_e2);
         }
-
-        let mut rounds = 0;
-        for round in 1..=self.max_rounds {
-            if inflight_e.is_empty() && inflight_e2.is_empty() {
-                break;
-            }
-            rounds = round;
-            if O1::ACTIVE {
-                obs_e.on_event(&RunEvent::RoundStart { round });
-            }
-            if O2::ACTIVE {
-                obs_e2.on_event(&RunEvent::RoundStart { round });
-            }
-            let mut inbox_e: HashMap<NodeId, Vec<Envelope<Q::Payload>>> = HashMap::new();
-            for env in inflight_e.drain(..) {
-                if O1::ACTIVE {
-                    obs_e.on_event(&RunEvent::Delivery {
-                        round,
-                        from: env.from.raw(),
-                        to: env.to.raw(),
-                        payload: format!("{:?}", env.payload),
-                    });
-                }
-                delivered_e
-                    .entry(env.to)
-                    .or_default()
-                    .push((round, env.clone()));
-                inbox_e.entry(env.to).or_default().push(env);
-            }
-            let mut inbox_e2: HashMap<NodeId, Vec<Envelope<Q::Payload>>> = HashMap::new();
-            for env in inflight_e2.drain(..) {
-                if O2::ACTIVE {
-                    obs_e2.on_event(&RunEvent::Delivery {
-                        round,
-                        from: env.from.raw(),
-                        to: env.to.raw(),
-                        payload: format!("{:?}", env.payload),
-                    });
-                }
-                delivered_e2
-                    .entry(env.to)
-                    .or_default()
-                    .push((round, env.clone()));
-                inbox_e2.entry(env.to).or_default().push(env);
-            }
-
-            for v in graph.nodes() {
-                let empty = Vec::new();
-                let outs_a: Vec<_> = self.a[v.index()]
-                    .as_mut()
-                    .expect("instance exists")
-                    .on_round(&ctx(v, round), inbox_e.get(&v).unwrap_or(&empty))
-                    .into_iter()
-                    .filter(|(to, _)| graph.has_edge(v, *to))
-                    .map(|(to, p)| Envelope::new(v, to, p))
-                    .collect();
-                let outs_b: Vec<_> = self.b[v.index()]
-                    .as_mut()
-                    .expect("instance exists")
-                    .on_round(&ctx(v, round), inbox_e2.get(&v).unwrap_or(&empty))
-                    .into_iter()
-                    .filter(|(to, _)| graph.has_edge(v, *to))
-                    .map(|(to, p)| Envelope::new(v, to, p))
-                    .collect();
-                let chosen_e = if self.c1.contains(v) {
-                    &outs_b
-                } else {
-                    &outs_a
-                };
-                emit_sends(obs_e, round, self.c1.contains(v), chosen_e);
-                inflight_e.extend(chosen_e.iter().cloned());
-                let chosen_e2 = if self.c2.contains(v) {
-                    &outs_a
-                } else {
-                    &outs_b
-                };
-                emit_sends(obs_e2, round, self.c2.contains(v), chosen_e2);
-                inflight_e2.extend(chosen_e2.iter().cloned());
-            }
-            if O1::ACTIVE {
-                self.emit_new_decisions_e(obs_e, round, &mut decided_e);
-            }
-            if O2::ACTIVE {
-                self.emit_new_decisions_e2(obs_e2, round, &mut decided_e2);
-            }
-        }
-
-        if O1::ACTIVE {
-            obs_e.on_event(&RunEvent::RunEnd { rounds });
-        }
-        if O2::ACTIVE {
-            obs_e2.on_event(&RunEvent::RunEnd { rounds });
-        }
-
-        CoupledOutcome {
-            a: self.a,
-            b: self.b,
-            c1: self.c1,
-            c2: self.c2,
-            rounds,
-            delivered_e,
-            delivered_e2,
-        }
-    }
-
-    /// Emits run-e decisions newly reached this round (honest = not in C₁).
-    fn emit_new_decisions_e<O: RunObserver>(&self, obs: &mut O, round: u32, decided: &mut [bool]) {
-        for v in self.graph.nodes() {
-            if decided[v.index()] || self.c1.contains(v) {
-                continue;
-            }
-            if let Some(d) = self.a[v.index()].as_ref().and_then(Protocol::decision) {
-                decided[v.index()] = true;
-                obs.on_event(&RunEvent::Decision {
-                    round,
-                    node: v.raw(),
-                    value: format!("{d:?}"),
-                });
-            }
-        }
-    }
-
-    /// Emits run-e′ decisions newly reached this round (honest = not in C₂).
-    fn emit_new_decisions_e2<O: RunObserver>(&self, obs: &mut O, round: u32, decided: &mut [bool]) {
-        for v in self.graph.nodes() {
-            if decided[v.index()] || self.c2.contains(v) {
-                continue;
-            }
-            if let Some(d) = self.b[v.index()].as_ref().and_then(Protocol::decision) {
-                decided[v.index()] = true;
-                obs.on_event(&RunEvent::Decision {
-                    round,
-                    node: v.raw(),
-                    value: format!("{d:?}"),
-                });
-            }
-        }
+        outcome
     }
 }
 
 impl<Q: Protocol> CoupledOutcome<Q> {
+    /// Renders `world`'s run from the product run's event stream: keeps the
+    /// events tagged with `world` (tag stripped), reports the run's own
+    /// corrupted set, turns a corrupted node's sends into adversarial ones
+    /// and inserts the run's decisions at the end of their rounds.
+    fn replay<O: RunObserver>(
+        &self,
+        world: World,
+        nodes: &NodeSet,
+        product: &[RunEvent],
+        obs: &mut O,
+    ) {
+        let corrupted = &self.corrupted[world as usize];
+        let mut decisions: Vec<(u32, u32, String)> = nodes
+            .difference(corrupted)
+            .iter()
+            .filter_map(|v| {
+                let (round, d) = self.run.protocol(v)?.decided[world as usize].as_ref()?;
+                Some((*round, v.raw(), format!("{d:?}")))
+            })
+            .collect();
+        // Stable: ascending node order within a round.
+        decisions.sort_by_key(|d| d.0);
+        let mut decisions = decisions.into_iter().peekable();
+        let mut decide_before = |end: u32, obs: &mut O| {
+            while let Some((round, node, value)) = decisions.next_if(|d| d.0 < end) {
+                obs.on_event(&RunEvent::Decision { round, node, value });
+            }
+        };
+        for event in product {
+            let mut event = event.clone();
+            match &mut event {
+                RunEvent::RunStart { corrupted: c, .. } => {
+                    *c = corrupted.iter().map(NodeId::raw).collect();
+                }
+                RunEvent::RoundStart { round } => decide_before(*round, obs),
+                RunEvent::RunEnd { .. } => decide_before(u32::MAX, obs),
+                RunEvent::HonestSend { payload, .. } | RunEvent::Delivery { payload, .. } => {
+                    let Some(own) = payload.strip_prefix(world.tag()) else {
+                        continue;
+                    };
+                    *payload = own.to_string();
+                }
+                _ => {}
+            }
+            match event {
+                RunEvent::HonestSend {
+                    round,
+                    from,
+                    to,
+                    payload,
+                    ..
+                } if corrupted.contains(NodeId::new(from)) => {
+                    obs.on_event(&RunEvent::AdversarialSend {
+                        round,
+                        from,
+                        to,
+                        payload,
+                    });
+                }
+                event => obs.on_event(&event),
+            }
+        }
+    }
+
     /// The decision of honest node `v` in run e (`None` if `v ∈ C₁`).
     pub fn decision_e(&self, v: NodeId) -> Option<Q::Decision> {
-        if self.c1.contains(v) {
-            return None;
-        }
-        self.a
-            .get(v.index())
-            .and_then(Option::as_ref)
-            .and_then(Protocol::decision)
+        self.decision(World::E, v)
     }
 
     /// The decision of honest node `v` in run e′ (`None` if `v ∈ C₂`).
     pub fn decision_e2(&self, v: NodeId) -> Option<Q::Decision> {
-        if self.c2.contains(v) {
+        self.decision(World::E2, v)
+    }
+
+    fn decision(&self, world: World, v: NodeId) -> Option<Q::Decision> {
+        if self.corrupted[world as usize].contains(v) {
             return None;
         }
-        self.b
-            .get(v.index())
-            .and_then(Option::as_ref)
-            .and_then(Protocol::decision)
+        self.run.protocol(v)?.inst[world as usize].decision()
     }
 
     /// Messages delivered to `v` in run e, as `(round, envelope)`.
     pub fn delivered_e(&self, v: NodeId) -> &[(u32, Envelope<Q::Payload>)] {
-        self.delivered_e.get(&v).map_or(&[], Vec::as_slice)
+        self.run
+            .protocol(v)
+            .map_or(&[], |node| &node.delivered[World::E as usize])
     }
 
     /// Messages delivered to `v` in run e′.
     pub fn delivered_e2(&self, v: NodeId) -> &[(u32, Envelope<Q::Payload>)] {
-        self.delivered_e2.get(&v).map_or(&[], Vec::as_slice)
+        self.run
+            .protocol(v)
+            .map_or(&[], |node| &node.delivered[World::E2 as usize])
     }
 
     /// `true` if node `v` received exactly the same messages, in the same

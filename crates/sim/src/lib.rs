@@ -20,7 +20,9 @@
 //!   `rmt-core` are assembled;
 //! * [`CoupledRunner`] — the two-run lockstep executor that turns the
 //!   indistinguishability arguments of the paper (Figure 2; proofs of
-//!   Theorems 3 and 8) into running attacks;
+//!   Theorems 3 and 8) into running attacks. It has no loop of its own:
+//!   both runs are one [`Runner`] run of a product protocol whose nodes
+//!   hold their two instances and tag each message with its run;
 //! * [`Metrics`] — message/bit/round accounting for the efficiency
 //!   experiments.
 //!

@@ -103,7 +103,7 @@ impl<P: Payload> Envelope<P> {
 
 /// A per-node log of deliveries: recipient ↦ [(round, envelope)].
 ///
-/// Used by the runner's watch facility and the coupled executor.
+/// Used by the runner's watch facility.
 pub(crate) type DeliveryLog<P> =
     std::collections::HashMap<rmt_sets::NodeId, Vec<(u32, Envelope<P>)>>;
 
