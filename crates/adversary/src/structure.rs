@@ -17,11 +17,15 @@ use rmt_sets::NodeSet;
 /// * stored sets are sorted in the canonical [`NodeSet`] order, so equal
 ///   families compare equal with `==`.
 ///
-/// Every constructor builds that sorted list the same way, by
-/// subsumption-checked insertion ([`AdversaryStructure::add_set`]). It is
-/// the representation the deciders iterate and the one the ⊕ of Definition 2
-/// is stated over; a set-trie build was measured slower on every workload
-/// that reached it (EXPERIMENTS.md, §E17b).
+/// Every general constructor builds that sorted list the same way, by
+/// subsumption-checked insertion ([`AdversaryStructure::add_set`]). The one
+/// exception is [`threshold`](crate::threshold): its `t`-subsets are
+/// distinct sets of one size, hence pairwise incomparable, so it sorts them
+/// and stores them as they are, skipping `from_sets`' O(m²) subsumption
+/// scans. The sorted list is the representation the deciders iterate and
+/// the one the ⊕ of Definition 2 is stated over; a set-trie build was
+/// measured slower on every workload that reached it (EXPERIMENTS.md,
+/// §E17b).
 ///
 /// # Example
 ///
@@ -58,6 +62,16 @@ impl AdversaryStructure {
             z.add_set(set);
         }
         z
+    }
+
+    /// Wraps a list that already is a sorted antichain of non-empty sets,
+    /// without the subsumption checks of [`AdversaryStructure::from_sets`].
+    /// The caller guarantees the antichain property; only the cheap part of
+    /// the invariant (strictly ascending, non-empty) is debug-checked.
+    pub(crate) fn from_sorted_antichain(max_sets: Vec<NodeSet>) -> Self {
+        debug_assert!(max_sets.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(max_sets.iter().all(|m| !m.is_empty()));
+        AdversaryStructure { max_sets }
     }
 
     /// Adds `set` (and implicitly all its subsets) to the family.

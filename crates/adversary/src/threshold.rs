@@ -27,7 +27,11 @@ pub fn threshold(universe: &NodeSet, t: usize) -> AdversaryStructure {
     if t >= universe.len() {
         return AdversaryStructure::from_sets([universe.clone()]);
     }
-    AdversaryStructure::from_sets(universe.combinations(t))
+    // Distinct sets of one size are pairwise incomparable: sorting them
+    // yields the antichain `from_sets` would build, without its O(m²) scans.
+    let mut sets: Vec<NodeSet> = universe.combinations(t).collect();
+    sets.sort_unstable();
+    AdversaryStructure::from_sorted_antichain(sets)
 }
 
 /// The trace of the `t`-locally-bounded structure on one neighbourhood:
@@ -67,6 +71,20 @@ mod tests {
             assert_eq!(z.contains(&s), s.len() <= 2, "{s}");
         }
         assert!(z.invariant_holds());
+    }
+
+    #[test]
+    fn threshold_equals_the_from_sets_fold() {
+        for n in 0..=12 {
+            let u = NodeSet::universe(n);
+            for t in 0..=n + 1 {
+                // t ≥ |U| folds the single set U; t = 0 folds ∅ into {∅}.
+                let folded = AdversaryStructure::from_sets(u.combinations(t.min(n)));
+                let direct = threshold(&u, t);
+                assert_eq!(direct, folded, "|U| = {n}, t = {t}");
+                assert!(direct.invariant_holds(), "|U| = {n}, t = {t}");
+            }
+        }
     }
 
     #[test]

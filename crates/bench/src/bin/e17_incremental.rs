@@ -14,17 +14,20 @@
 //! byte-identical** — the incremental machinery must be unobservable in
 //! results. The incremental column times `apply` + `decide` (the full
 //! churn-to-answer latency); the scratch column times `Instance::new` + the
-//! anchored decider on the same mutated graph. At the largest `n` the run
-//! asserts the median speedup is ≥ 5× (only enforced when that `n` ≥ 24),
-//! and the sweep deliberately tops out at n = 26 > 24: the regime the
-//! exhaustive decider (2^(n−2) subsets) cannot reach at all.
+//! anchored decider on the same mutated graph. The 𝒵-pp column times the
+//! engine's `decide_zpp` alone, after the same `apply`, and each of its
+//! witnesses is asserted equal to the from-scratch anchored 𝒵-pp decider's.
+//! At the largest `n` the run asserts the median speedup is ≥ 5× (only
+//! enforced when that `n` ≥ 24), and the sweep deliberately tops out at
+//! n = 26 > 24: the regime the exhaustive decider (2^(n−2) subsets) cannot
+//! reach at all.
 //!
 //! `--max-n N` bounds the sweep and `--deltas K` the stream length (CI runs
 //! a small-n profile); `--json` writes `BENCH_E17.json`.
 
 use rand::Rng;
-use rmt_bench::{fmt_duration, timed, Experiment, Table};
-use rmt_core::cuts::find_rmt_cut_anchored;
+use rmt_bench::{fmt_duration, median, timed, Experiment, Table};
+use rmt_core::cuts::{find_rmt_cut_anchored, zpp_cut_by_enumeration_anchored};
 use rmt_core::engine::{Delta, IncrementalEngine};
 use rmt_core::sampling::threshold_instance;
 use rmt_core::Instance;
@@ -32,7 +35,6 @@ use rmt_graph::generators::{self, seeded};
 use rmt_graph::ViewKind;
 use rmt_obs::Registry;
 use rmt_sets::NodeId;
-use std::time::Duration;
 
 /// Reads `--flag N` from the process arguments.
 fn arg(flag: &str, default: usize) -> usize {
@@ -46,11 +48,6 @@ fn arg(flag: &str, default: usize) -> usize {
         }
     }
     default
-}
-
-fn median(samples: &mut [Duration]) -> Duration {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 fn main() {
@@ -73,6 +70,7 @@ fn main() {
             "incremental",
             "scratch",
             "speedup",
+            "𝒵-pp incremental",
         ],
     );
 
@@ -92,6 +90,7 @@ fn main() {
 
         let mut incremental = Vec::with_capacity(deltas);
         let mut scratch = Vec::with_capacity(deltas);
+        let mut zpp = Vec::with_capacity(deltas);
         let (mut cuts, mut no_cuts) = (0u64, 0u64);
         let mut applied = 0usize;
         while applied < deltas {
@@ -127,17 +126,27 @@ fn main() {
                 verdict, fresh,
                 "incremental diverged from scratch at n = {n} after {delta:?}"
             );
+            let (zpp_verdict, t_zpp) = timed(|| engine.decide_zpp_observed(&reg));
+            let fresh_inst = Instance::new(g, z, ViewKind::AdHoc, dealer, receiver)
+                .expect("edge toggles keep the instance well-formed");
+            assert_eq!(
+                zpp_verdict,
+                zpp_cut_by_enumeration_anchored(&fresh_inst),
+                "incremental 𝒵-pp diverged from scratch at n = {n} after {delta:?}"
+            );
             match verdict {
                 Some(_) => cuts += 1,
                 None => no_cuts += 1,
             }
             incremental.push(t_inc);
             scratch.push(t_scr);
+            zpp.push(t_zpp);
             applied += 1;
         }
 
         let med_inc = median(&mut incremental);
         let med_scr = median(&mut scratch);
+        let med_zpp = median(&mut zpp);
         let speedup = med_scr.as_secs_f64() / med_inc.as_secs_f64().max(1e-9);
         largest = Some((n, speedup));
         exp.registry().merge_from(&reg);
@@ -151,6 +160,7 @@ fn main() {
             fmt_duration(med_inc),
             fmt_duration(med_scr),
             format!("{speedup:.1}×"),
+            fmt_duration(med_zpp),
         ]);
     }
     table.print();

@@ -7,14 +7,35 @@
 //! instances). The theory predicts identical decisions on every node; the
 //! experiment also reports the number of Π simulations and the wall-clock
 //! overhead factor — polynomial, as the theorem promises.
+//!
+//! Both runs take microseconds, so one shot of each is mostly timer and
+//! scheduler noise: each side is timed as the median of `REPS` runs, and the
+//! overhead cell is the median of the per-trial ratios, which one outlier
+//! trial cannot move.
 
-use rmt_bench::{mean, timed, Experiment, Table};
+use rmt_bench::{mean, median, timed, Experiment, Table};
 use rmt_core::protocols::zcpa::ZCpa;
 use rmt_core::reduction::PiSimulationOracle;
 use rmt_core::sampling::random_instance;
 use rmt_graph::generators::seeded;
 use rmt_graph::ViewKind;
 use rmt_sim::{Runner, SilentAdversary};
+use std::time::Duration;
+
+/// Timed runs per side and trial; the median is the trial's time.
+const REPS: usize = 5;
+
+/// Runs `f` `REPS` times, returning the last result and the median time.
+fn timed_median<T>(mut f: impl FnMut() -> T) -> (T, Duration) {
+    let mut times = Vec::with_capacity(REPS);
+    let mut out = None;
+    for _ in 0..REPS {
+        let (o, t) = timed(&mut f);
+        times.push(t);
+        out = Some(o);
+    }
+    (out.expect("REPS > 0"), median(&mut times))
+}
 
 fn main() {
     let mut rng = seeded(0xE7);
@@ -28,7 +49,7 @@ fn main() {
             "decisions identical",
             "Π simulations (mean)",
             "queries (mean)",
-            "overhead ×(mean)",
+            "overhead ×(median)",
         ],
     );
     for &n in &[6usize, 8, 10, 12] {
@@ -45,7 +66,7 @@ fn main() {
                 .into_iter()
                 .nth(trial % 2)
                 .unwrap_or_default();
-            let (explicit, t_explicit) = timed(|| {
+            let (explicit, t_explicit) = timed_median(|| {
                 Runner::new(
                     inst.graph().clone(),
                     |v| ZCpa::node(&inst, v, 7),
@@ -53,7 +74,7 @@ fn main() {
                 )
                 .run()
             });
-            let (simulated, t_sim) = timed(|| {
+            let (simulated, t_sim) = timed_median(|| {
                 Runner::new(
                     inst.graph().clone(),
                     |v| {
@@ -101,7 +122,7 @@ fn main() {
             format!("{:.1}", mean(&queries)),
             // Wall-clock-derived: the × suffix marks it as a ratio cell, so
             // `rmt-bench compare` treats drift as soft, not a verdict flip.
-            format!("{:.1}×", mean(&overheads)),
+            format!("{:.1}×", median(&mut overheads)),
         ]);
     }
     table.print();

@@ -276,6 +276,16 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
+/// Median of a sample (the upper one for an even count); sorts `xs`.
+///
+/// # Panics
+///
+/// Panics if `xs` is empty or holds incomparable values (NaN).
+pub fn median<T: PartialOrd + Copy>(xs: &mut [T]) -> T {
+    xs.sort_unstable_by(|a, b| a.partial_cmp(b).expect("comparable samples"));
+    xs[xs.len() / 2]
+}
+
 /// Sample standard deviation.
 pub fn stddev(xs: &[f64]) -> f64 {
     if xs.len() < 2 {

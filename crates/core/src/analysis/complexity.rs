@@ -166,7 +166,7 @@ pub fn zcpa_decision_rounds(inst: &Instance, corrupted: &NodeSet) -> Vec<Option<
                         && decided_at[w.index()].is_some_and(|s| s < round)
                 })
                 .collect();
-            if !inst.local_structure(u).contains(&class) {
+            if !inst.local_contains(u, &class) {
                 decided_at[u.index()] = Some(round);
                 progress = true;
             }

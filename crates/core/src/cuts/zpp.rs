@@ -16,6 +16,10 @@
 //!   `decided ← decided ∪ { honest u | 𝒩(u) ∩ decided ∉ 𝒵_u }`
 //!   seeded with D's honest neighbours, and a failing `T` yields the witness
 //!   `C₁ = T`, `C₂ = decided`.
+//!
+//! Both only ask whether one set is in some 𝒵_u, never for 𝒵_u itself, so
+//! they test membership with [`Instance::local_contains`] (`S ⊆ V(γ(u))`
+//! and `S ∈ 𝒵`) instead of restricting all of 𝒵 to `u`'s view per check.
 
 use rmt_graph::traversal;
 use rmt_obs::{Counter, Registry};
@@ -67,7 +71,7 @@ pub(crate) fn zpp_admissible_partition(
     let locally_plausible = |c2: &NodeSet| {
         b.iter().all(|u| {
             let trace = inst.graph().neighbors(u).intersection(c2);
-            inst.local_structure(u).contains(&trace)
+            inst.local_contains(u, &trace)
         })
     };
     for t in inst.adversary().maximal_sets() {
@@ -167,7 +171,7 @@ fn certified_fixpoint(
             if let Some(s) = stats {
                 s.certification_checks.inc();
             }
-            if !inst.local_structure(u).contains(&certifiers) {
+            if !inst.local_contains(u, &certifiers) {
                 decided.insert(u);
                 changed = true;
             }

@@ -200,8 +200,23 @@ impl Instance {
 
     /// 𝒵_v = 𝒵^{V(γ(v))}: the local adversary structure of `v`, as a plain
     /// monotone family over the view domain.
+    ///
+    /// Building it restricts every maximal set of 𝒵 and re-prunes the
+    /// result. A caller that only asks whether one set is in 𝒵_v should
+    /// use [`Instance::local_contains`], which answers without building it.
     pub fn local_structure(&self, v: NodeId) -> AdversaryStructure {
         self.adversary.restrict_sets(&self.view_domain(v))
+    }
+
+    /// `S ∈ 𝒵_v`, decided without building 𝒵_v: for monotone 𝒵,
+    /// `S ∈ 𝒵^{A}` iff `S ⊆ A` and `S ∈ 𝒵`, with `A = V(γ(v))`.
+    ///
+    /// Proof: if `S = Z ∩ A` for some `Z ∈ 𝒵`, then `S ⊆ A` and `S ⊆ Z`, so
+    /// `S ∈ 𝒵` by monotonicity; conversely, `S ⊆ A` and `S ∈ 𝒵` give
+    /// `S = S ∩ A`. So `local_contains(v, s) == local_structure(v).contains(s)`
+    /// for every `s`, at the cost of one subset test and one scan of 𝒵.
+    pub fn local_contains(&self, v: NodeId, set: &NodeSet) -> bool {
+        set.is_subset(self.view(v).nodes()) && self.adversary.contains(set)
     }
 
     /// The worst-case corruption sets to check resilience against: the

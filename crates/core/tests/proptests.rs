@@ -87,6 +87,33 @@ proptest! {
         }
     }
 
+    /// `Instance::local_contains` answers exactly what the built local
+    /// structure answers, for every set: inside the view, reaching outside
+    /// it, and ∅. `Radius(0)` views are `{v}` alone, so there even 𝒩(v)
+    /// leaves the view.
+    #[test]
+    fn local_contains_equals_local_structure((n, seed) in instance_params(), view_sel in 0usize..5) {
+        let view = [
+            ViewKind::Full,
+            ViewKind::AdHoc,
+            ViewKind::Radius(0),
+            ViewKind::Radius(1),
+            ViewKind::Radius(2),
+        ][view_sel];
+        let mut rng = generators::seeded(seed);
+        let inst = random_instance(n, 0.4, view, 4, 4, &mut rng);
+        for v in inst.graph().nodes() {
+            let local = inst.local_structure(v);
+            for s in inst.graph().nodes().subsets() {
+                prop_assert_eq!(
+                    inst.local_contains(v, &s),
+                    local.contains(&s),
+                    "v = {}, S = {}, {:?}", v, s, view
+                );
+            }
+        }
+    }
+
     /// Star solvability (used by the self-reduction) equals the brute-force
     /// partition condition: no split of the middle into two admissible
     /// halves.
