@@ -145,6 +145,36 @@ impl AdversaryStructure {
         AdversaryStructure::from_sets(self.max_sets.iter().map(|m| m.intersection(domain)))
     }
 
+    /// The family with the nodes of `removed` taken out of every member:
+    /// `{ Z ∖ removed | Z ∈ 𝒵 }`, i.e. [`restrict_sets`](Self::restrict_sets)
+    /// to the complement of `removed`, without naming a universe.
+    ///
+    /// A maximal set that avoids `removed` stays maximal: were it a strict
+    /// subset of some `M ∖ removed`, it would be a strict subset of `M`. So
+    /// only the shrunk sets need subsumption checks. Taken largest first,
+    /// each shrunk set is kept unless it lies inside a set already kept (a
+    /// strict superset is larger, so it came earlier, and if it was dropped
+    /// a kept set contains it). The result equals the
+    /// [`from_sets`](Self::from_sets) fold over the differences.
+    pub fn without_nodes(&self, removed: &NodeSet) -> AdversaryStructure {
+        let (avoiding, hit): (Vec<&NodeSet>, Vec<&NodeSet>) =
+            self.max_sets.iter().partition(|m| m.is_disjoint(removed));
+        let mut shrunk: Vec<NodeSet> = hit
+            .into_iter()
+            .map(|m| m.difference(removed))
+            .filter(|s| !s.is_empty())
+            .collect();
+        shrunk.sort_by_key(|s| std::cmp::Reverse(s.len()));
+        let mut sets: Vec<NodeSet> = avoiding.into_iter().cloned().collect();
+        for s in shrunk {
+            if !sets.iter().any(|m| s.is_subset(m)) {
+                sets.push(s);
+            }
+        }
+        sets.sort_unstable();
+        AdversaryStructure::from_sorted_antichain(sets)
+    }
+
     /// Enumerates every member of the family (the down-closure of the
     /// antichain), up to `limit` members.
     ///

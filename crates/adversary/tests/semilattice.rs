@@ -2,7 +2,8 @@
 //! (semilattice laws, maximality) and Corollary 2, checked against brute
 //! force on random structures over small domains. The antichain the
 //! structures are built on is itself checked against a brute-force oracle:
-//! insertion scripts, `from_sets` and membership over a 9-node universe.
+//! insertion scripts, `from_sets`, membership and `without_nodes` over a
+//! 9-node universe.
 
 use proptest::prelude::*;
 use rmt_adversary::{AdversaryStructure, JointView, RestrictedStructure};
@@ -199,6 +200,49 @@ proptest! {
         let z = AdversaryStructure::from_sets(script.iter().cloned());
         for q in NodeSet::universe(ORACLE_UNIVERSE as usize).subsets() {
             prop_assert_eq!(z.contains(&q), brute_contains(&script, &q), "membership of {}", q);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `without_nodes` equals the `from_sets` fold over the maximal sets
+    /// with the removed nodes taken out — same sets, same order — and the
+    /// restriction to the complement of the removed nodes.
+    #[test]
+    fn without_nodes_equals_the_from_sets_fold(
+        script in oracle_sets(16),
+        removed in proptest::collection::btree_set(0u32..ORACLE_UNIVERSE, 0..=4),
+    ) {
+        let z = AdversaryStructure::from_sets(script);
+        let removed: NodeSet = removed.into_iter().collect();
+        let fold = AdversaryStructure::from_sets(
+            z.maximal_sets().iter().map(|m| m.difference(&removed)),
+        );
+        let fast = z.without_nodes(&removed);
+        prop_assert_eq!(fast.maximal_sets(), fold.maximal_sets());
+        prop_assert!(fast.invariant_holds());
+        let rest = NodeSet::universe(ORACLE_UNIVERSE as usize).difference(&removed);
+        prop_assert_eq!(&fast, &z.restrict_sets(&rest));
+    }
+}
+
+/// The case the worst-case corruptions hit: a threshold structure with the
+/// dealer and receiver taken out, where most shrunk sets are subsumed.
+#[test]
+fn without_nodes_on_threshold_structures_equals_the_fold() {
+    for (n, t) in [(8, 1), (8, 3), (12, 4), (13, 12), (6, 6)] {
+        let z = rmt_adversary::threshold(&NodeSet::universe(n), t);
+        for removed in [vec![], vec![0], vec![0, n as u32 / 2], vec![1, 2, 3]] {
+            let removed: NodeSet = removed.into_iter().collect();
+            let fold = AdversaryStructure::from_sets(
+                z.maximal_sets().iter().map(|m| m.difference(&removed)),
+            );
+            assert_eq!(
+                z.without_nodes(&removed).maximal_sets(),
+                fold.maximal_sets()
+            );
         }
     }
 }

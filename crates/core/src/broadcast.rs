@@ -43,15 +43,10 @@ pub fn coverage(inst: &Instance, corrupted: &NodeSet) -> NodeSet {
 /// The worst-case corruption sets for broadcast: maximal sets of 𝒵 minus
 /// the (honest) dealer.
 pub fn worst_case_corruptions(inst: &Instance) -> Vec<NodeSet> {
-    let dealer = NodeSet::singleton(inst.dealer());
-    rmt_adversary::AdversaryStructure::from_sets(
-        inst.adversary()
-            .maximal_sets()
-            .iter()
-            .map(|m| m.difference(&dealer)),
-    )
-    .maximal_sets()
-    .to_vec()
+    inst.adversary()
+        .without_nodes(&NodeSet::singleton(inst.dealer()))
+        .maximal_sets()
+        .to_vec()
 }
 
 /// Polynomial decider for Definition 10: a 𝒵-pp cut exists iff some

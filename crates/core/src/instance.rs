@@ -227,17 +227,11 @@ impl Instance {
     /// these, and a protocol resilient against each of them is resilient
     /// against all admissible corruptions.
     pub fn worst_case_corruptions(&self) -> Vec<NodeSet> {
-        let mut endpoints = NodeSet::new();
-        endpoints.insert(self.dealer);
-        endpoints.insert(self.receiver);
-        AdversaryStructure::from_sets(
-            self.adversary
-                .maximal_sets()
-                .iter()
-                .map(|m| m.difference(&endpoints)),
-        )
-        .maximal_sets()
-        .to_vec()
+        let endpoints: NodeSet = [self.dealer, self.receiver].into_iter().collect();
+        self.adversary
+            .without_nodes(&endpoints)
+            .maximal_sets()
+            .to_vec()
     }
 
     /// `true` if the dealer and receiver are connected at all (otherwise the

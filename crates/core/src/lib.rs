@@ -20,7 +20,9 @@
 //!   Π-simulation membership oracle realizing the self-reduction of
 //!   Theorem 9 (poly-time uniqueness of Z-CPA, Corollary 10);
 //! * [`sampling`] — reproducible random instance generators for tests and
-//!   experiments.
+//!   experiments;
+//! * [`wire`] — the one varint byte codec for knowledge `(u, γ(u), 𝒵_u)`,
+//!   shared by the per-message payload and the session frame.
 //!
 //! # Quickstart
 //!
@@ -64,6 +66,7 @@ pub mod protocols;
 pub mod reduction;
 pub mod sampling;
 pub mod textio;
+pub mod wire;
 
 pub use engine::{ApplyStats, Delta, IncrementalEngine};
 pub use instance::{Instance, InstanceError};

@@ -24,12 +24,13 @@
 
 use rmt_adversary::AdversaryStructure;
 use rmt_graph::Graph;
-use rmt_sets::{NodeId, NodeSet};
+use rmt_sets::NodeId;
 use rmt_sim::{Envelope, NodeContext, Payload, Protocol, WirePayload};
 
 use crate::instance::Instance;
 use crate::protocols::pka_decision::{DecisionConfig, ReceiverState};
 use crate::protocols::Value;
+use crate::wire::{self, Sink};
 
 /// A message of RMT-PKA.
 #[derive(Clone, Debug, PartialEq)]
@@ -63,13 +64,15 @@ impl PkaPayload {
         }
     }
 
+    fn trail_mut(&mut self) -> &mut Vec<NodeId> {
+        match self {
+            PkaPayload::DealerValue { trail, .. } | PkaPayload::Knowledge { trail, .. } => trail,
+        }
+    }
+
     fn extended(&self, v: NodeId) -> PkaPayload {
         let mut out = self.clone();
-        match &mut out {
-            PkaPayload::DealerValue { trail, .. } | PkaPayload::Knowledge { trail, .. } => {
-                trail.push(v);
-            }
-        }
+        out.trail_mut().push(v);
         out
     }
 }
@@ -99,191 +102,56 @@ impl Payload for PkaPayload {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Byte codec (rmt-netd moves real frames; the in-process runners never call
-// this). Little-endian, tag-discriminated, length-prefixed collections. Every
-// length is validated against the remaining input before allocation so
-// adversarial bytes cannot force huge allocations, and decoding never panics.
-// ---------------------------------------------------------------------------
-
 /// Wire tag for [`PkaPayload::DealerValue`].
 const TAG_DEALER_VALUE: u8 = 0;
 /// Wire tag for [`PkaPayload::Knowledge`].
 const TAG_KNOWLEDGE: u8 = 1;
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| {
-                format!(
-                    "truncated PkaPayload: {what} needs {n} bytes at offset {}, \
-                     input is {} bytes",
-                    self.pos,
-                    self.bytes.len()
-                )
-            })?;
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, String> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, String> {
-        let raw = self.take(4, what)?;
-        Ok(u32::from_le_bytes(raw.try_into().expect("4-byte slice")))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, String> {
-        let raw = self.take(8, what)?;
-        Ok(u64::from_le_bytes(raw.try_into().expect("8-byte slice")))
-    }
-
-    /// A collection length, sanity-checked against the bytes actually left
-    /// (each element occupies at least `min_elem_bytes` on the wire).
-    fn len(&mut self, what: &str, min_elem_bytes: usize) -> Result<usize, String> {
-        let n = self.u32(what)? as usize;
-        let remaining = self.bytes.len() - self.pos;
-        if n.saturating_mul(min_elem_bytes.max(1)) > remaining {
-            return Err(format!(
-                "corrupt PkaPayload: {what} claims {n} elements but only \
-                 {remaining} bytes remain"
-            ));
-        }
-        Ok(n)
-    }
-}
-
-fn encode_trail(trail: &[NodeId], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(trail.len() as u32).to_le_bytes());
-    for v in trail {
-        out.extend_from_slice(&v.raw().to_le_bytes());
-    }
-}
-
-fn decode_trail(c: &mut Cursor<'_>) -> Result<Vec<NodeId>, String> {
-    let n = c.len("trail length", 4)?;
-    (0..n)
-        .map(|_| Ok(NodeId::new(c.u32("trail node")?)))
-        .collect()
-}
-
-fn encode_nodeset(set: &NodeSet, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(set.len() as u32).to_le_bytes());
-    for v in set.iter() {
-        out.extend_from_slice(&v.raw().to_le_bytes());
-    }
-}
-
-fn decode_nodeset(c: &mut Cursor<'_>, what: &str) -> Result<NodeSet, String> {
-    let n = c.len(what, 4)?;
-    let mut set = NodeSet::new();
-    for _ in 0..n {
-        set.insert(NodeId::new(c.u32(what)?));
-    }
-    Ok(set)
-}
-
-fn encode_graph(g: &Graph, out: &mut Vec<u8>) {
-    encode_nodeset(g.nodes(), out);
-    out.extend_from_slice(&(g.edge_count() as u32).to_le_bytes());
-    for (u, v) in g.edges() {
-        out.extend_from_slice(&u.raw().to_le_bytes());
-        out.extend_from_slice(&v.raw().to_le_bytes());
-    }
-}
-
-fn decode_graph(c: &mut Cursor<'_>) -> Result<Graph, String> {
-    let nodes = decode_nodeset(c, "view node")?;
-    let mut g = Graph::new();
-    for v in nodes.iter() {
-        g.add_node(v);
-    }
-    let edges = c.len("view edge count", 8)?;
-    for _ in 0..edges {
-        let u = NodeId::new(c.u32("view edge endpoint")?);
-        let v = NodeId::new(c.u32("view edge endpoint")?);
-        if !g.contains_node(u) || !g.contains_node(v) {
-            return Err(format!(
-                "corrupt PkaPayload: view edge ({u}, {v}) references a node \
-                 absent from the view's node set"
-            ));
-        }
-        g.add_edge(u, v);
-    }
-    Ok(g)
-}
-
-fn encode_structure(z: &AdversaryStructure, out: &mut Vec<u8>) {
-    let sets = z.maximal_sets();
-    out.extend_from_slice(&(sets.len() as u32).to_le_bytes());
-    for set in sets {
-        encode_nodeset(set, out);
-    }
-}
-
-fn decode_structure(c: &mut Cursor<'_>) -> Result<AdversaryStructure, String> {
-    let n = c.len("structure set count", 4)?;
-    let mut sets = Vec::with_capacity(n);
-    for _ in 0..n {
-        sets.push(decode_nodeset(c, "structure set node")?);
-    }
-    Ok(AdversaryStructure::from_sets(sets))
-}
-
+/// A tag byte, then the message in the [`wire`] varint format: the value
+/// or the knowledge body, then the trail as a node list. `rmt-netd` moves
+/// these bytes; the in-process runners never encode.
 impl WirePayload for PkaPayload {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            PkaPayload::DealerValue { value, trail } => {
-                out.push(TAG_DEALER_VALUE);
-                out.extend_from_slice(&value.to_le_bytes());
-                encode_trail(trail, out);
+            PkaPayload::DealerValue { value, .. } => {
+                out.byte(TAG_DEALER_VALUE);
+                out.varint(*value);
             }
             PkaPayload::Knowledge {
                 node,
                 view,
                 structure,
-                trail,
+                ..
             } => {
-                out.push(TAG_KNOWLEDGE);
-                out.extend_from_slice(&node.raw().to_le_bytes());
-                encode_graph(view, out);
-                encode_structure(structure, out);
-                encode_trail(trail, out);
+                out.byte(TAG_KNOWLEDGE);
+                wire::encode_knowledge(*node, view, structure, out);
             }
         }
+        let trail = self.trail();
+        wire::encode_nodes(trail.len(), trail.iter().copied(), out);
     }
 
     fn decode(bytes: &[u8]) -> Result<(Self, usize), String> {
-        let mut c = Cursor::new(bytes);
-        let payload = match c.u8("payload tag")? {
+        let pos = &mut 0;
+        let mut payload = match wire::read_byte(bytes, pos, "payload tag")? {
             TAG_DEALER_VALUE => PkaPayload::DealerValue {
-                value: c.u64("dealer value")?,
-                trail: decode_trail(&mut c)?,
+                value: wire::read_u64(bytes, pos, "dealer value")?,
+                trail: Vec::new(),
             },
-            TAG_KNOWLEDGE => PkaPayload::Knowledge {
-                node: NodeId::new(c.u32("knowledge node")?),
-                view: decode_graph(&mut c)?,
-                structure: decode_structure(&mut c)?,
-                trail: decode_trail(&mut c)?,
-            },
+            TAG_KNOWLEDGE => {
+                let (node, view, structure) = wire::decode_knowledge(bytes, pos)?;
+                PkaPayload::Knowledge {
+                    node,
+                    view,
+                    structure,
+                    trail: Vec::new(),
+                }
+            }
             tag => return Err(format!("unknown PkaPayload tag {tag}")),
         };
-        Ok((payload, c.pos))
+        let trail = payload.trail_mut();
+        wire::decode_nodes(bytes, pos, "trail node", |v| trail.push(v))?;
+        Ok((payload, *pos))
     }
 }
 
@@ -748,18 +616,21 @@ mod tests {
         // A length field claiming more elements than bytes remain is caught
         // before any allocation.
         let mut bomb = vec![super::TAG_DEALER_VALUE];
-        bomb.extend_from_slice(&7u64.to_le_bytes());
-        bomb.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(PkaPayload::from_bytes(&bomb).is_err());
+        bomb.varint(7); // value
+        bomb.varint(u64::from(u32::MAX)); // trail length
+        let err = PkaPayload::from_bytes(&bomb).unwrap_err();
+        assert!(err.contains("claims 4294967295 elements"), "{err}");
         // An edge referencing a node outside the view's node set is rejected.
-        let mut forged = Vec::new();
-        forged.push(super::TAG_KNOWLEDGE);
-        forged.extend_from_slice(&0u32.to_le_bytes()); // node
-        forged.extend_from_slice(&1u32.to_le_bytes()); // 1 view node
-        forged.extend_from_slice(&0u32.to_le_bytes()); //   v0
-        forged.extend_from_slice(&1u32.to_le_bytes()); // 1 edge
-        forged.extend_from_slice(&0u32.to_le_bytes()); //   (v0,
-        forged.extend_from_slice(&5u32.to_le_bytes()); //    v5) — absent
-        assert!(PkaPayload::from_bytes(&forged).is_err());
+        let mut forged = vec![super::TAG_KNOWLEDGE];
+        forged.varint(0); // node
+        forged.varint(1); // 1 view node
+        forged.varint(0); //   v0
+        forged.varint(1); // 1 edge
+        forged.varint(0); //   (v0,
+        forged.varint(5); //    v5) — absent
+        forged.varint(0); // empty structure
+        forged.varint(0); // empty trail
+        let err = PkaPayload::from_bytes(&forged).unwrap_err();
+        assert!(err.contains("absent from the view"), "{err}");
     }
 }

@@ -17,6 +17,9 @@
 //! backend `rmt-netd` unchanged. Compression comes from three sources:
 //! batching (one trail serves every payload slot), front-coding (sibling
 //! trails share long prefixes), and varints (small ids cost one byte).
+//! The varints, node lists and knowledge bodies are those of
+//! [`rmt_core::wire`], which the per-message [`PkaPayload`] codec writes
+//! too: a knowledge entry has one byte encoding in the workspace.
 //!
 //! [`pack`](SessionFrame::pack) and [`expand`](SessionFrame::expand) are
 //! the reference semantics: `expand` losslessly recovers the per-message
@@ -48,13 +51,12 @@ use std::sync::{Arc, OnceLock};
 
 use rmt_adversary::AdversaryStructure;
 use rmt_core::protocols::rmt_pka::{valid_arrival, PkaPayload};
+use rmt_core::wire::{self, ByteCount, Sink};
 use rmt_core::Value;
 use rmt_graph::Graph;
-use rmt_sets::{NodeId, NodeSet};
+use rmt_sets::NodeId;
 use rmt_sim::framing;
 use rmt_sim::{Payload, WirePayload};
-
-use crate::varint;
 
 /// Wire tag for [`SessionEntry::Values`].
 const TAG_VALUES: u8 = 0;
@@ -440,10 +442,8 @@ impl SessionFrame {
         for trail in self.trails() {
             let shared = shared_prefix(prev, trail);
             out.varint(shared as u64);
-            out.varint((trail.len() - shared) as u64);
-            for v in &trail[shared..] {
-                out.varint(u64::from(v.raw()));
-            }
+            let suffix = &trail[shared..];
+            wire::encode_nodes(suffix.len(), suffix.iter().copied(), out);
             prev = trail;
         }
         out.varint(self.entries().len() as u64);
@@ -469,9 +469,7 @@ impl SessionFrame {
                     trail,
                 } => {
                     out.byte(TAG_KNOWLEDGE);
-                    out.varint(u64::from(node.raw()));
-                    encode_graph(view, out);
-                    encode_structure(structure, out);
+                    wire::encode_knowledge(*node, view, structure, out);
                     out.varint(u64::from(*trail));
                 }
             }
@@ -480,28 +478,25 @@ impl SessionFrame {
 
     fn decode_body(body: &[u8]) -> Result<SessionFrame, String> {
         let pos = &mut 0usize;
-        let n_trails = read_len(body, pos, "trail count", 2)?;
+        let n_trails = wire::read_len(body, pos, "trail count", 2)?;
         let mut trails: Vec<Vec<NodeId>> = Vec::with_capacity(n_trails);
         for i in 0..n_trails {
-            let shared = varint::read_u64(body, pos, "trail shared prefix")? as usize;
-            let prev_len = trails.last().map_or(0, Vec::len);
-            if shared > prev_len {
+            let shared = wire::read_u64(body, pos, "trail shared prefix")? as usize;
+            let prev = trails.last().map_or(&[][..], Vec::as_slice);
+            if shared > prev.len() {
                 return Err(format!(
-                    "trail {i} shares a {shared}-node prefix but the previous trail has {prev_len}"
+                    "trail {i} shares a {shared}-node prefix but the previous trail has {}",
+                    prev.len()
                 ));
             }
-            let suffix = read_len(body, pos, "trail suffix length", 1)?;
-            let mut trail: Vec<NodeId> = Vec::with_capacity(shared + suffix);
-            trail.extend_from_slice(&trails.last().map_or(&[][..], Vec::as_slice)[..shared]);
-            for _ in 0..suffix {
-                trail.push(NodeId::new(varint::read_u32(body, pos, "trail node")?));
-            }
+            let mut trail = prev[..shared].to_vec();
+            wire::decode_nodes(body, pos, "trail node", |v| trail.push(v))?;
             trails.push(trail);
         }
-        let n_entries = read_len(body, pos, "entry count", 1)?;
+        let n_entries = wire::read_len(body, pos, "entry count", 1)?;
         let mut entries = Vec::with_capacity(n_entries);
         let trail_idx = |body: &[u8], pos: &mut usize| -> Result<u32, String> {
-            let idx = varint::read_u32(body, pos, "trail index")?;
+            let idx = wire::read_u32(body, pos, "trail index")?;
             if idx as usize >= n_trails {
                 return Err(format!(
                     "entry references trail {idx} but the table has {n_trails}"
@@ -510,15 +505,11 @@ impl SessionFrame {
             Ok(idx)
         };
         for _ in 0..n_entries {
-            let tag = *body
-                .get(*pos)
-                .ok_or_else(|| "truncated frame: entry tag missing".to_string())?;
-            *pos += 1;
-            match tag {
+            match wire::read_byte(body, pos, "entry tag")? {
                 TAG_VALUES => {
                     let trail = trail_idx(body, pos)?;
-                    let first_slot = varint::read_u32(body, pos, "first slot")?;
-                    let count = read_len(body, pos, "value count", 1)?;
+                    let first_slot = wire::read_u32(body, pos, "first slot")?;
+                    let count = wire::read_len(body, pos, "value count", 1)?;
                     if u64::from(first_slot) + count as u64 > u64::from(u32::MAX) {
                         return Err(format!(
                             "value run {first_slot}+{count} overflows the slot range"
@@ -526,7 +517,7 @@ impl SessionFrame {
                     }
                     let mut values = Vec::with_capacity(count);
                     for _ in 0..count {
-                        values.push(varint::read_u64(body, pos, "value")?);
+                        values.push(wire::read_u64(body, pos, "value")?);
                     }
                     entries.push(SessionEntry::Values {
                         trail,
@@ -535,9 +526,7 @@ impl SessionFrame {
                     });
                 }
                 TAG_KNOWLEDGE => {
-                    let node = NodeId::new(varint::read_u32(body, pos, "knowledge node")?);
-                    let view = decode_graph(body, pos)?;
-                    let structure = decode_structure(body, pos)?;
+                    let (node, view, structure) = wire::decode_knowledge(body, pos)?;
                     let trail = trail_idx(body, pos)?;
                     entries.push(SessionEntry::Knowledge {
                         node,
@@ -607,116 +596,9 @@ fn push_values(entries: &mut Vec<SessionEntry>, trail_id: u32, first_slot: u32, 
     });
 }
 
-/// Where [`SessionFrame::encode_body`] writes: the bytes themselves, or
-/// only their count (so `encoded_bits` and `encode` share one definition of
-/// the wire format).
-trait Sink {
-    fn byte(&mut self, b: u8);
-    fn varint(&mut self, x: u64);
-}
-
-impl Sink for Vec<u8> {
-    fn byte(&mut self, b: u8) {
-        self.push(b);
-    }
-
-    fn varint(&mut self, x: u64) {
-        varint::write_u64(x, self);
-    }
-}
-
-/// A [`Sink`] that only counts bytes.
-struct ByteCount(usize);
-
-impl Sink for ByteCount {
-    fn byte(&mut self, _: u8) {
-        self.0 += 1;
-    }
-
-    fn varint(&mut self, x: u64) {
-        self.0 += varint::encoded_len(x);
-    }
-}
-
 /// The longest common prefix of two trails, in nodes.
 fn shared_prefix(a: &[NodeId], b: &[NodeId]) -> usize {
     a.iter().zip(b).take_while(|(x, y)| x == y).count()
-}
-
-/// A collection length, sanity-checked against the bytes actually left
-/// (each element occupies at least `min_elem_bytes` on the wire) so a
-/// corrupt length cannot force a giant allocation.
-fn read_len(
-    body: &[u8],
-    pos: &mut usize,
-    what: &str,
-    min_elem_bytes: usize,
-) -> Result<usize, String> {
-    let n = varint::read_u64(body, pos, what)? as usize;
-    let remaining = body.len() - *pos;
-    if n.saturating_mul(min_elem_bytes.max(1)) > remaining {
-        return Err(format!(
-            "corrupt frame: {what} claims {n} elements but only {remaining} bytes remain"
-        ));
-    }
-    Ok(n)
-}
-
-fn encode_graph(g: &Graph, out: &mut impl Sink) {
-    out.varint(g.nodes().len() as u64);
-    for v in g.nodes().iter() {
-        out.varint(u64::from(v.raw()));
-    }
-    out.varint(g.edge_count() as u64);
-    for (u, v) in g.edges() {
-        out.varint(u64::from(u.raw()));
-        out.varint(u64::from(v.raw()));
-    }
-}
-
-fn decode_graph(body: &[u8], pos: &mut usize) -> Result<Graph, String> {
-    let n = read_len(body, pos, "view node count", 1)?;
-    let mut g = Graph::new();
-    for _ in 0..n {
-        g.add_node(NodeId::new(varint::read_u32(body, pos, "view node")?));
-    }
-    let edges = read_len(body, pos, "view edge count", 2)?;
-    for _ in 0..edges {
-        let u = NodeId::new(varint::read_u32(body, pos, "view edge endpoint")?);
-        let v = NodeId::new(varint::read_u32(body, pos, "view edge endpoint")?);
-        if !g.contains_node(u) || !g.contains_node(v) {
-            return Err(format!(
-                "corrupt frame: view edge ({u}, {v}) references a node absent from the view"
-            ));
-        }
-        g.add_edge(u, v);
-    }
-    Ok(g)
-}
-
-fn encode_structure(z: &AdversaryStructure, out: &mut impl Sink) {
-    let sets = z.maximal_sets();
-    out.varint(sets.len() as u64);
-    for set in sets {
-        out.varint(set.len() as u64);
-        for v in set.iter() {
-            out.varint(u64::from(v.raw()));
-        }
-    }
-}
-
-fn decode_structure(body: &[u8], pos: &mut usize) -> Result<AdversaryStructure, String> {
-    let n = read_len(body, pos, "structure set count", 1)?;
-    let mut sets = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = read_len(body, pos, "structure set length", 1)?;
-        let mut set = NodeSet::new();
-        for _ in 0..len {
-            set.insert(NodeId::new(varint::read_u32(body, pos, "structure node")?));
-        }
-        sets.push(set);
-    }
-    Ok(AdversaryStructure::from_sets(sets))
 }
 
 impl Payload for SessionFrame {
@@ -755,6 +637,9 @@ impl WirePayload for SessionFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, RngCore, SeedableRng};
+    use rand_chacha::ChaCha12Rng;
+    use rmt_sets::NodeSet;
 
     fn diamond() -> Graph {
         let mut g = Graph::new();
@@ -894,21 +779,21 @@ mod tests {
         // Unknown entry tag.
         let mut frame_bytes = Vec::new();
         let mark = framing::begin_frame(&mut frame_bytes);
-        varint::write_u64(0, &mut frame_bytes); // no trails
-        varint::write_u64(1, &mut frame_bytes); // one entry
+        frame_bytes.varint(0); // no trails
+        frame_bytes.varint(1); // one entry
         frame_bytes.push(9); // bad tag
         framing::end_frame(&mut frame_bytes, mark);
         assert!(SessionFrame::from_bytes(&frame_bytes).is_err());
 
         // Entry referencing a missing trail.
         let mut body = Vec::new();
-        varint::write_u64(0, &mut body); // no trails
-        varint::write_u64(1, &mut body);
+        body.varint(0); // no trails
+        body.varint(1);
         body.push(TAG_VALUES);
-        varint::write_u32(0, &mut body); // trail 0 of an empty table
-        varint::write_u32(0, &mut body);
-        varint::write_u64(1, &mut body);
-        varint::write_u64(7, &mut body);
+        body.varint(0); // trail 0 of an empty table
+        body.varint(0);
+        body.varint(1);
+        body.varint(7);
         let mut wire = Vec::new();
         let mark = framing::begin_frame(&mut wire);
         wire.extend_from_slice(&body);
@@ -918,7 +803,7 @@ mod tests {
         // A length bomb is caught before allocation.
         let mut bomb = Vec::new();
         let mark = framing::begin_frame(&mut bomb);
-        varint::write_u64(u64::from(u32::MAX), &mut bomb); // trail count
+        bomb.varint(u64::from(u32::MAX)); // trail count
         framing::end_frame(&mut bomb, mark);
         assert!(SessionFrame::from_bytes(&bomb).is_err());
 
@@ -931,8 +816,8 @@ mod tests {
         // Trailing garbage inside the announced body is rejected.
         let mut padded = Vec::new();
         let mark = framing::begin_frame(&mut padded);
-        varint::write_u64(0, &mut padded);
-        varint::write_u64(0, &mut padded);
+        padded.varint(0);
+        padded.varint(0);
         padded.push(0xAB);
         framing::end_frame(&mut padded, mark);
         assert!(SessionFrame::from_bytes(&padded).is_err());
@@ -1028,13 +913,113 @@ mod tests {
         assert_eq!(size_panic(&copy), first);
     }
 
+    /// FNV-1a, 64-bit: a dependency-free digest for pinning byte streams.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// A seeded random frame. Node ids reach past 127 and values span the
+    /// whole `u64` range, so multi-byte varints appear throughout.
+    fn random_frame(rng: &mut impl Rng) -> SessionFrame {
+        let node = |rng: &mut dyn RngCore| NodeId::new((rng.next_u64() % 300) as u32);
+        let n_trails = rng.random_range(1usize..5);
+        let mut trails: Vec<Vec<NodeId>> = Vec::with_capacity(n_trails);
+        for _ in 0..n_trails {
+            // Half the trails extend their predecessor, exercising front-coding.
+            let mut trail = match trails.last() {
+                Some(prev) if rng.random_bool(0.5) => prev.clone(),
+                _ => Vec::new(),
+            };
+            for _ in 0..rng.random_range(0usize..5) {
+                trail.push(node(rng));
+            }
+            trails.push(trail);
+        }
+        let entries = (0..rng.random_range(0usize..6))
+            .map(|_| {
+                let trail = rng.random_range(0..n_trails as u32);
+                if rng.random_bool(0.5) {
+                    SessionEntry::Values {
+                        trail,
+                        first_slot: rng.random_range(0u32..100_000),
+                        values: (0..rng.random_range(1usize..5))
+                            .map(|_| rng.next_u64() >> rng.random_range(0u32..64))
+                            .collect(),
+                    }
+                } else {
+                    let mut view = Graph::new();
+                    for _ in 0..rng.random_range(0usize..6) {
+                        view.add_node(node(rng));
+                    }
+                    let nodes: Vec<NodeId> = view.nodes().iter().collect();
+                    if nodes.len() > 1 {
+                        for _ in 0..rng.random_range(0usize..8) {
+                            let u = nodes[rng.random_range(0..nodes.len())];
+                            let v = nodes[rng.random_range(0..nodes.len())];
+                            if u != v {
+                                view.add_edge(u, v);
+                            }
+                        }
+                    }
+                    let structure =
+                        AdversaryStructure::from_sets((0..rng.random_range(0usize..4)).map(|_| {
+                            (0..rng.random_range(0usize..4))
+                                .map(|_| node(rng))
+                                .collect::<NodeSet>()
+                        }));
+                    SessionEntry::Knowledge {
+                        node: node(rng),
+                        view,
+                        structure,
+                        trail,
+                    }
+                }
+            })
+            .collect();
+        SessionFrame::from_parts(trails, entries)
+    }
+
+    /// The session wire format is pinned: `sample()`'s exact bytes and a
+    /// digest over 256 seeded random frames, knowledge entries included.
+    /// Any change to these bytes breaks `stream`, `faults` and `rmt-netd`
+    /// peers running the previous format.
+    #[test]
+    fn session_bytes_are_pinned() {
+        #[rustfmt::skip]
+        let sample_bytes: [u8; 59] = [
+            55, 0, 0, 0, 3, 0, 1, 0, 1, 1, 1, 2, 1, 4, 3, 0, 1, 0, 3, 7, 8, 9, 1, 1, 4, 0, 1, 2, 3, 4,
+            0, 1, 0, 2, 1, 3, 2, 3, 2, 1, 2, 2, 1, 3, 2, 0, 0, 5, 1, 255, 255, 255, 255, 255, 255,
+            255, 255, 255, 1,
+        ];
+        assert_eq!(sample().to_bytes(), sample_bytes);
+        let mut rng = ChaCha12Rng::seed_from_u64(0x05E5_510F);
+        let mut stream = Vec::new();
+        let mut knowledge = 0;
+        for _ in 0..256 {
+            let frame = random_frame(&mut rng);
+            knowledge += frame
+                .entries()
+                .iter()
+                .filter(|e| matches!(e, SessionEntry::Knowledge { .. }))
+                .count();
+            stream.extend_from_slice(&frame.to_bytes());
+        }
+        assert!(knowledge > 100, "{knowledge} knowledge entries");
+        assert_eq!(
+            (stream.len(), fnv1a(&stream)),
+            (16_850, 0x3950_1a57_5dc7_446f)
+        );
+    }
+
     #[test]
     fn shared_prefix_beyond_previous_trail_is_rejected() {
         let mut body = Vec::new();
-        varint::write_u64(1, &mut body); // one trail
-        varint::write_u64(3, &mut body); // shares 3 nodes with a non-existent predecessor
-        varint::write_u64(0, &mut body);
-        varint::write_u64(0, &mut body); // no entries
+        body.varint(1); // one trail
+        body.varint(3); // shares 3 nodes with a non-existent predecessor
+        body.varint(0);
+        body.varint(0); // no entries
         let mut wire = Vec::new();
         let mark = framing::begin_frame(&mut wire);
         wire.extend_from_slice(&body);

@@ -41,7 +41,6 @@ pub mod codec;
 pub mod engine;
 pub mod plan;
 pub mod session;
-pub mod varint;
 
 pub use adversary::{ModelCounters, SessionAdversary};
 pub use codec::{SessionEntry, SessionFrame};

@@ -4,7 +4,10 @@
 //! `encoded_bits` equals the encoding's size, and no byte sequence —
 //! arbitrary, truncated, or bit-flipped — can make the decoder panic or
 //! allocate unboundedly. Frames cross real sockets in the `rmt-netd`
-//! backend; the decoder's only legal failure mode is `Err`.
+//! backend; the decoder's only legal failure mode is `Err`. The per-message
+//! `PkaPayload` codec, which `rmt-netd` moves on its per-message runs and
+//! which shares the knowledge encoders of `rmt_core::wire`, is held to the
+//! same properties.
 
 use proptest::prelude::*;
 use rmt_adversary::AdversaryStructure;
@@ -123,6 +126,27 @@ fn arb_payload_item() -> impl Strategy<Value = (u32, PkaPayload)> {
                         trail,
                     },
                 )
+            }
+        })
+}
+
+/// A per-message payload of either kind; trails may be empty.
+fn arb_pka_payload() -> impl Strategy<Value = PkaPayload> {
+    (
+        (any::<u32>(), any::<u64>()),
+        arb_trail(),
+        (arb_node(), arb_graph(), arb_structure()),
+    )
+        .prop_map(|((kind, value), trail, (node, view, structure))| {
+            if kind % 2 == 0 {
+                PkaPayload::DealerValue { value, trail }
+            } else {
+                PkaPayload::Knowledge {
+                    node,
+                    view,
+                    structure,
+                    trail,
+                }
             }
         })
 }
@@ -279,6 +303,50 @@ proptest! {
     #[test]
     fn encoded_bits_counts_the_encoding(frame in arb_frame()) {
         prop_assert_eq!(frame.encoded_bits(), 8 * frame.to_bytes().len());
+    }
+}
+
+proptest! {
+    /// Both payload kinds survive encode → decode unchanged, and decode
+    /// reports exactly how many bytes it consumed.
+    #[test]
+    fn pka_payload_round_trips(payload in arb_pka_payload()) {
+        let bytes = payload.to_bytes();
+        let (decoded, used) = PkaPayload::decode(&bytes).expect("own encoding must decode");
+        prop_assert_eq!(decoded, payload);
+        prop_assert_eq!(used, bytes.len());
+    }
+
+    /// Arbitrary garbage never panics the payload decoder.
+    #[test]
+    fn pka_arbitrary_bytes_never_panic(bytes in arb_bytes(192)) {
+        let _ = PkaPayload::decode(&bytes);
+        let _ = PkaPayload::from_bytes(&bytes);
+    }
+
+    /// Every truncation of a valid payload encoding fails cleanly: the
+    /// format is self-delimiting, so no strict prefix is itself a payload.
+    #[test]
+    fn pka_truncations_fail_cleanly(payload in arb_pka_payload()) {
+        let bytes = payload.to_bytes();
+        for cut in 0..bytes.len() {
+            prop_assert!(PkaPayload::decode(&bytes[..cut]).is_err(), "cut {}", cut);
+        }
+    }
+
+    /// Single bit flips in a valid payload encoding either decode to *some*
+    /// payload (whose re-encoding round-trips) or fail with an error —
+    /// never a panic.
+    #[test]
+    fn pka_bit_flips_never_panic(payload in arb_pka_payload(), byte_idx in any::<u32>(), bit in 0u32..8) {
+        let mut bytes = payload.to_bytes();
+        let idx = byte_idx as usize % bytes.len();
+        bytes[idx] ^= 1u8 << bit;
+        if let Ok((decoded, _)) = PkaPayload::decode(&bytes) {
+            let again = decoded.to_bytes();
+            prop_assert_eq!(PkaPayload::from_bytes(&again), Ok(decoded));
+        }
+        let _ = PkaPayload::from_bytes(&bytes);
     }
 }
 

@@ -11,9 +11,12 @@
 //! and the `rmt-session` compact batch codec (`SessionFrame`). Keeping the
 //! length-prefix logic here means there is exactly one implementation of
 //! the cap check and the truncation arithmetic, exercised by both proptest
-//! suites.
+//! suites. What goes inside a frame is each codec's own business, except
+//! knowledge: the session frame and the per-message `PkaPayload` that
+//! `rmt-netd` carries in its link frames both write `(u, γ(u), 𝒵_u)` with
+//! `rmt_core::wire`.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Hard cap on a frame body, in bytes.
 ///
@@ -122,17 +125,6 @@ pub fn split_frame(bytes: &[u8]) -> Result<(&[u8], usize), FramingError> {
     Ok((&bytes[4..4 + body_len], 4 + body_len))
 }
 
-/// Writes `body` to a stream as one length-prefixed frame.
-pub fn write_frame_to<W: Write>(w: &mut W, body: &[u8]) -> io::Result<()> {
-    assert!(
-        body.len() <= MAX_FRAME_BYTES,
-        "frame body ({} bytes) exceeds MAX_FRAME_BYTES",
-        body.len()
-    );
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)
-}
-
 /// Reads exactly one frame body from a stream.
 ///
 /// A clean EOF before the first byte maps to `ErrorKind::UnexpectedEof`; an
@@ -219,8 +211,11 @@ mod tests {
     #[test]
     fn stream_io_round_trips() {
         let mut wire = Vec::new();
-        write_frame_to(&mut wire, b"payload").expect("vec write");
-        write_frame_to(&mut wire, b"").expect("vec write");
+        for body in [&b"payload"[..], b""] {
+            let mark = begin_frame(&mut wire);
+            wire.extend_from_slice(body);
+            end_frame(&mut wire, mark);
+        }
         let mut cursor = std::io::Cursor::new(wire);
         assert_eq!(read_frame_body(&mut cursor).expect("read"), b"payload");
         assert_eq!(read_frame_body(&mut cursor).expect("read"), b"");
