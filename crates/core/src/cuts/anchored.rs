@@ -47,7 +47,7 @@ use rmt_sets::NodeSet;
 use crate::instance::Instance;
 use crate::knowledge::KnowledgeCache;
 
-use super::rmt_cut::{admissible_partition, exhaustive_search, RmtCutWitness};
+use super::rmt_cut::{admissible_partition, exhaustive_search, RmtCutWitness, FALLBACK};
 use super::zpp::{zpp_admissible_partition, zpp_cut_by_enumeration, ZppCutWitness};
 
 /// Budgets bounding the anchored search. Exceeding either one triggers the
@@ -162,9 +162,10 @@ impl Question for Rmt<'_> {
     }
 
     /// The exhaustive scan builds a cache of its own, so a fallback leaves
-    /// the memo of a caller-held cache as it found it.
+    /// the memo of a caller-held cache as it found it; it records under the
+    /// `rmt_cut.fallback.*` names.
     fn exhaustive(&self, reg: Option<&Registry>) -> Option<RmtCutWitness> {
-        exhaustive_search(self.inst, reg)
+        exhaustive_search(self.inst, reg, &FALLBACK)
     }
 
     fn memo(&self) -> Option<(&KnowledgeCache, [&'static str; 2])> {
@@ -347,13 +348,15 @@ pub fn find_rmt_cut_anchored_with(inst: &Instance, budget: &AnchorBudget) -> Opt
 /// * `rmt_cut.separators_enumerated` — anchors scanned;
 /// * `rmt_cut.components_enumerated` — connected subsets emitted across
 ///   the anchor scans;
-/// * `rmt_cut.partition_checks` — `(C₁, C₂)` partitions tested against 𝒵_B
-///   (same name and meaning as the exhaustive decider's);
+/// * `rmt_cut.partition_checks` — `(C₁, C₂)` partitions the anchored scan
+///   tested against 𝒵_B (same meaning as the exhaustive decider's);
 /// * `rmt_cut.cache_hits` / `rmt_cut.cache_misses` — lookups in the
 ///   [`KnowledgeCache`] joint-domain memo during this call;
 /// * `rmt_cut.exhaustive_fallbacks` — budget overflows that re-ran the
-///   exhaustive decider (which then records its own counters, see
-///   [`find_rmt_cut_observed`](super::find_rmt_cut_observed));
+///   exhaustive decider, which then records the counters of
+///   [`find_rmt_cut_observed`](super::find_rmt_cut_observed) under
+///   `rmt_cut.fallback.*` (`candidates_examined`, `partition_checks`, the
+///   `search_ns` histogram and the `search` span);
 /// * `rmt_cut.anchored_ns` — wall time of the whole search (histogram).
 pub fn find_rmt_cut_anchored_observed(inst: &Instance, reg: &Registry) -> Option<RmtCutWitness> {
     rmt_search(inst, None, &AnchorBudget::default(), Some(reg))
@@ -536,18 +539,22 @@ mod tests {
                 let got = rmt_search(&inst, Some(&cache), budget, Some(&reg));
                 assert_eq!(got, expected, "t = {t}, budget {i}");
                 assert_eq!(reg.counter("rmt_cut.exhaustive_fallbacks").get(), 1);
-                assert_eq!(
-                    reg.counter("rmt_cut.candidates_examined").get(),
-                    exhaustive.counter("rmt_cut.candidates_examined").get(),
-                    "t = {t}, budget {i}"
-                );
-                // Only the separator overflow stops before any anchored
-                // partition check adds to the shared counter.
-                if i == 0 {
+                // The fallback counts under its own names, so each counter
+                // is exactly one search's, whatever the anchored scan did.
+                for (fallback, own) in [
+                    (
+                        "rmt_cut.fallback.candidates_examined",
+                        "rmt_cut.candidates_examined",
+                    ),
+                    (
+                        "rmt_cut.fallback.partition_checks",
+                        "rmt_cut.partition_checks",
+                    ),
+                ] {
                     assert_eq!(
-                        reg.counter("rmt_cut.partition_checks").get(),
-                        exhaustive.counter("rmt_cut.partition_checks").get(),
-                        "t = {t}"
+                        reg.counter(fallback).get(),
+                        exhaustive.counter(own).get(),
+                        "t = {t}, budget {i}: {fallback}"
                     );
                 }
                 let reg = Registry::new();

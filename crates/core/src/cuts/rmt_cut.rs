@@ -118,7 +118,7 @@ pub(crate) fn admissible_partition(
 /// assert!(cuts::find_rmt_cut(&gallery::tolerant_diamond(ViewKind::AdHoc)).is_none());
 /// ```
 pub fn find_rmt_cut(inst: &Instance) -> Option<RmtCutWitness> {
-    exhaustive_search(inst, None)
+    exhaustive_search(inst, None, &SEARCH)
 }
 
 /// [`find_rmt_cut`] with the search effort recorded in `reg`:
@@ -130,16 +130,45 @@ pub fn find_rmt_cut(inst: &Instance) -> Option<RmtCutWitness> {
 ///
 /// plus a `rmt_cut.search` phase span when the registry carries a profiler.
 pub fn find_rmt_cut_observed(inst: &Instance, reg: &Registry) -> Option<RmtCutWitness> {
-    exhaustive_search(inst, Some(reg))
+    exhaustive_search(inst, Some(reg), &SEARCH)
 }
 
+/// The span, timer and counter names one exhaustive search records under.
+pub(crate) struct ScanNames {
+    phase: &'static str,
+    timer: &'static str,
+    candidates: &'static str,
+    checks: &'static str,
+}
+
+/// The names of [`find_rmt_cut_observed`]'s own search.
+const SEARCH: ScanNames = ScanNames {
+    phase: "rmt_cut.search",
+    timer: "rmt_cut.search_ns",
+    candidates: "rmt_cut.candidates_examined",
+    checks: "rmt_cut.partition_checks",
+};
+
+/// The names of an anchored search's budget fallback, kept apart from the
+/// anchored scan's own `rmt_cut.partition_checks` so each counts one search.
+pub(crate) const FALLBACK: ScanNames = ScanNames {
+    phase: "rmt_cut.fallback.search",
+    timer: "rmt_cut.fallback.search_ns",
+    candidates: "rmt_cut.fallback.candidates_examined",
+    checks: "rmt_cut.fallback.partition_checks",
+};
+
 /// The exhaustive search behind [`find_rmt_cut`], [`find_rmt_cut_observed`]
-/// and the anchored deciders' budget fallback.
-pub(crate) fn exhaustive_search(inst: &Instance, reg: Option<&Registry>) -> Option<RmtCutWitness> {
-    let _phase = reg.and_then(|reg| reg.phase("rmt_cut.search"));
-    let _timer = reg.map(|reg| reg.timer("rmt_cut.search_ns"));
-    let candidates_examined = reg.map(|reg| reg.counter("rmt_cut.candidates_examined"));
-    let partition_checks = reg.map(|reg| reg.counter("rmt_cut.partition_checks"));
+/// and (under [`FALLBACK`]'s names) the anchored deciders' budget fallback.
+pub(crate) fn exhaustive_search(
+    inst: &Instance,
+    reg: Option<&Registry>,
+    names: &ScanNames,
+) -> Option<RmtCutWitness> {
+    let _phase = reg.and_then(|reg| reg.phase(names.phase));
+    let _timer = reg.map(|reg| reg.timer(names.timer));
+    let candidates_examined = reg.map(|reg| reg.counter(names.candidates));
+    let partition_checks = reg.map(|reg| reg.counter(names.checks));
     // If D and R are adjacent no node cut exists at all.
     if inst.graph().has_edge(inst.dealer(), inst.receiver()) {
         return None;

@@ -199,7 +199,7 @@ impl<P: Payload> Delivery<P> for FaultNet<P> {
         self.plan.crashed(v, round)
     }
 
-    fn emit_crashes<O: RunObserver>(&self, round: u32, observer: &mut O) {
+    fn start_round<O: RunObserver>(&mut self, round: u32, observer: &mut O) {
         if O::ACTIVE {
             for v in self.plan.crashes_at(round) {
                 observer.on_event(&RunEvent::NodeCrashed {
@@ -272,7 +272,7 @@ impl<P: Payload> Delivery<P> for FaultNet<P> {
         due
     }
 
-    fn is_idle(&self) -> bool {
+    fn is_idle<O: RunObserver>(&mut self, _round: u32, _observer: &mut O) -> bool {
         self.queue.is_empty()
     }
 

@@ -1,8 +1,9 @@
 //! Socket-backed runtime for the RMT protocols.
 //!
-//! This crate is the third `Transport` backend of the workspace, after the
-//! synchronous `Runner` (`rmt-sim`) and the fault-injecting `NetRunner`
-//! (`rmt-net`): protocol nodes run as independent tasks that speak
+//! This crate is the third delivery policy behind `rmt-sim`'s one round
+//! loop, after the synchronous `Lockstep` and `rmt-net`'s fault-injecting
+//! `FaultNet`: the protocols still step in the `Runner`, while every honest
+//! node gets an independent socket endpoint task that speaks
 //! length-prefixed framed TCP over loopback, with everything a real
 //! deployment needs to survive — supervised reconnect with jittered
 //! exponential backoff ([`link`]), bounded per-peer send queues with
@@ -12,13 +13,13 @@
 //!
 //! The deterministic runners stay the differential oracle: a fault-free
 //! loopback session yields verdicts, node-view transcripts, and an event
-//! stream identical to `NetRunner` under an empty `FaultPlan`, because the
-//! session coordinator ([`session`]) admits every message through the same
-//! `Transport` seam and reconstructs delivery order from the global
-//! admission index each frame carries. Under chaos the safety half of that
-//! oracle still holds — a run either decides the value actually sent or
-//! does not decide — while liveness degrades gracefully and *loudly*: every
-//! shed message is a counted `FaultDrop`, never a silent loss.
+//! stream identical to `NetRunner` under an empty `FaultPlan`, because a
+//! session ([`session`]) runs the same loop and reconstructs delivery order
+//! from the global admission index each frame carries. Under chaos the
+//! safety half of that oracle still holds — a run either decides the value
+//! actually sent or does not decide — while liveness degrades gracefully
+//! and *loudly*: every shed message is a counted `FaultDrop`, never a
+//! silent loss.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,21 +1,18 @@
-//! One protocol node as an independent task.
+//! One node's socket endpoint as an independent task.
 //!
-//! A node task owns its [`Protocol`] state machine, the listening socket of
-//! its address, an acceptor thread for inbound connections, and one
-//! [`Link`] per honest neighbour. It speaks to the session coordinator over
-//! in-process channels: the coordinator drives rounds (`Round`) and
-//! transmissions (`Transmit`), the node reports its protocol sends and the
-//! per-message transmission outcomes, and the physical layer streams
-//! [`LinkEvent`]s underneath. Chaos commands (`Kill`/`Restart`/`Sever`/…)
-//! arrive on the same command channel, so a node observes faults in a
-//! well-defined order relative to its rounds.
-//!
-//! Payload bytes genuinely cross the sockets: `Transmit` hands the node its
-//! admitted messages, the node encodes each via [`WirePayload`] and the
-//! receiving node's reader thread hands the decoded bytes back to the
-//! coordinator. A killed task keeps holding its protocol state (kill models
-//! a supervised process restart, not a fresh join) and keeps its port
-//! bound, but refuses connections until restarted.
+//! A node task owns no protocol state: the protocol runs in the session's
+//! round loop. The task owns the listening socket of its node's address,
+//! an acceptor thread for inbound connections, and one [`Link`] per honest
+//! neighbour. It speaks to the session's `Sockets` delivery policy over
+//! in-process channels: `Transmit` hands it the round's admitted messages,
+//! the task encodes each via [`WirePayload`], writes it to its link and
+//! reports the per-message outcomes, while the physical layer streams
+//! [`LinkEvent`]s (arrivals decoded by the receiving side, sheds,
+//! connection lifecycle) underneath. Chaos commands
+//! (`Kill`/`Restart`/`Sever`/…) arrive on the same command channel, so a
+//! node observes faults in a well-defined order relative to its
+//! transmissions. A killed task keeps its port bound but refuses
+//! connections until restarted.
 
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
@@ -25,23 +22,16 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rmt_sets::{NodeId, NodeSet};
-use rmt_sim::{Envelope, NodeContext, Protocol, WirePayload};
+use rmt_sets::NodeId;
+use rmt_sim::WirePayload;
 
 use rmt_obs::DropReason;
 
 use crate::frame::Frame;
 use crate::link::{Link, LinkEvent, TxResult};
 
-/// Commands from the coordinator to one node task.
+/// Commands from the session to one node task.
 pub(crate) enum NodeCmd<P> {
-    /// Run one protocol round (round 0 is `start`) over `inbox`.
-    Round {
-        /// The round number.
-        round: u32,
-        /// Messages delivered this round.
-        inbox: Vec<Envelope<P>>,
-    },
     /// Transmit admitted messages: `(recipient, admission index, payload)`.
     Transmit {
         /// The round the messages were admitted in.
@@ -63,17 +53,8 @@ pub(crate) enum NodeCmd<P> {
     Shutdown,
 }
 
-/// Everything a node task (or its links) reports to the coordinator.
-pub(crate) enum Report<P> {
-    /// The node ran its round and wants to send these messages.
-    Sends {
-        /// Reporting node.
-        node: NodeId,
-        /// `(recipient, payload)` in protocol emission order.
-        sends: Vec<(NodeId, P)>,
-        /// `format!("{:?}")` of the node's decision, if decided.
-        decided: Option<String>,
-    },
+/// Everything a node task (or its links) reports to the session.
+pub(crate) enum Report {
     /// Outcome of each admitted message handed to the links.
     TxStatus {
         /// Reporting node.
@@ -85,22 +66,15 @@ pub(crate) enum Report<P> {
     Net(LinkEvent),
 }
 
-/// Runs one node to completion; returns the final protocol state.
-#[allow(clippy::too_many_arguments)] // one parameter per owned resource of the task
-pub(crate) fn node_task<Q>(
+/// Runs one node's endpoint until the session shuts it down.
+pub(crate) fn node_task<P: WirePayload>(
     me: NodeId,
-    mut proto: Q,
-    neighbors: NodeSet,
     links: BTreeMap<NodeId, Arc<Link>>,
     listener: TcpListener,
     session: u64,
-    cmds: Receiver<NodeCmd<Q::Payload>>,
-    reports: Sender<Report<Q::Payload>>,
-) -> Q
-where
-    Q: Protocol,
-    Q::Payload: WirePayload,
-{
+    cmds: Receiver<NodeCmd<P>>,
+    reports: Sender<Report>,
+) {
     let shutdown = Arc::new(AtomicBool::new(false));
     let writer_handles: Vec<_> = links.values().map(|l| l.spawn_writer()).collect();
     let acceptor = {
@@ -111,31 +85,13 @@ where
 
     while let Ok(cmd) = cmds.recv() {
         match cmd {
-            NodeCmd::Round { round, inbox } => {
-                let ctx = NodeContext {
-                    id: me,
-                    round,
-                    neighbors: neighbors.clone(),
-                };
-                let sends = if round == 0 {
-                    proto.start(&ctx)
-                } else {
-                    proto.on_round(&ctx, &inbox)
-                };
-                let decided = proto.decision().map(|d| format!("{d:?}"));
-                let _ = reports.send(Report::Sends {
-                    node: me,
-                    sends,
-                    decided,
-                });
-            }
             NodeCmd::Transmit { round, items } => {
                 let mut results = Vec::with_capacity(items.len());
                 for (to, admission, payload) in items {
                     let result = match links.get(&to) {
                         Some(link) => link.send_msg(round, admission, payload.to_bytes()),
-                        // The coordinator only routes messages to linked
-                        // peers; anything else is unreachable by model.
+                        // The session only routes messages to linked peers;
+                        // anything else is unreachable by model.
                         None => TxResult::Shed(DropReason::PeerDown),
                     };
                     results.push((to, admission, result));
@@ -187,7 +143,6 @@ where
         let _ = h.join();
     }
     let _ = acceptor.join();
-    proto
 }
 
 /// Accepts inbound connections for one node and installs them on the

@@ -1,17 +1,18 @@
 //! One RMT session over real sockets.
 //!
-//! The coordinator owns the *model*: it admits every send through the same
-//! [`Transport`] seam as the deterministic schedulers, assigns each admitted
-//! message a global admission index, and emits the canonical event stream
-//! (`RoundStart` → deliveries → honest sends in ascending node order →
-//! adversarial sends → decisions). The *mechanism* is real: payload bytes
-//! are encoded by the sending node task, cross a TCP socket, and are decoded
-//! from the received bytes before delivery. Delivery order is recovered by
-//! sorting arrivals on the admission index each frame carries, which equals
-//! the tie-break order of `rmt-net`'s `NetRunner` — so a fault-free loopback
-//! session produces an event stream byte-identical to `NetRunner` under an
-//! empty `FaultPlan` (the differential gate in `tests/differential.rs`
-//! checks exactly this).
+//! A session is `rmt-sim`'s one round loop ([`Runner`]) over the `Sockets`
+//! delivery policy, the way `rmt-net`'s `NetRunner` is the same loop over
+//! its faulty network. The loop owns the *model*: it steps the protocols,
+//! admits every send through the [`Transport`](rmt_sim::Transport) seam and
+//! emits the canonical event stream. The policy owns the *mechanism*: it
+//! gives each admitted message a global admission index, and every message
+//! between two live node tasks is encoded by the sending task, crosses a
+//! TCP socket and is decoded from the received bytes before delivery.
+//! Delivery order is recovered by sorting arrivals on the admission index
+//! each frame carries, which equals the tie-break order of `NetRunner` — so
+//! a fault-free loopback session produces an event stream byte-identical
+//! to `NetRunner` under an empty `FaultPlan` (the differential gate in
+//! `tests/differential.rs` checks exactly this).
 //!
 //! Faults come from a [`ChaosPlan`] applied at round starts. Three kinds of
 //! message loss exist, all explicit, none silent: a bounded queue sheds with
@@ -20,16 +21,16 @@
 //! dead process's queued messages as `SenderCrashed`. Every loss surfaces as
 //! a `FaultDrop` event and is counted. Messages queued behind a severed link
 //! are *not* lost: the link replays its unacknowledged suffix on restore and
-//! the coordinator delivers them in the round after they finally arrive —
+//! the session delivers them in the round after they finally arrive —
 //! liveness is delayed, never silently destroyed.
 //!
 //! Sends to corrupted and currently-dead recipients short-circuit the
-//! physical layer (the coordinator files them as arrivals directly):
-//! corrupted nodes have no task — they exist only inside the [`Adversary`]
-//! — and a dead recipient's delivery is a modelling decision (the network
+//! physical layer (the policy files them as arrivals directly): corrupted
+//! nodes have no task — they exist only inside the [`Adversary`] — and a
+//! dead recipient's delivery is a modelling decision (the network
 //! delivered; the dead process just does not act), mirroring how the
 //! deterministic schedulers treat crashed receivers. Adversarial envelopes
-//! are likewise injected at the model layer.
+//! are likewise filed at the model layer.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::{SocketAddr, TcpListener};
@@ -41,10 +42,10 @@ use std::time::{Duration, Instant};
 
 use rmt_graph::Graph;
 use rmt_net::Termination;
-use rmt_obs::{NoopObserver, RunEvent, RunObserver};
+use rmt_obs::{DropReason, NoopObserver, RunEvent, RunObserver};
 use rmt_sets::{NodeId, NodeSet};
 use rmt_sim::{
-    default_max_rounds, Adversary, Envelope, Metrics, Protocol, RoundInboxes, Transport,
+    default_max_rounds, Adversary, Delivery, Envelope, Metrics, Protocol, RunOutcome, Runner,
     WirePayload,
 };
 
@@ -55,8 +56,8 @@ use crate::stats::NetdStats;
 
 /// The result of one socket-backed session.
 pub struct SessionOutcome<Q: Protocol> {
-    protocols: Vec<Option<Q>>,
-    corrupted: NodeSet,
+    /// The run's final protocol states and corrupted set.
+    run: RunOutcome<Q, Wire>,
     /// Protocol-level complexity metrics, same accounting as the
     /// deterministic runners.
     pub metrics: Metrics,
@@ -76,20 +77,17 @@ pub struct SessionOutcome<Q: Protocol> {
 impl<Q: Protocol> SessionOutcome<Q> {
     /// The decision of node `v`, if it is honest and has decided.
     pub fn decision(&self, v: NodeId) -> Option<Q::Decision> {
-        self.protocols
-            .get(v.index())
-            .and_then(Option::as_ref)
-            .and_then(Protocol::decision)
+        self.run.decision(v)
     }
 
     /// The final protocol state of honest node `v`.
     pub fn protocol(&self, v: NodeId) -> Option<&Q> {
-        self.protocols.get(v.index()).and_then(Option::as_ref)
+        self.run.protocol(v)
     }
 
     /// The corrupted set of the run.
     pub fn corrupted(&self) -> &NodeSet {
-        &self.corrupted
+        self.run.corrupted()
     }
 }
 
@@ -102,25 +100,74 @@ pub fn run_session<Q, A>(
     cfg: NetdConfig,
 ) -> std::io::Result<SessionOutcome<Q>>
 where
-    Q: Protocol + Send + 'static,
+    Q: Protocol,
     Q::Payload: WirePayload + Send + 'static,
     A: Adversary<Q::Payload>,
 {
     run_session_observed(graph, make, adversary, chaos, cfg, &mut NoopObserver)
 }
 
-/// Everything the coordinator tracks across one session.
-struct Coordinator<Q: Protocol> {
+/// Runs one session, streaming the canonical event stream through
+/// `observer`. Connection-lifecycle events go to
+/// [`SessionOutcome::diagnostics`] instead, so a fault-free observed run is
+/// byte-comparable to the deterministic runners.
+pub fn run_session_observed<Q, A, O>(
     graph: Graph,
-    size: usize,
-    corrupted: NodeSet,
-    honest: Vec<NodeId>,
+    make: impl FnMut(NodeId) -> Q,
+    adversary: A,
+    chaos: &ChaosPlan,
+    cfg: NetdConfig,
+    observer: &mut O,
+) -> std::io::Result<SessionOutcome<Q>>
+where
+    Q: Protocol,
+    Q::Payload: WirePayload + Send + 'static,
+    A: Adversary<Q::Payload>,
+    O: RunObserver,
+{
+    let sockets = Sockets::connect(&graph, adversary.corrupted(), chaos, cfg)?;
+    let max_rounds = sockets.max_rounds;
+    let mut run = Runner::with_delivery(graph, make, adversary, sockets)
+        .with_max_rounds(max_rounds)
+        .run_observed(observer);
+    let wire = std::mem::take(&mut run.faults);
+    Ok(SessionOutcome {
+        metrics: std::mem::take(&mut run.metrics),
+        termination: run.termination,
+        stats: wire.stats,
+        diagnostics: wire.diagnostics,
+        losses: wire.losses,
+        stall: wire.stall,
+        run,
+    })
+}
+
+/// One node's transmission outcomes: `(recipient, admission, outcome)` per
+/// message it was handed.
+type TxReport = (NodeId, Vec<(NodeId, u64, TxResult)>);
+
+/// What the physical layer did in one session.
+#[derive(Default)]
+struct Wire {
+    stats: Arc<NetdStats>,
+    diagnostics: Vec<RunEvent>,
+    losses: u64,
+    stall: Option<String>,
+}
+
+/// The socket runtime as a [`Delivery`] policy: one task per honest node,
+/// one supervised link per direction of each honest–honest edge.
+struct Sockets<P> {
+    chaos: ChaosPlan,
+    /// The session's round cap; the heal wait never runs past it.
+    max_rounds: u32,
     dead: Vec<bool>,
-    cmd_txs: BTreeMap<NodeId, Sender<NodeCmd<Q::Payload>>>,
-    reports: Receiver<Report<Q::Payload>>,
+    cmd_txs: BTreeMap<NodeId, Sender<NodeCmd<P>>>,
+    tasks: Vec<JoinHandle<()>>,
+    reports: Receiver<Report>,
     /// Messages that arrived (physically or virtually) and await the next
     /// round's delivery, keyed by admission index.
-    arrivals: Vec<(u64, Envelope<Q::Payload>)>,
+    arrivals: Vec<(u64, Envelope<P>)>,
     /// Queued messages still owed by some link: `admission → (from, to)`.
     outstanding: BTreeMap<u64, (NodeId, NodeId)>,
     /// Routes of admitted messages still in flight, for arrival validation.
@@ -130,31 +177,143 @@ struct Coordinator<Q: Protocol> {
     /// Admissions written to sockets this round; the round fence waits on
     /// them.
     expected: HashSet<u64>,
-    diagnostics: Vec<RunEvent>,
-    metrics: Metrics,
-    decided: Vec<bool>,
-    latest_decision: Vec<Option<String>>,
     next_admission: u64,
-    losses: u64,
     round: u32,
     round_atomic: Arc<AtomicU32>,
+    heal_budget: Duration,
     cfg: NetdConfig,
-    stats: Arc<NetdStats>,
+    wire: Wire,
 }
 
-impl<Q> Coordinator<Q>
-where
-    Q: Protocol + Send + 'static,
-    Q::Payload: WirePayload + Send + 'static,
-{
-    fn cmd(&self, v: NodeId, cmd: NodeCmd<Q::Payload>) {
+impl<P: WirePayload + Send + 'static> Sockets<P> {
+    /// Binds a listener per honest node, spawns the node tasks and their
+    /// links, and waits for the full mesh before round 0 so startup latency
+    /// cannot skew delivery rounds relative to the deterministic oracle. A
+    /// mesh that does not form in time halts the run before round 0.
+    fn connect(
+        graph: &Graph,
+        corrupted: &NodeSet,
+        chaos: &ChaosPlan,
+        cfg: NetdConfig,
+    ) -> std::io::Result<Self> {
+        let size = graph.nodes().last().map_or(0, |v| v.index() + 1);
+        let honest: Vec<NodeId> = graph
+            .nodes()
+            .iter()
+            .filter(|v| !corrupted.contains(*v))
+            .collect();
+        let wire = Wire::default();
+        let round_atomic = Arc::new(AtomicU32::new(0));
+        let session_id = cfg.seed ^ 0x6e65_7464; // "netd": disambiguates stray peers
+        let (report_tx, report_rx) = mpsc::channel::<Report>();
+        let sink = sink_over(report_tx.clone(), Report::Net);
+
+        // Every honest node gets a listener up front so dial targets exist
+        // before any task runs.
+        let mut listeners: HashMap<NodeId, TcpListener> = HashMap::new();
+        let mut addrs: HashMap<NodeId, SocketAddr> = HashMap::new();
+        for &v in &honest {
+            let l = TcpListener::bind("127.0.0.1:0")?;
+            addrs.insert(v, l.local_addr()?);
+            listeners.insert(v, l);
+        }
+
+        let mut expected_up = 0usize;
+        let mut cmd_txs = BTreeMap::new();
+        let mut tasks = Vec::new();
+        for &v in &honest {
+            let mut links: BTreeMap<NodeId, Arc<Link>> = BTreeMap::new();
+            for u in graph.neighbors(v).iter() {
+                if corrupted.contains(u) {
+                    continue;
+                }
+                links.insert(
+                    u,
+                    Link::new(
+                        v,
+                        u,
+                        session_id,
+                        addrs[&u],
+                        cfg.clone(),
+                        Arc::clone(&wire.stats),
+                        Arc::clone(&round_atomic),
+                        Arc::clone(&sink),
+                    ),
+                );
+                expected_up += 1;
+            }
+            let (tx, rx) = mpsc::channel();
+            cmd_txs.insert(v, tx);
+            let listener = listeners.remove(&v).expect("listener bound above");
+            let reports = report_tx.clone();
+            tasks.push(std::thread::spawn(move || {
+                node_task(v, links, listener, session_id, rx, reports)
+            }));
+        }
+        drop(report_tx);
+        drop(sink);
+
+        let max_rounds = cfg.max_rounds.unwrap_or_else(|| {
+            let base = default_max_rounds(graph.node_count());
+            if chaos.is_empty() {
+                base
+            } else {
+                base.saturating_mul(2).saturating_add(chaos.horizon())
+            }
+        });
+        let mut sockets = Sockets {
+            chaos: chaos.clone(),
+            max_rounds,
+            dead: vec![false; size],
+            cmd_txs,
+            tasks,
+            reports: report_rx,
+            arrivals: Vec::new(),
+            outstanding: BTreeMap::new(),
+            routes: HashMap::new(),
+            seen: HashSet::new(),
+            expected: HashSet::new(),
+            next_admission: 0,
+            round: 0,
+            round_atomic,
+            heal_budget: Duration::from_millis(cfg.heal_wait_ms),
+            cfg,
+            wire,
+        };
+
+        let deadline = Instant::now() + Duration::from_millis(sockets.cfg.mesh_timeout_ms);
+        let mut up = 0usize;
+        while up < expected_up {
+            let timeout = deadline.saturating_duration_since(Instant::now());
+            match sockets.reports.recv_timeout(timeout) {
+                Ok(Report::Net(ev)) => {
+                    if matches!(ev, LinkEvent::Conn(RunEvent::ConnUp { .. })) {
+                        up += 1;
+                    }
+                    sockets.handle_net(ev, &mut NoopObserver);
+                }
+                Ok(_) => {}
+                Err(_) => {
+                    sockets.wire.stall = Some(format!(
+                        "mesh formation timed out after {}ms: {up} of {expected_up} links up",
+                        sockets.cfg.mesh_timeout_ms
+                    ));
+                    break;
+                }
+            }
+        }
+        Ok(sockets)
+    }
+
+    fn cmd(&self, v: NodeId, cmd: NodeCmd<P>) {
         if let Some(tx) = self.cmd_txs.get(&v) {
             let _ = tx.send(cmd);
         }
     }
 
+    /// Whether `v` has a task that is not dead (corrupted nodes have none).
     fn is_live(&self, v: NodeId) -> bool {
-        !self.corrupted.contains(v) && !self.dead[v.index()]
+        self.cmd_txs.contains_key(&v) && !self.dead[v.index()]
     }
 
     /// Absorbs one physical-layer event. Arrival validation is defensive:
@@ -172,10 +331,10 @@ where
                 if self.routes.get(&admission) != Some(&(from, to))
                     || self.seen.contains(&admission)
                 {
-                    self.stats.decode_errors();
+                    self.wire.stats.decode_errors();
                     return;
                 }
-                match Q::Payload::from_bytes(&bytes) {
+                match P::from_bytes(&bytes) {
                     Ok(payload) => {
                         self.seen.insert(admission);
                         self.expected.remove(&admission);
@@ -185,19 +344,8 @@ where
                     }
                     Err(_) => {
                         // A corrupt frame is a loss, not a crash.
-                        self.stats.decode_errors();
-                        self.expected.remove(&admission);
-                        self.outstanding.remove(&admission);
-                        self.routes.remove(&admission);
-                        self.losses += 1;
-                        if O::ACTIVE {
-                            observer.on_event(&RunEvent::FaultDrop {
-                                round: self.round,
-                                from: from.raw(),
-                                to: to.raw(),
-                                reason: rmt_obs::DropReason::LinkDrop,
-                            });
-                        }
+                        self.wire.stats.decode_errors();
+                        self.lose(admission, from, to, DropReason::LinkDrop, observer);
                     }
                 }
             }
@@ -208,41 +356,50 @@ where
                 reason,
             } => {
                 for admission in admissions {
-                    self.expected.remove(&admission);
-                    self.outstanding.remove(&admission);
-                    self.routes.remove(&admission);
-                    self.losses += 1;
-                    if O::ACTIVE {
-                        observer.on_event(&RunEvent::FaultDrop {
-                            round: self.round,
-                            from: from.raw(),
-                            to: to.raw(),
-                            reason,
-                        });
-                    }
+                    self.lose(admission, from, to, reason, observer);
                 }
             }
-            LinkEvent::Conn(ev) => self.diagnostics.push(ev),
+            LinkEvent::Conn(ev) => self.wire.diagnostics.push(ev),
         }
     }
 
-    /// Receives reports until `want` protocol reports of one kind arrived
-    /// (selected by `pick`), handling physical-layer events inline.
-    fn collect<T, O: RunObserver>(
+    /// Books one admitted message as destroyed and emits its `FaultDrop`.
+    fn lose<O: RunObserver>(
+        &mut self,
+        admission: u64,
+        from: NodeId,
+        to: NodeId,
+        reason: DropReason,
+        observer: &mut O,
+    ) {
+        self.expected.remove(&admission);
+        self.outstanding.remove(&admission);
+        self.routes.remove(&admission);
+        self.wire.losses += 1;
+        if O::ACTIVE {
+            observer.on_event(&RunEvent::FaultDrop {
+                round: self.round,
+                from: from.raw(),
+                to: to.raw(),
+                reason,
+            });
+        }
+    }
+
+    /// Receives `want` transmission reports, handling physical-layer events
+    /// inline.
+    fn collect<O: RunObserver>(
         &mut self,
         want: usize,
         deadline: Instant,
         observer: &mut O,
-        pick: impl Fn(Report<Q::Payload>) -> Result<T, LinkEvent>,
-    ) -> Result<Vec<T>, String> {
+    ) -> Result<Vec<TxReport>, String> {
         let mut got = Vec::with_capacity(want);
         while got.len() < want {
             let timeout = deadline.saturating_duration_since(Instant::now());
             match self.reports.recv_timeout(timeout) {
-                Ok(report) => match pick(report) {
-                    Ok(item) => got.push(item),
-                    Err(net) => self.handle_net(net, observer),
-                },
+                Ok(Report::TxStatus { node, results }) => got.push((node, results)),
+                Ok(Report::Net(ev)) => self.handle_net(ev, observer),
                 Err(RecvTimeoutError::Timeout) => {
                     return Err(format!(
                         "round {}: {} of {} node reports missing",
@@ -256,6 +413,7 @@ where
                 }
             }
         }
+        got.sort_by_key(|&(node, _)| node);
         Ok(got)
     }
 
@@ -267,7 +425,7 @@ where
             let timeout = deadline.saturating_duration_since(Instant::now());
             match self.reports.recv_timeout(timeout) {
                 Ok(Report::Net(ev)) => self.handle_net(ev, observer),
-                Ok(_) => {} // no protocol reports are pending during a fence
+                Ok(_) => {} // no transmission reports are pending during a fence
                 Err(RecvTimeoutError::Timeout) => return Err(self.stall_diagnosis()),
                 Err(RecvTimeoutError::Disconnected) => {
                     return Err(format!("round {}: all node tasks gone", self.round))
@@ -281,11 +439,14 @@ where
     /// queued behind down links (`outstanding`), nothing has arrived, and
     /// the chaos schedule is exhausted, logical rounds are free to burn at
     /// CPU speed — far faster than a reconnect's backoff can complete. So
-    /// the coordinator waits here, draining physical-layer events, until a
+    /// the session waits here, draining physical-layer events, until a
     /// replay lands, the queue sheds, or the session-wide budget runs out.
-    fn await_healing<O: RunObserver>(&mut self, budget: &mut Duration, observer: &mut O) {
-        while !budget.is_zero() && self.arrivals.is_empty() && !self.outstanding.is_empty() {
-            let slice = (*budget).min(Duration::from_millis(20));
+    fn await_healing<O: RunObserver>(&mut self, observer: &mut O) {
+        while !self.heal_budget.is_zero()
+            && self.arrivals.is_empty()
+            && !self.outstanding.is_empty()
+        {
+            let slice = self.heal_budget.min(Duration::from_millis(20));
             let start = Instant::now();
             match self.reports.recv_timeout(slice) {
                 Ok(Report::Net(ev)) => self.handle_net(ev, observer),
@@ -293,7 +454,7 @@ where
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => break,
             }
-            *budget = budget.saturating_sub(start.elapsed());
+            self.heal_budget = self.heal_budget.saturating_sub(start.elapsed());
         }
     }
 
@@ -317,12 +478,24 @@ where
             self.outstanding.len(),
         )
     }
+}
+
+impl<P: WirePayload + Send + 'static> Delivery<P> for Sockets<P> {
+    type Stats = Wire;
+
+    /// A killed node keeps its protocol state in the loop and resumes on
+    /// restart: kill models a supervised process restart, not a fresh join.
+    fn crashed(&self, v: NodeId, _round: u32) -> bool {
+        self.dead[v.index()]
+    }
 
     /// Applies the chaos plan's round-`round` entries: crash events first
     /// (ascending, matching `NetRunner`), then the physical commands.
-    fn apply_chaos<O: RunObserver>(&mut self, chaos: &ChaosPlan, round: u32, observer: &mut O) {
-        for v in chaos.kills_at(round) {
-            if !self.cmd_txs.contains_key(&v) || self.dead[v.index()] {
+    fn start_round<O: RunObserver>(&mut self, round: u32, observer: &mut O) {
+        self.round = round;
+        self.round_atomic.store(round, Ordering::Relaxed);
+        for v in self.chaos.kills_at(round) {
+            if !self.is_live(v) {
                 continue;
             }
             if O::ACTIVE {
@@ -334,19 +507,18 @@ where
             self.dead[v.index()] = true;
             self.cmd(v, NodeCmd::Kill);
         }
-        for v in chaos.restarts_at(round) {
+        for v in self.chaos.restarts_at(round) {
             if !self.cmd_txs.contains_key(&v) || !self.dead[v.index()] {
                 continue;
             }
             self.dead[v.index()] = false;
             self.cmd(v, NodeCmd::Restart);
-            for u in self.graph.neighbors(v).iter() {
-                if self.cmd_txs.contains_key(&u) {
-                    self.cmd(u, NodeCmd::Revive(v));
-                }
+            // Only `v`'s neighbours hold a link to it; the rest ignore this.
+            for &u in self.cmd_txs.keys() {
+                self.cmd(u, NodeCmd::Revive(v));
             }
         }
-        for w in chaos.severs() {
+        for w in self.chaos.severs() {
             if w.from_round == round {
                 self.cmd(w.a, NodeCmd::Sever(w.b));
                 self.cmd(w.b, NodeCmd::Sever(w.a));
@@ -358,421 +530,145 @@ where
         }
     }
 
-    /// Emits `Decision` events for nodes newly decided, ascending.
-    fn sweep<O: RunObserver>(&mut self, round: u32, observer: &mut O) {
-        for v in self.graph.nodes() {
-            if self.decided[v.index()] {
-                continue;
-            }
-            if let Some(value) = self.latest_decision[v.index()].clone() {
-                self.decided[v.index()] = true;
-                observer.on_event(&RunEvent::Decision {
-                    round,
-                    node: v.raw(),
-                    value,
-                });
-            }
-        }
-    }
-
-    /// Runs one full round: deliver, step protocols, admit, transmit,
-    /// fence, sweep. Mirrors the deterministic schedulers' phase order.
-    fn run_round<A, O>(
-        &mut self,
-        adversary: &mut A,
-        round: u32,
-        observer: &mut O,
-    ) -> Result<(), String>
-    where
-        A: Adversary<Q::Payload>,
-        O: RunObserver,
-    {
+    /// Numbers the round's admissions, transmits every message between two
+    /// live tasks and files the rest as arrivals, then waits on the round
+    /// fence. A timeout halts the run with its diagnosis.
+    fn send<O: RunObserver>(&mut self, round: u32, outbox: Vec<Envelope<P>>, observer: &mut O) {
         let deadline = Instant::now() + Duration::from_millis(self.cfg.round_timeout_ms);
-
-        // Deliveries: everything that arrived before this round, in
-        // admission order (the deterministic runners' tie-break order).
-        let mut delivered = RoundInboxes::new(self.size);
-        self.arrivals.sort_by_key(|&(adm, _)| adm);
-        for (adm, env) in std::mem::take(&mut self.arrivals) {
-            self.routes.remove(&adm);
-            if O::ACTIVE {
-                observer.on_event(&RunEvent::Delivery {
-                    round,
-                    from: env.from.raw(),
-                    to: env.to.raw(),
-                    payload: format!("{:?}", env.payload),
-                });
-            }
-            delivered.push(env);
-        }
-
-        // Protocol step on every live honest node.
-        let live: Vec<NodeId> = self
-            .honest
-            .iter()
-            .copied()
-            .filter(|&v| !self.dead[v.index()])
+        // Every live task gets a `Transmit`, empty or not, and must report
+        // back: the round thus waits until each task has applied the
+        // round's chaos commands, and replays that land meanwhile join this
+        // round's arrivals instead of each getting a round of its own.
+        let mut transmit: BTreeMap<NodeId, Vec<(NodeId, u64, P)>> = self
+            .cmd_txs
+            .keys()
+            .filter(|&&v| self.is_live(v))
+            .map(|&v| (v, Vec::new()))
             .collect();
-        for &v in &live {
-            self.cmd(
-                v,
-                NodeCmd::Round {
-                    round,
-                    inbox: delivered.inbox(v).to_vec(),
-                },
-            );
-        }
-        let sends = self.collect(live.len(), deadline, observer, |report| match report {
-            Report::Sends {
-                node,
-                sends,
-                decided,
-            } => Ok((node, sends, decided)),
-            Report::Net(ev) => Err(ev),
-            Report::TxStatus { .. } => unreachable!("no transmit outstanding"),
-        })?;
-        type NodeSends<P> = BTreeMap<NodeId, (Vec<(NodeId, P)>, Option<String>)>;
-        let mut by_node: NodeSends<Q::Payload> = BTreeMap::new();
-        for (node, s, d) in sends {
-            by_node.insert(node, (s, d));
-        }
-
-        // Admission in ascending node order, exactly as the deterministic
-        // runners iterate. Each admitted envelope gets the next global
-        // admission index; physical transmission only happens between live
-        // honest endpoints.
-        let mut honest_this_round = 0u64;
-        let mut transmit: BTreeMap<NodeId, Vec<(NodeId, u64, Q::Payload)>> =
-            live.iter().map(|&v| (v, Vec::new())).collect();
-        for (&v, (node_sends, node_decided)) in &mut by_node {
-            self.latest_decision[v.index()] = node_decided.take();
-            let envs = Transport::new(&self.graph).admit_honest(
-                round,
-                v,
-                std::mem::take(node_sends),
-                &mut self.metrics,
-                &mut honest_this_round,
-                observer,
-            );
-            for env in envs {
-                let adm = self.next_admission;
-                self.next_admission += 1;
-                self.routes.insert(adm, (env.from, env.to));
-                if self.is_live(env.to) {
-                    transmit.get_mut(&v).expect("sender is live").push((
-                        env.to,
-                        adm,
-                        env.payload.clone(),
-                    ));
-                    self.outstanding.insert(adm, (env.from, env.to));
-                } else {
-                    self.arrivals.push((adm, env));
-                }
-            }
-        }
-        let adversarial = if round == 0 {
-            adversary.start(&self.graph)
-        } else {
-            adversary.on_round(round, &self.graph, &delivered)
-        };
-        let envs = Transport::new(&self.graph).admit_adversarial(
-            round,
-            &self.corrupted,
-            adversarial,
-            &mut self.metrics,
-            observer,
-        );
-        for env in envs {
+        for env in outbox {
             let adm = self.next_admission;
             self.next_admission += 1;
             self.routes.insert(adm, (env.from, env.to));
-            self.arrivals.push((adm, env));
+            match transmit.get_mut(&env.from) {
+                Some(items) if self.is_live(env.to) => {
+                    self.outstanding.insert(adm, (env.from, env.to));
+                    items.push((env.to, adm, env.payload));
+                }
+                _ => self.arrivals.push((adm, env)),
+            }
         }
-
-        // Physical transmission, then per-message outcomes.
-        for (&v, items) in &mut transmit {
-            self.cmd(
-                v,
-                NodeCmd::Transmit {
-                    round,
-                    items: std::mem::take(items),
-                },
-            );
+        let live = transmit.len();
+        for (v, items) in transmit {
+            self.cmd(v, NodeCmd::Transmit { round, items });
         }
-        let tx_reports = self.collect(live.len(), deadline, observer, |report| match report {
-            Report::TxStatus { node, results } => Ok((node, results)),
-            Report::Net(ev) => Err(ev),
-            Report::Sends { .. } => unreachable!("no round outstanding"),
-        })?;
-        let mut tx_sorted: BTreeMap<NodeId, Vec<(NodeId, u64, TxResult)>> =
-            tx_reports.into_iter().collect();
-        for (&v, results) in &mut tx_sorted {
-            for (to, adm, result) in std::mem::take(results) {
-                match result {
-                    TxResult::Sent => {
-                        self.outstanding.remove(&adm);
-                        if !self.seen.contains(&adm) {
-                            self.expected.insert(adm);
+        let outcome = self.collect(live, deadline, observer).and_then(|reports| {
+            for (v, results) in reports {
+                for (to, adm, result) in results {
+                    match result {
+                        TxResult::Sent => {
+                            self.outstanding.remove(&adm);
+                            if !self.seen.contains(&adm) {
+                                self.expected.insert(adm);
+                            }
                         }
-                    }
-                    TxResult::Queued => {} // stays in `outstanding`
-                    TxResult::Shed(reason) => {
-                        self.outstanding.remove(&adm);
-                        self.routes.remove(&adm);
-                        self.losses += 1;
-                        if O::ACTIVE {
-                            observer.on_event(&RunEvent::FaultDrop {
-                                round,
-                                from: v.raw(),
-                                to: to.raw(),
-                                reason,
-                            });
-                        }
+                        TxResult::Queued => {} // stays in `outstanding`
+                        TxResult::Shed(reason) => self.lose(adm, v, to, reason, observer),
                     }
                 }
             }
+            self.fence(observer)
+        });
+        if let Err(stall) = outcome {
+            self.wire.stall = Some(stall);
         }
-
-        self.fence(observer)?;
-        self.metrics
-            .honest_messages_per_round
-            .push(honest_this_round);
-        if O::ACTIVE {
-            self.sweep(round, observer);
-        }
-        Ok(())
     }
 
-    /// Stops every task; the caller joins the handles. Returns the
-    /// diagnostics, metrics and loss count.
-    fn teardown(mut self) -> (Vec<RunEvent>, Metrics, u64) {
+    /// Everything that arrived before `round`, in admission order (the
+    /// deterministic runners' tie-break order).
+    fn due(&mut self, _round: u32) -> Vec<Envelope<P>> {
+        self.arrivals.sort_by_key(|&(adm, _)| adm);
+        let due = std::mem::take(&mut self.arrivals);
+        due.into_iter()
+            .map(|(adm, env)| {
+                self.routes.remove(&adm);
+                env
+            })
+            .collect()
+    }
+
+    fn is_idle<O: RunObserver>(&mut self, round: u32, observer: &mut O) -> bool {
+        if self.arrivals.is_empty()
+            && round <= self.max_rounds
+            && !self.chaos.has_event_at_or_after(round)
+        {
+            self.await_healing(observer);
+        }
+        self.arrivals.is_empty() && self.outstanding.is_empty()
+    }
+
+    fn halted(&self) -> bool {
+        self.wire.stall.is_some()
+    }
+
+    fn lost(&self) -> u64 {
+        self.wire.losses
+    }
+
+    /// Stops and joins every task, draining the remaining physical-layer
+    /// events into the diagnostics.
+    fn into_stats(mut self) -> Wire {
         for tx in self.cmd_txs.values() {
             let _ = tx.send(NodeCmd::Shutdown);
         }
         self.cmd_txs.clear();
-        // Drain the remaining physical-layer events into the diagnostics.
         while let Ok(report) = self.reports.try_recv() {
             if let Report::Net(LinkEvent::Conn(ev)) = report {
-                self.diagnostics.push(ev);
+                self.wire.diagnostics.push(ev);
             }
         }
-        (self.diagnostics, self.metrics, self.losses)
+        for task in self.tasks.drain(..) {
+            let _ = task.join();
+        }
+        self.wire
     }
 }
 
-/// Runs one session, streaming the canonical event stream through
-/// `observer`. Connection-lifecycle events go to
-/// [`SessionOutcome::diagnostics`] instead, so a fault-free observed run is
-/// byte-comparable to the deterministic runners.
-pub fn run_session_observed<Q, A, O>(
-    graph: Graph,
-    mut make: impl FnMut(NodeId) -> Q,
-    mut adversary: A,
-    chaos: &ChaosPlan,
-    cfg: NetdConfig,
-    observer: &mut O,
-) -> std::io::Result<SessionOutcome<Q>>
-where
-    Q: Protocol + Send + 'static,
-    Q::Payload: WirePayload + Send + 'static,
-    A: Adversary<Q::Payload>,
-    O: RunObserver,
-{
-    let corrupted = adversary.corrupted().clone();
-    let size = graph.nodes().last().map_or(0, |v| v.index() + 1);
-    let honest: Vec<NodeId> = graph
-        .nodes()
-        .iter()
-        .filter(|v| !corrupted.contains(*v))
-        .collect();
-    let stats = Arc::new(NetdStats::new());
-    let round_atomic = Arc::new(AtomicU32::new(0));
-    let session_id = cfg.seed ^ 0x6e65_7464; // "netd": disambiguates stray peers
-    let (report_tx, report_rx) = mpsc::channel::<Report<Q::Payload>>();
-    let sink = sink_over(report_tx.clone(), Report::Net);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rmt_graph::generators;
+    use rmt_obs::VecObserver;
+    use rmt_sim::testing::Flood;
+    use rmt_sim::SilentAdversary;
 
-    // Every honest node gets a listener up front so dial targets exist
-    // before any task runs.
-    let mut listeners: HashMap<NodeId, TcpListener> = HashMap::new();
-    let mut addrs: HashMap<NodeId, SocketAddr> = HashMap::new();
-    for &v in &honest {
-        let l = TcpListener::bind("127.0.0.1:0")?;
-        addrs.insert(v, l.local_addr()?);
-        listeners.insert(v, l);
-    }
-
-    // One link per direction of each honest-honest edge; one task per
-    // honest node.
-    let mut expected_up = 0usize;
-    let mut cmd_txs: BTreeMap<NodeId, Sender<NodeCmd<Q::Payload>>> = BTreeMap::new();
-    let mut handles: BTreeMap<NodeId, JoinHandle<Q>> = BTreeMap::new();
-    for &v in &honest {
-        let mut links: BTreeMap<NodeId, Arc<Link>> = BTreeMap::new();
-        for u in graph.neighbors(v).iter() {
-            if corrupted.contains(u) {
-                continue;
-            }
-            links.insert(
-                u,
-                Link::new(
-                    v,
-                    u,
-                    session_id,
-                    addrs[&u],
-                    cfg.clone(),
-                    Arc::clone(&stats),
-                    Arc::clone(&round_atomic),
-                    Arc::clone(&sink),
-                ),
-            );
-            expected_up += 1;
-        }
-        let (tx, rx) = mpsc::channel();
-        cmd_txs.insert(v, tx);
-        let proto = make(v);
-        let neighbors = graph.neighbors(v).clone();
-        let listener = listeners.remove(&v).expect("listener bound above");
-        let reports = report_tx.clone();
-        handles.insert(
-            v,
-            std::thread::spawn(move || {
-                node_task(
-                    v, proto, neighbors, links, listener, session_id, rx, reports,
-                )
-            }),
+    /// A mesh that cannot form in time halts the run before round 0: the
+    /// session stalls with the mesh diagnosis and plays no round.
+    #[test]
+    fn mesh_timeout_stalls_before_round_zero() {
+        let mut obs = VecObserver::new();
+        let out = run_session_observed(
+            generators::cycle(4),
+            |v| Flood::new(v, (v.index() == 0).then_some(5)),
+            SilentAdversary::new(NodeSet::new()),
+            &ChaosPlan::new(),
+            NetdConfig {
+                mesh_timeout_ms: 0,
+                ..NetdConfig::default()
+            },
+            &mut obs,
+        )
+        .expect("session io");
+        let stall = out.stall.expect("eight links cannot come up in 0 ms");
+        assert!(
+            stall.starts_with("mesh formation timed out after 0ms: "),
+            "{stall}"
         );
+        assert_eq!(out.termination, Termination::Stalled { round: 0 });
+        assert_eq!(out.metrics, Metrics::default());
+        assert!(!obs
+            .events
+            .iter()
+            .any(|e| matches!(e, RunEvent::RoundStart { .. })));
+        assert_eq!(obs.events.last(), Some(&RunEvent::RunEnd { rounds: 0 }));
     }
-    drop(report_tx);
-    drop(sink);
-
-    let mut co = Coordinator::<Q> {
-        graph,
-        size,
-        corrupted: corrupted.clone(),
-        honest,
-        dead: vec![false; size],
-        cmd_txs,
-        reports: report_rx,
-        arrivals: Vec::new(),
-        outstanding: BTreeMap::new(),
-        routes: HashMap::new(),
-        seen: HashSet::new(),
-        expected: HashSet::new(),
-        diagnostics: Vec::new(),
-        metrics: Metrics::default(),
-        decided: vec![false; size],
-        latest_decision: vec![None; size],
-        next_admission: 0,
-        losses: 0,
-        round: 0,
-        round_atomic,
-        cfg,
-        stats: Arc::clone(&stats),
-    };
-
-    // Wait for the full mesh before round 0 so startup latency cannot skew
-    // delivery rounds relative to the deterministic oracle.
-    let mut stall: Option<String> = None;
-    {
-        let deadline = Instant::now() + Duration::from_millis(co.cfg.mesh_timeout_ms);
-        let mut up = 0usize;
-        while up < expected_up {
-            let timeout = deadline.saturating_duration_since(Instant::now());
-            match co.reports.recv_timeout(timeout) {
-                Ok(Report::Net(ev)) => {
-                    if matches!(ev, LinkEvent::Conn(RunEvent::ConnUp { .. })) {
-                        up += 1;
-                    }
-                    co.handle_net(ev, observer);
-                }
-                Ok(_) => {}
-                Err(_) => {
-                    stall = Some(format!(
-                        "mesh formation timed out after {}ms: {up} of {expected_up} links up",
-                        co.cfg.mesh_timeout_ms
-                    ));
-                    break;
-                }
-            }
-        }
-    }
-
-    let max_rounds = co.cfg.max_rounds.unwrap_or_else(|| {
-        let base = default_max_rounds(co.graph.node_count());
-        if chaos.is_empty() {
-            base
-        } else {
-            base.saturating_mul(2).saturating_add(chaos.horizon())
-        }
-    });
-    let mut heal_budget = Duration::from_millis(co.cfg.heal_wait_ms);
-
-    if stall.is_none() {
-        if O::ACTIVE {
-            let corrupted_raw: Vec<u32> = co.corrupted.iter().map(NodeId::raw).collect();
-            observer.on_event(&RunEvent::RunStart {
-                nodes: co.graph.node_count() as u32,
-                corrupted: corrupted_raw,
-            });
-            observer.on_event(&RunEvent::RoundStart { round: 0 });
-        }
-        co.apply_chaos(chaos, 0, observer);
-        if let Err(e) = co.run_round(&mut adversary, 0, observer) {
-            stall = Some(e);
-        }
-    }
-    if stall.is_none() {
-        for round in 1..=max_rounds {
-            if co.arrivals.is_empty() && co.outstanding.is_empty() {
-                break;
-            }
-            if co.arrivals.is_empty() && !chaos.has_event_at_or_after(round) {
-                co.await_healing(&mut heal_budget, observer);
-                if co.arrivals.is_empty() && co.outstanding.is_empty() {
-                    break;
-                }
-            }
-            co.metrics.rounds = round;
-            co.round = round;
-            co.round_atomic.store(round, Ordering::Relaxed);
-            if O::ACTIVE {
-                observer.on_event(&RunEvent::RoundStart { round });
-            }
-            co.apply_chaos(chaos, round, observer);
-            if let Err(e) = co.run_round(&mut adversary, round, observer) {
-                stall = Some(e);
-                break;
-            }
-        }
-    }
-    if O::ACTIVE {
-        observer.on_event(&RunEvent::RunEnd {
-            rounds: co.metrics.rounds,
-        });
-    }
-
-    let quiesced = stall.is_none() && co.arrivals.is_empty() && co.outstanding.is_empty();
-    let rounds = co.metrics.rounds;
-    let (diagnostics, metrics, losses) = co.teardown();
-    let mut protocols: Vec<Option<Q>> = (0..size).map(|_| None).collect();
-    for (v, handle) in handles {
-        if let Ok(proto) = handle.join() {
-            protocols[v.index()] = Some(proto);
-        }
-    }
-
-    Ok(SessionOutcome {
-        protocols,
-        corrupted,
-        metrics,
-        termination: if quiesced {
-            Termination::Quiesced { round: rounds }
-        } else {
-            Termination::Stalled { round: rounds }
-        },
-        stats,
-        diagnostics,
-        losses,
-        stall,
-    })
 }

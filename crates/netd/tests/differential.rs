@@ -224,3 +224,67 @@ fn flood_with_active_adversary_matches_net_runner() {
     assert!(matches!(netd.termination, Termination::Quiesced { .. }));
     dog.disarm();
 }
+
+/// A session cut off by its round cap (`NetdConfig::max_rounds`) stops
+/// exactly where `NetRunner::with_max_rounds` does: identical events,
+/// decisions and metrics, and both `Termination::Stalled` at the cap.
+#[test]
+fn capped_pka_session_matches_capped_net_runner() {
+    let dog = Watchdog::arm(
+        "capped_pka_session_matches_capped_net_runner",
+        Duration::from_secs(120),
+    );
+    let spec = InstanceSpec {
+        family: Family::E2,
+        n: 7,
+        view: ViewKind::Radius(2),
+        seed: 0xBEEF,
+    };
+    let inst = spec.build();
+    let graph = inst.graph().clone();
+    let input = 41 + spec.seed;
+    let oracle_run = |cap: Option<u32>, obs: &mut VecObserver| {
+        let runner = NetRunner::new(
+            graph.clone(),
+            |v| RmtPka::node(&inst, v, input),
+            SilentAdversary::new(NodeSet::new()),
+            FaultPlan::new(spec.seed),
+        );
+        match cap {
+            Some(k) => runner.with_max_rounds(k),
+            None => runner,
+        }
+        .run_observed(obs)
+    };
+    let full = oracle_run(None, &mut VecObserver::new()).metrics.rounds;
+    let cap = full - 1;
+    assert!(cap >= 1, "the run must outlast round 1 to be cut off");
+
+    let mut oracle_obs = VecObserver::new();
+    let oracle = oracle_run(Some(cap), &mut oracle_obs);
+    let mut netd_obs = VecObserver::new();
+    let netd = run_session_observed(
+        graph.clone(),
+        |v| RmtPka::node(&inst, v, input),
+        SilentAdversary::new(NodeSet::new()),
+        &ChaosPlan::new(),
+        NetdConfig {
+            seed: spec.seed,
+            max_rounds: Some(cap),
+            ..NetdConfig::default()
+        },
+        &mut netd_obs,
+    )
+    .expect("session io");
+
+    assert_eq!(netd.stall, None, "netd stalled on the wire");
+    assert_eq!(netd.losses, 0);
+    diff_events("capped E2", &oracle_obs, &netd_obs);
+    for v in graph.nodes().iter() {
+        assert_eq!(oracle.decision(v), netd.decision(v), "node {}", v.raw());
+    }
+    assert_eq!(oracle.metrics, netd.metrics);
+    assert_eq!(oracle.termination, Termination::Stalled { round: cap });
+    assert_eq!(netd.termination, oracle.termination);
+    dog.disarm();
+}

@@ -17,7 +17,8 @@ use crate::transport::{default_max_rounds, sweep_decisions, Transport};
 /// hands the round's whole outbox to the policy, and at the start of every
 /// later round delivers what the policy says is due. [`Lockstep`] is the
 /// paper's synchronous network; `rmt-net` implements a faulty one that
-/// drops, delays, duplicates and reorders.
+/// drops, delays, duplicates and reorders, and `rmt-netd` one that carries
+/// every message between live nodes over a real socket.
 pub trait Delivery<P> {
     /// The policy's account of what it did to the traffic, returned as
     /// [`RunOutcome::faults`].
@@ -29,9 +30,10 @@ pub trait Delivery<P> {
         false
     }
 
-    /// Emits a [`RunEvent::NodeCrashed`] for every node crashing at
-    /// `round`; called right after the round starts.
-    fn emit_crashes<O: RunObserver>(&self, _round: u32, _observer: &mut O) {}
+    /// Starts `round`, right after its [`RunEvent::RoundStart`]: emits a
+    /// [`RunEvent::NodeCrashed`] for every node crashing at `round` and
+    /// applies whatever else the policy schedules for it.
+    fn start_round<O: RunObserver>(&mut self, _round: u32, _observer: &mut O) {}
 
     /// Accepts the envelopes admitted in send round `round`, in admission
     /// order.
@@ -40,8 +42,17 @@ pub trait Delivery<P> {
     /// Hands over the envelopes due in `round`, in delivery order.
     fn due(&mut self, round: u32) -> Vec<Envelope<P>>;
 
-    /// Whether nothing is left in flight.
-    fn is_idle(&self) -> bool;
+    /// Whether nothing is left in flight before `round` starts; asked at
+    /// the top of every round from 1 on below the round cap, and once more
+    /// for the run's [`Termination`]. A policy whose traffic heals in
+    /// wall-clock time may wait here, reporting what it sees to `observer`.
+    fn is_idle<O: RunObserver>(&mut self, round: u32, observer: &mut O) -> bool;
+
+    /// Whether the policy can no longer carry the run (say, its sockets
+    /// timed out); the loop then ends the run as [`Termination::Stalled`].
+    fn halted(&self) -> bool {
+        false
+    }
 
     /// Messages destroyed so far; each round's increase is billed as its
     /// `RoundEnd.drops`.
@@ -78,7 +89,7 @@ impl<P> Delivery<P> for Lockstep<P> {
         std::mem::take(&mut self.inflight)
     }
 
-    fn is_idle(&self) -> bool {
+    fn is_idle<O: RunObserver>(&mut self, _round: u32, _observer: &mut O) -> bool {
         self.inflight.is_empty()
     }
 
@@ -116,9 +127,9 @@ pub enum Termination {
 /// adversarial envelopes claiming an honest sender or a non-edge are
 /// rejected (and counted in [`Metrics::rejected_adversarial`]).
 ///
-/// The run stops at quiescence (nothing left in flight) or after
+/// The run stops at quiescence (nothing left in flight), after
 /// `max_rounds` (default [`default_max_rounds`], enough for every
-/// trail-bounded protocol in this workspace).
+/// trail-bounded protocol in this workspace) or when the policy halts.
 pub struct Runner<Q: Protocol, A, D = Lockstep<<Q as Protocol>::Payload>> {
     graph: Graph,
     protocols: Vec<Option<Q>>,
@@ -253,22 +264,23 @@ where
                 corrupted,
             });
         }
-        self.play_round(0, &mut books, observer);
-        for round in 1..=self.max_rounds {
-            if self.delivery.is_idle() {
-                break;
-            }
+        if !self.delivery.halted() {
+            self.play_round(0, &mut books, observer);
+        }
+        let mut round = 0;
+        while !self.delivery.halted()
+            && round < self.max_rounds
+            && !self.delivery.is_idle(round + 1, observer)
+        {
+            round += 1;
             books.metrics.rounds = round;
             self.play_round(round, &mut books, observer);
         }
         if O::ACTIVE {
-            observer.on_event(&RunEvent::RunEnd {
-                rounds: books.metrics.rounds,
-            });
+            observer.on_event(&RunEvent::RunEnd { rounds: round });
         }
 
-        let round = books.metrics.rounds;
-        let termination = if self.delivery.is_idle() {
+        let termination = if !self.delivery.halted() && self.delivery.is_idle(round + 1, observer) {
             Termination::Quiesced { round }
         } else {
             Termination::Stalled { round }
@@ -295,7 +307,7 @@ where
         if O::ACTIVE {
             observer.on_event(&RunEvent::RoundStart { round });
         }
-        self.delivery.emit_crashes(round, observer);
+        self.delivery.start_round(round, observer);
         let delivered = (round > 0).then(|| self.deliver(round, &mut books.watched, observer));
 
         let transport = Transport::new(&self.graph);

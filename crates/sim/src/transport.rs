@@ -4,12 +4,13 @@
 //! only along edges of the graph, and channels are authenticated (the
 //! adversary cannot forge an honest sender) — plus the bookkeeping every
 //! experiment relies on: message/bit accounting and the observable event
-//! stream. [`Transport`] packages those so the round loop of [`Runner`]
-//! (under any delivery policy) and the socket loop of `rmt-netd` enforce
-//! *the same* model with *the same* event emission order: a scheduler that
-//! admits sends through this seam and delivers them unchanged is
-//! observationally identical to [`Runner`] (the differential gates of
-//! `rmt-net` and `rmt-netd` check this byte for byte).
+//! stream. [`Transport`] packages those for the one round loop of
+//! [`Runner`], so every delivery policy — the synchronous one, `rmt-net`'s
+//! faulty network and `rmt-netd`'s sockets — runs under *the same* model
+//! with *the same* event emission order: a policy that delivers what it is
+//! handed unchanged is observationally identical to the synchronous one
+//! (the differential gates of `rmt-net` and `rmt-netd` check this byte for
+//! byte).
 //!
 //! [`Runner`]: crate::Runner
 
