@@ -32,6 +32,7 @@
 //! observationally equivalent in a synchronous model.
 
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 use rmt_adversary::AdversaryStructure;
 use rmt_graph::separators::{self, AnchorScan};
@@ -65,7 +66,12 @@ impl Default for DecisionConfig {
 }
 
 /// One node's claimed knowledge, as carried by a type-2 message.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Claims are shared behind an `Arc`: a session frame builds each one once,
+/// and every relayed copy and every receiver slot holds a reference. `Eq`
+/// gives `Arc<Claim>`'s equality a pointer fast path, so a shared copy
+/// dedups without comparing views.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Claim {
     /// The claimed view γ(u).
     pub view: Graph,
@@ -83,7 +89,7 @@ pub struct ReceiverState {
     /// Received dealer-value trails, as full D…R paths, grouped by value.
     type1: BTreeMap<Value, HashSet<Vec<NodeId>>>,
     /// Claims per node; conflicting claims are kept side by side.
-    claims: BTreeMap<NodeId, Vec<Claim>>,
+    claims: BTreeMap<NodeId, Vec<Arc<Claim>>>,
     /// `true` once any search budget was exceeded (feasibility may be
     /// under-reported; safety is unaffected).
     pub truncated: bool,
@@ -124,32 +130,46 @@ impl ReceiverState {
         self.type1.entry(value).or_default().insert(path);
     }
 
+    /// The received type-1 messages: value ↦ stored D–R paths
+    /// (`trail ‖ me`), in value order.
+    pub fn type1(&self) -> &BTreeMap<Value, HashSet<Vec<NodeId>>> {
+        &self.type1
+    }
+
     /// Ingests a validated type-2 message: node `u` claims knowledge
-    /// `(view, structure)`.
+    /// `(view, structure)`. A thin wrapper over
+    /// [`ingest_shared_claim`](Self::ingest_shared_claim).
+    pub fn ingest_claim(&mut self, u: NodeId, view: Graph, structure: AdversaryStructure) {
+        self.ingest_shared_claim(u, &Arc::new(Claim { view, structure }));
+    }
+
+    /// Ingests a validated type-2 message by reference: a kept claim costs
+    /// a reference-count bump, and a claim already held (the same
+    /// allocation, or an equal one) is dropped.
     ///
     /// Self-inconsistent claims (the view does not contain `u`, or the
     /// structure mentions nodes outside the view) are detectably malformed
     /// and dropped.
-    pub fn ingest_claim(&mut self, u: NodeId, view: Graph, structure: AdversaryStructure) {
+    pub fn ingest_shared_claim(&mut self, u: NodeId, claim: &Arc<Claim>) {
         if u == self.me {
             // The receiver's own knowledge is authoritative; claims about it
             // are noise by construction.
             self.malformed_claims += 1;
             return;
         }
-        if !view.contains_node(u)
-            || structure
+        if !claim.view.contains_node(u)
+            || claim
+                .structure
                 .maximal_sets()
                 .iter()
-                .any(|m| !m.is_subset(view.nodes()))
+                .any(|m| !m.is_subset(claim.view.nodes()))
         {
             self.malformed_claims += 1;
             return;
         }
-        let claim = Claim { view, structure };
         let entry = self.claims.entry(u).or_default();
-        if !entry.contains(&claim) {
-            entry.push(claim);
+        if !entry.contains(claim) {
+            entry.push(Arc::clone(claim));
         }
     }
 
@@ -200,7 +220,7 @@ impl ReceiverState {
                     let selection: Vec<(NodeId, &Claim)> = nodes
                         .iter()
                         .zip(&counter)
-                        .map(|(&u, &i)| (u, &self.claims[&u][i]))
+                        .map(|(&u, &i)| (u, &*self.claims[&u][i]))
                         .collect();
                     if let Some(x) = self.examine_selection(&selection, cfg, &mut truncated) {
                         result = Some(x);
@@ -569,6 +589,41 @@ mod tests {
         let escaping = AdversaryStructure::from_sets([set(&[9])]);
         state.ingest_claim(1.into(), view, escaping);
         assert_eq!(state.malformed_claims, 2);
+    }
+
+    #[test]
+    fn shared_and_equal_claims_dedup_by_pointer_or_value() {
+        let (mut state, g, z) = setup(&[&[1]]);
+        let view = ViewKind::AdHoc.view_of(&g, 1.into());
+        let structure = z.restrict_sets(view.nodes());
+        let claim = Arc::new(Claim {
+            view: view.clone(),
+            structure: structure.clone(),
+        });
+        // The same allocation twice: one claim, shared with the caller.
+        state.ingest_shared_claim(1.into(), &claim);
+        state.ingest_shared_claim(1.into(), &claim);
+        assert_eq!(state.claim_count(1.into()), 1);
+        assert_eq!(Arc::strong_count(&claim), 2);
+        // An equal claim in a fresh allocation (a decoded frame's) still
+        // dedups, by value.
+        state.ingest_shared_claim(
+            1.into(),
+            &Arc::new(Claim {
+                view: view.clone(),
+                structure,
+            }),
+        );
+        assert_eq!(state.claim_count(1.into()), 1);
+        // A different claim about the same node is kept beside it.
+        state.ingest_shared_claim(
+            1.into(),
+            &Arc::new(Claim {
+                view,
+                structure: AdversaryStructure::trivial(),
+            }),
+        );
+        assert_eq!(state.claim_count(1.into()), 2);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! suite (`tests/codec_props.rs`) enforce exactly that. Honest nodes never
 //! take that detour on received frames: a relay forwards in frame form
 //! ([`relay`](SessionFrame::relay) rewrites the trail table and copies each
-//! entry once, pinned byte for byte to pack-of-expand by
+//! kept value run once, pinned byte for byte to pack-of-expand by
 //! `tests/codec_props.rs`), and the receiver reads messages in place
 //! through the borrowed iterator whose owning form `expand` is.
 //!
@@ -42,6 +42,14 @@
 //! `encoded_bits` call, and cached in the shared body, so the transport
 //! bills every copy the same bits without re-encoding.
 //!
+//! Knowledge is shared one level further down. A knowledge entry holds its
+//! claim `(γ(u), 𝒵_u)` as one `Arc<`[`Claim`]`>`, allocated only by `pack`
+//! and `decode`: `relay` forwards a kept claim as a reference-count bump,
+//! and so does the receiver, which stores the same `Arc` in the claim table
+//! of every undecided slot. `Debug` prints the flat
+//! `Knowledge { node, view, structure, trail }` form, so event streams do
+//! not see the `Arc`.
+//!
 //! [`Values`]: SessionEntry::Values
 //! [`Knowledge`]: SessionEntry::Knowledge
 
@@ -49,11 +57,10 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use rmt_adversary::AdversaryStructure;
+use rmt_core::protocols::pka_decision::Claim;
 use rmt_core::protocols::rmt_pka::{valid_arrival, PkaPayload};
 use rmt_core::wire::{self, ByteCount, Sink};
 use rmt_core::Value;
-use rmt_graph::Graph;
 use rmt_sets::NodeId;
 use rmt_sim::framing;
 use rmt_sim::{Payload, WirePayload};
@@ -64,7 +71,7 @@ const TAG_VALUES: u8 = 0;
 const TAG_KNOWLEDGE: u8 = 1;
 
 /// One batched item of a [`SessionFrame`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub enum SessionEntry {
     /// A run of type-1 dealer-value messages for consecutive payload slots
     /// `first_slot .. first_slot + values.len()`, all sharing one trail.
@@ -81,13 +88,39 @@ pub enum SessionEntry {
     Knowledge {
         /// The node the claim is about.
         node: NodeId,
-        /// The claimed view γ(node).
-        view: Graph,
-        /// The claimed local structure 𝒵_node.
-        structure: AdversaryStructure,
+        /// The claimed view γ(node) and local structure 𝒵_node, shared by
+        /// every relayed copy and every receiver slot.
+        claim: Arc<Claim>,
         /// Index into the frame's trail table.
         trail: u32,
     },
+}
+
+/// Prints the flat `Knowledge { node, view, structure, trail }` form, so
+/// event streams that carry `format!("{frame:?}")` do not depend on the
+/// shared claim.
+impl fmt::Debug for SessionEntry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SessionEntry::Values {
+                trail,
+                first_slot,
+                values,
+            } => f
+                .debug_struct("Values")
+                .field("trail", trail)
+                .field("first_slot", first_slot)
+                .field("values", values)
+                .finish(),
+            SessionEntry::Knowledge { node, claim, trail } => f
+                .debug_struct("Knowledge")
+                .field("node", node)
+                .field("view", &claim.view)
+                .field("structure", &claim.structure)
+                .field("trail", trail)
+                .finish(),
+        }
+    }
 }
 
 impl SessionEntry {
@@ -108,8 +141,7 @@ pub(crate) enum Message<'a> {
     /// A type-2 knowledge message.
     Knowledge {
         node: NodeId,
-        view: &'a Graph,
-        structure: &'a AdversaryStructure,
+        claim: &'a Arc<Claim>,
         trail: &'a [NodeId],
     },
 }
@@ -128,15 +160,10 @@ impl Message<'_> {
                 value,
                 trail: trail.to_vec(),
             },
-            Message::Knowledge {
+            Message::Knowledge { node, claim, trail } => PkaPayload::Knowledge {
                 node,
-                view,
-                structure,
-                trail,
-            } => PkaPayload::Knowledge {
-                node,
-                view: view.clone(),
-                structure: structure.clone(),
+                view: claim.view.clone(),
+                structure: claim.structure.clone(),
                 trail: trail.to_vec(),
             },
         }
@@ -230,8 +257,10 @@ impl SessionFrame {
                 } => {
                     entries.push(SessionEntry::Knowledge {
                         node: *node,
-                        view: view.clone(),
-                        structure: structure.clone(),
+                        claim: Arc::new(Claim {
+                            view: view.clone(),
+                            structure: structure.clone(),
+                        }),
                         trail: trail_id,
                     });
                 }
@@ -273,17 +302,11 @@ impl SessionFrame {
                         trail,
                     },
                 ),
-                SessionEntry::Knowledge {
-                    node,
-                    view,
-                    structure,
-                    ..
-                } => (
+                SessionEntry::Knowledge { node, claim, .. } => (
                     0,
                     Message::Knowledge {
                         node: *node,
-                        view,
-                        structure,
+                        claim,
                         trail,
                     },
                 ),
@@ -318,9 +341,10 @@ impl SessionFrame {
     /// appended — but it is computed on the trail tables: validity depends
     /// only on the trail, so it is tested once per trail; `trail ‖ me` is
     /// interned across the whole inbox on first reference; empty value runs
-    /// (no message, so never interned by `pack`) are skipped; and each kept
-    /// entry is copied once, a value run still coalescing with the previous
-    /// output entry under `pack`'s rule.
+    /// (no message, so never interned by `pack`) are skipped; each kept value
+    /// run is copied once, still coalescing with the previous output entry
+    /// under `pack`'s rule; and each kept knowledge entry shares the inbox
+    /// entry's claim (a reference-count bump, not a copy).
     pub fn relay<'a>(
         me: NodeId,
         inbox: impl IntoIterator<Item = (NodeId, &'a SessionFrame)>,
@@ -361,17 +385,13 @@ impl SessionFrame {
                     SessionEntry::Values {
                         first_slot, values, ..
                     } => push_values(&mut entries, trail_id, *first_slot, values),
-                    SessionEntry::Knowledge {
-                        node,
-                        view,
-                        structure,
-                        ..
-                    } => entries.push(SessionEntry::Knowledge {
-                        node: *node,
-                        view: view.clone(),
-                        structure: structure.clone(),
-                        trail: trail_id,
-                    }),
+                    SessionEntry::Knowledge { node, claim, .. } => {
+                        entries.push(SessionEntry::Knowledge {
+                            node: *node,
+                            claim: Arc::clone(claim),
+                            trail: trail_id,
+                        })
+                    }
                 }
             }
         }
@@ -402,17 +422,13 @@ impl SessionFrame {
                     msgs += values.len() as u64;
                     bits += (64 + trail_bits(*trail)) * values.len() as u64;
                 }
-                SessionEntry::Knowledge {
-                    view,
-                    structure,
-                    trail,
-                    ..
-                } => {
+                SessionEntry::Knowledge { claim, trail, .. } => {
                     msgs += 1;
                     bits += ID_BITS
-                        + view.node_count() as u64 * ID_BITS
-                        + view.edge_count() as u64 * 2 * ID_BITS
-                        + structure
+                        + claim.view.node_count() as u64 * ID_BITS
+                        + claim.view.edge_count() as u64 * 2 * ID_BITS
+                        + claim
+                            .structure
                             .maximal_sets()
                             .iter()
                             .map(|m| m.len() as u64 * ID_BITS)
@@ -462,14 +478,9 @@ impl SessionFrame {
                         out.varint(*v);
                     }
                 }
-                SessionEntry::Knowledge {
-                    node,
-                    view,
-                    structure,
-                    trail,
-                } => {
+                SessionEntry::Knowledge { node, claim, trail } => {
                     out.byte(TAG_KNOWLEDGE);
-                    wire::encode_knowledge(*node, view, structure, out);
+                    wire::encode_knowledge(*node, &claim.view, &claim.structure, out);
                     out.varint(u64::from(*trail));
                 }
             }
@@ -530,8 +541,7 @@ impl SessionFrame {
                     let trail = trail_idx(body, pos)?;
                     entries.push(SessionEntry::Knowledge {
                         node,
-                        view,
-                        structure,
+                        claim: Arc::new(Claim { view, structure }),
                         trail,
                     });
                 }
@@ -639,6 +649,8 @@ mod tests {
     use super::*;
     use rand::{Rng, RngCore, SeedableRng};
     use rand_chacha::ChaCha12Rng;
+    use rmt_adversary::AdversaryStructure;
+    use rmt_graph::Graph;
     use rmt_sets::NodeSet;
 
     fn diamond() -> Graph {
@@ -669,8 +681,10 @@ mod tests {
                 },
                 SessionEntry::Knowledge {
                     node: 1.into(),
-                    view: diamond(),
-                    structure: AdversaryStructure::from_sets([set(&[2]), set(&[1, 3])]),
+                    claim: Arc::new(Claim {
+                        view: diamond(),
+                        structure: AdversaryStructure::from_sets([set(&[2]), set(&[1, 3])]),
+                    }),
                     trail: 2,
                 },
                 SessionEntry::Values {
@@ -846,6 +860,51 @@ mod tests {
         assert_eq!(copy.encoded_bits(), frame.to_bytes().len() * 8);
     }
 
+    /// The `Arc<Claim>`s of a frame's knowledge entries, in entry order.
+    fn claims(frame: &SessionFrame) -> Vec<&Arc<Claim>> {
+        frame
+            .entries()
+            .iter()
+            .filter_map(|e| match e {
+                SessionEntry::Knowledge { claim, .. } => Some(claim),
+                SessionEntry::Values { .. } => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn relay_and_clone_share_knowledge_claims() {
+        // `sample()` carries one knowledge entry on trail [0, 1, 4]; a second
+        // frame carries the same node's claim on [0, 2].
+        let first = sample();
+        let second = SessionFrame::pack(&[(
+            0,
+            PkaPayload::Knowledge {
+                node: 2.into(),
+                view: diamond(),
+                structure: AdversaryStructure::from_sets([set(&[1])]),
+                trail: vec![0.into(), 2.into()],
+            },
+        )]);
+        let relayed =
+            SessionFrame::relay(5.into(), [(4.into(), &first), (2.into(), &second)], &mut 0);
+        let inbox: Vec<&Arc<Claim>> = claims(&first).into_iter().chain(claims(&second)).collect();
+        let out = claims(&relayed);
+        assert_eq!(out.len(), 2);
+        for (kept, came_from) in out.iter().zip(&inbox) {
+            assert!(Arc::ptr_eq(kept, came_from));
+        }
+        let copy = relayed.clone();
+        for (a, b) in claims(&copy).iter().zip(&out) {
+            assert!(Arc::ptr_eq(a, b));
+        }
+        // Sharing changes no byte.
+        assert_eq!(
+            relayed.to_bytes(),
+            SessionFrame::pack(&relayed.expand().expect("expand")).to_bytes()
+        );
+    }
+
     #[test]
     fn debug_prints_the_plain_struct_form() {
         let mut view = Graph::new();
@@ -860,8 +919,10 @@ mod tests {
                 },
                 SessionEntry::Knowledge {
                     node: 1.into(),
-                    view,
-                    structure: AdversaryStructure::from_sets([set(&[2])]),
+                    claim: Arc::new(Claim {
+                        view,
+                        structure: AdversaryStructure::from_sets([set(&[2])]),
+                    }),
                     trail: 0,
                 },
             ],
@@ -971,8 +1032,7 @@ mod tests {
                         }));
                     SessionEntry::Knowledge {
                         node: node(rng),
-                        view,
-                        structure,
+                        claim: Arc::new(Claim { view, structure }),
                         trail,
                     }
                 }

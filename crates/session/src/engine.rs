@@ -14,10 +14,10 @@
 //! The implementation never materializes that expansion on received
 //! frames. A relay's round is one [`SessionFrame::relay`] call: it rewrites
 //! the inbox's trail tables (`trail ‖ me` for every trail passing the
-//! per-message trail check) and copies each kept entry once, and
-//! `tests/codec_props.rs` pins it to the pack-of-expand definition byte
-//! for byte. The receiver walks each frame's `(slot, message)`s in place,
-//! in the order `expand` defines.
+//! per-message trail check), copies each kept value run once and shares
+//! each kept claim, and `tests/codec_props.rs` pins it to the
+//! pack-of-expand definition byte for byte. The receiver walks each
+//! frame's `(slot, message)`s in place, in the order `expand` defines.
 //!
 //! A broadcast is one frame: the dealer's and each relay's round build a
 //! single [`SessionFrame`] and hand every neighbour a clone of it, which
@@ -27,17 +27,21 @@
 //! Three amortizations make bigger batches cheaper per payload:
 //!
 //! * **knowledge once** — type-2 messages are payload-independent and flow
-//!   once per session, not once per payload;
+//!   once per session, not once per payload; each claim is allocated once,
+//!   by the sender's `pack` (or by `decode` off a socket), and every relayed
+//!   copy and every receiver slot holds the same `Arc`, so a slot's ingest
+//!   is a validity check and a pointer-equality dedup, never a copy;
 //! * **trail sharing** — a frame's value runs reference one trail-table
 //!   entry however many slots ride it;
 //! * **decide caching** — the receiver's exponential decision search runs
 //!   once per *equivalence class* of slots: undecided slots share their
-//!   claim sets by construction, so slots whose received value/trail sets
-//!   are equal up to value renaming must decide alike (the renaming maps
-//!   sorted value positions; `decide` treats values opaquely except for
-//!   their sorted iteration order, so positions are preserved).
+//!   claim sets by construction, so slots whose type-1 tables
+//!   ([`ReceiverState::type1`]) are equal up to value renaming must decide
+//!   alike (the renaming maps sorted value positions; `decide` treats
+//!   values opaquely except for their sorted iteration order, so positions
+//!   are preserved).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashSet};
 
 use rmt_core::protocols::pka_decision::{DecisionConfig, ReceiverState};
 use rmt_core::protocols::rmt_pka::{valid_arrival, PkaPayload};
@@ -70,10 +74,6 @@ pub struct ReceiverStats {
 struct Slot {
     state: ReceiverState,
     decision: Option<Value>,
-    /// Mirror of the slot's ingested type-1 messages: value ↦ stored D–R
-    /// paths (trail ‖ me), exactly as `ReceiverState` keeps them. The
-    /// decide cache compares these across slots (values renamed away).
-    mirror: BTreeMap<Value, BTreeSet<Vec<NodeId>>>,
 }
 
 /// The receiver's session state: one `ReceiverState` per slot plus the
@@ -131,7 +131,6 @@ impl SessionNode {
                     knowledge.structure.clone(),
                 ),
                 decision: None,
-                mirror: BTreeMap::new(),
             };
             Role::Receiver(Box::new(ReceiverRole {
                 cfg: *plan.decision_config(),
@@ -200,18 +199,20 @@ impl SessionNode {
     }
 }
 
-/// Position-wise pathset equality, value names renamed away: slot A with
-/// values {7 ↦ P, 9 ↦ Q} matches slot B with {3 ↦ P, 5 ↦ Q}.
-fn mirrors_equal(
-    a: &BTreeMap<Value, BTreeSet<Vec<NodeId>>>,
-    b: &BTreeMap<Value, BTreeSet<Vec<NodeId>>>,
+/// Position-wise pathset equality of two type-1 tables, value names renamed
+/// away: slot A with values {7 ↦ P, 9 ↦ Q} matches slot B with
+/// {3 ↦ P, 5 ↦ Q}.
+fn type1_equal(
+    a: &BTreeMap<Value, HashSet<Vec<NodeId>>>,
+    b: &BTreeMap<Value, HashSet<Vec<NodeId>>>,
 ) -> bool {
     a.len() == b.len() && a.values().zip(b.values()).all(|(x, y)| x == y)
 }
 
 impl ReceiverRole {
     /// Runs the decision subroutine over the undecided slots, executing the
-    /// exponential search once per renamed-mirror equivalence class.
+    /// exponential search once per equivalence class of renamed type-1
+    /// tables.
     ///
     /// Soundness: all undecided slots have ingested the same claim stream
     /// (claims are slot-independent and fed to every undecided slot), and
@@ -227,17 +228,19 @@ impl ReceiverRole {
                 continue;
             }
             let cached = reps.iter().find_map(|&(rep, renamed)| {
-                mirrors_equal(&self.slots[rep].mirror, &self.slots[i].mirror).then_some(renamed)
+                type1_equal(self.slots[rep].state.type1(), self.slots[i].state.type1())
+                    .then_some(renamed)
             });
             match cached {
                 Some(renamed) => {
                     self.cache_hits += 1;
                     if let Some(k) = renamed {
                         let value = *self.slots[i]
-                            .mirror
+                            .state
+                            .type1()
                             .keys()
                             .nth(k)
-                            .expect("renamed position within mirror");
+                            .expect("renamed position within the type-1 table");
                         self.slots[i].decision = Some(value);
                     }
                 }
@@ -246,7 +249,8 @@ impl ReceiverRole {
                     let slot = &mut self.slots[i];
                     let decided = slot.state.decide(&self.cfg);
                     let renamed = decided.map(|x| {
-                        slot.mirror
+                        slot.state
+                            .type1()
                             .keys()
                             .position(|&v| v == x)
                             .expect("decided value was ingested")
@@ -366,24 +370,16 @@ impl Protocol for SessionNode {
                                     continue;
                                 }
                                 s.state.ingest_value(value, trail);
-                                let mut path = Vec::with_capacity(trail.len() + 1);
-                                path.extend_from_slice(trail);
-                                path.push(me);
-                                s.mirror.entry(value).or_default().insert(path);
                                 changed = true;
                             }
-                            Message::Knowledge {
-                                node,
-                                view,
-                                structure,
-                                ..
-                            } => {
+                            Message::Knowledge { node, claim, .. } => {
                                 // Knowledge is slot-independent: every
                                 // undecided slot ingests it (keeping their
-                                // claim sets identical — the cache invariant).
+                                // claim sets identical — the cache invariant),
+                                // sharing the frame's claim.
                                 for s in &mut receiver.slots {
                                     if s.decision.is_none() {
-                                        s.state.ingest_claim(node, view.clone(), structure.clone());
+                                        s.state.ingest_shared_claim(node, claim);
                                     }
                                 }
                                 changed = true;

@@ -9,8 +9,11 @@
 //! which shares the knowledge encoders of `rmt_core::wire`, is held to the
 //! same properties.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use rmt_adversary::AdversaryStructure;
+use rmt_core::protocols::pka_decision::Claim;
 use rmt_core::protocols::rmt_pka::PkaPayload;
 use rmt_graph::Graph;
 use rmt_session::{SessionEntry, SessionFrame};
@@ -93,8 +96,7 @@ fn arb_frame() -> impl Strategy<Value = SessionFrame> {
                         } else {
                             SessionEntry::Knowledge {
                                 node,
-                                view,
-                                structure,
+                                claim: Arc::new(Claim { view, structure }),
                                 trail,
                             }
                         }
@@ -191,8 +193,7 @@ fn arb_inbox_frame() -> impl Strategy<Value = (NodeId, SessionFrame)> {
                         if kind / 16 % 3 == 0 {
                             SessionEntry::Knowledge {
                                 node,
-                                view,
-                                structure,
+                                claim: Arc::new(Claim { view, structure }),
                                 trail,
                             }
                         } else {
