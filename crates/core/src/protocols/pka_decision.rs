@@ -12,13 +12,18 @@
 //!
 //! 1. builds `G_M` — the subgraph induced by the joint claimed view on the
 //!    claiming node set `V_M` (plus the receiver's own knowledge);
-//! 2. searches for an **adversary cover** (Definition 6): a D–R cut `C` of
-//!    `G_M` with `C ∩ V(γ(B)) ∈ 𝒵_B`, where `B` is R's component of
-//!    `G_M ∖ C` and `𝒵_B` is the joint of the *claimed* structures of `B`
-//!    (evaluated with the cylinder membership test — never materialized);
-//! 3. if no cover exists, checks **fullness** per candidate value `x`: every
-//!    D–R path of `G_M` must have arrived as a type-1 trail carrying `x`;
-//!    the first full, cover-free `(selection, x)` decides `x`.
+//! 2. checks **fullness** (Definition 5): every D–R path of `G_M` must have
+//!    arrived as a type-1 trail carrying `x`. One walk over the D–R paths
+//!    ([`paths::every_simple_path`]) keeps the values that hold each path
+//!    and stops as soon as none is left, so the paths are never listed;
+//!    the first value left, in value order, is the candidate `x`;
+//! 3. only for a full `x`, searches for an **adversary cover**
+//!    (Definition 6): a D–R cut `C` of `G_M` with `C ∩ V(γ(B)) ∈ 𝒵_B`,
+//!    where `B` is R's component of `G_M ∖ C` and `𝒵_B` is the joint of the
+//!    *claimed* structures of `B` (evaluated with the cylinder membership
+//!    test — never materialized). The cover does not depend on `x`, so
+//!    running it second changes no answer; the first full, cover-free
+//!    `(selection, x)` decides `x`.
 //!
 //! Everything is budgeted ([`DecisionConfig`]); exceeding a budget makes the
 //! receiver *conservative* (it abstains rather than risking an unverified
@@ -48,8 +53,6 @@ use crate::protocols::Value;
 pub struct DecisionConfig {
     /// Maximum number of claim selections examined per round.
     pub max_selections: usize,
-    /// Maximum number of D–R paths enumerated per candidate `G_M`.
-    pub max_paths: usize,
     /// Maximum `|V_M| − 2` for the exhaustive adversary-cover search
     /// (the search visits `2^(|V_M|−2)` subsets).
     pub max_cover_candidates: usize,
@@ -59,7 +62,6 @@ impl Default for DecisionConfig {
     fn default() -> Self {
         DecisionConfig {
             max_selections: 256,
-            max_paths: 50_000,
             max_cover_candidates: 22,
         }
     }
@@ -98,6 +100,9 @@ pub struct ReceiverState {
     pub malformed_claims: u64,
     /// Claim selections examined across all [`ReceiverState::decide`] calls.
     pub selections_examined: u64,
+    /// Adversary-cover searches run across all [`ReceiverState::decide`]
+    /// calls: one per selection that some value fills.
+    pub covers_checked: u64,
 }
 
 impl ReceiverState {
@@ -118,6 +123,7 @@ impl ReceiverState {
             truncated: false,
             malformed_claims: 0,
             selections_examined: 0,
+            covers_checked: 0,
         }
     }
 
@@ -200,6 +206,7 @@ impl ReceiverState {
 
         let mut truncated = false;
         let mut examined = 0usize;
+        let mut covers = 0u64;
         let mut result = None;
 
         'search: for k in 0..=excludable.len() {
@@ -222,7 +229,9 @@ impl ReceiverState {
                         .zip(&counter)
                         .map(|(&u, &i)| (u, &*self.claims[&u][i]))
                         .collect();
-                    if let Some(x) = self.examine_selection(&selection, cfg, &mut truncated) {
+                    if let Some(x) =
+                        self.examine_selection(&selection, cfg, &mut truncated, &mut covers)
+                    {
                         result = Some(x);
                         break 'search;
                     }
@@ -244,6 +253,7 @@ impl ReceiverState {
         }
         self.truncated |= truncated;
         self.selections_examined += examined as u64;
+        self.covers_checked += covers;
         result
     }
 
@@ -252,6 +262,8 @@ impl ReceiverState {
     /// * `pka.decide_ns` — wall time per call (histogram, stamped by the
     ///   registry's clock);
     /// * `pka.selections_examined` — claim selections examined;
+    /// * `pka.covers_checked` — adversary-cover searches run (one per
+    ///   selection that some value fills);
     /// * `pka.decisions` — calls that returned a value;
     /// * `pka.truncations` — calls that ran into a budget and abstained
     ///   conservatively;
@@ -261,10 +273,13 @@ impl ReceiverState {
         let _phase = reg.phase("pka.decide");
         let _timer = reg.timer("pka.decide_ns");
         let before_examined = self.selections_examined;
+        let before_covers = self.covers_checked;
         let before_truncated = self.truncated;
         let result = self.decide(cfg);
         reg.counter("pka.selections_examined")
             .add(self.selections_examined - before_examined);
+        reg.counter("pka.covers_checked")
+            .add(self.covers_checked - before_covers);
         if result.is_some() {
             reg.counter("pka.decisions").inc();
         }
@@ -274,13 +289,15 @@ impl ReceiverState {
         result
     }
 
-    /// Examines one claim selection: builds G_M, rejects it if an adversary
-    /// cover exists, otherwise looks for a value whose paths make M full.
+    /// Examines one claim selection: builds G_M, looks for a value whose
+    /// paths make M full, and only then rejects M if an adversary cover
+    /// exists (counted in `covers`).
     fn examine_selection(
         &self,
         selection: &[(NodeId, &Claim)],
         cfg: &DecisionConfig,
         truncated: &mut bool,
+        covers: &mut u64,
     ) -> Option<Value> {
         // V_M: the claiming nodes plus the receiver itself (whose knowledge
         // R holds locally).
@@ -300,40 +317,41 @@ impl ReceiverState {
             return None;
         }
 
-        let all_paths = match paths::simple_paths(&g_m, self.dealer, self.me, cfg.max_paths) {
-            Ok(p) => p,
-            Err(_) => {
-                *truncated = true;
-                return None;
-            }
-        };
-        if all_paths.is_empty() {
+        // No D–R path in G_M: nothing to be full, no decision.
+        if !traversal::reachable(&g_m, self.dealer).contains(self.me) {
             return None;
         }
 
+        // Fullness: every D–R path of G_M must have arrived carrying x. The
+        // walk drops each value missing a path and stops once none is left.
+        let mut full: Vec<_> = self.type1.iter().collect();
+        if !paths::every_simple_path(&g_m, self.dealer, self.me, |path| {
+            full.retain(|(_, received)| received.contains(path));
+            !full.is_empty()
+        }) {
+            return None;
+        }
+        let (&x, _) = *full.first()?;
+
+        *covers += 1;
         if self.has_adversary_cover(&g_m, &v_m, selection, cfg, truncated) {
             return None;
         }
-
-        // Fullness per candidate value: every D–R path of G_M must have
-        // arrived carrying x.
-        for (&x, received) in &self.type1 {
-            if all_paths.iter().all(|p| received.contains(p)) {
-                return Some(x);
-            }
-        }
-        None
+        Some(x)
     }
 
     /// Search for an adversary cover of M (Definition 6).
     ///
-    /// Tries the separator-anchored scan first (see `rmt_core::cuts::anchored`
-    /// for the charging argument): a cover exists iff some connected
-    /// `B ∋ R` of `G_M` with `D ∉ N[B]` makes `C = N(B)` a cover, since the
-    /// claimed structures are subset-closed so the cover condition is
-    /// monotone in `C` for fixed `B`. Only if the anchored scan overruns its
-    /// budget does the original `2^|candidates|` subset scan run — which is
-    /// itself gated on `max_cover_candidates` (abstaining conservatively).
+    /// First, a selection with more than `max_cover_candidates` cut
+    /// candidates (`|V_M| − 2`) abstains conservatively (reported as a
+    /// cover, with `truncated` set) before any scan runs, even where the
+    /// anchored scan alone could answer. Otherwise it tries the
+    /// separator-anchored scan (see `rmt_core::cuts::anchored` for the
+    /// charging argument): a cover exists iff some connected `B ∋ R` of
+    /// `G_M` with `D ∉ N[B]` makes `C = N(B)` a cover, since the claimed
+    /// structures are subset-closed so the cover condition is monotone in
+    /// `C` for fixed `B`. Only if the anchored scan overruns its budget does
+    /// the original `2^|candidates|` subset scan run.
     fn has_adversary_cover(
         &self,
         g_m: &Graph,
@@ -687,6 +705,46 @@ mod tests {
         // Unable to verify the absence of a cover, R abstains (safely).
         assert_eq!(state.decide(&cfg), None);
         assert!(state.truncated);
+    }
+
+    #[test]
+    fn no_full_selection_never_runs_the_cover() {
+        // Only D and relay 1 send claims, and the one trail arrives via
+        // relay 2. The selection {D, 1} has the D–R path 0–1–3, which no
+        // value holds; {D} alone has no D–R path. With no full value the
+        // cover never runs, so its zero candidate budget cannot fire.
+        let (mut state, g, z) = setup(&[&[1]]);
+        for u in [0u32, 1] {
+            let view = ViewKind::AdHoc.view_of(&g, u.into());
+            let structure = z.restrict_sets(view.nodes());
+            state.ingest_claim(u.into(), view, structure);
+        }
+        state.ingest_value(7, &[0.into(), 2.into()]);
+        let cfg = DecisionConfig {
+            max_cover_candidates: 0,
+            ..DecisionConfig::default()
+        };
+        assert_eq!(state.decide(&cfg), None);
+        assert!(!state.truncated);
+        assert_eq!(state.selections_examined, 2);
+        assert_eq!(state.covers_checked, 0);
+    }
+
+    #[test]
+    fn only_the_full_value_decides_even_when_larger() {
+        // 9 arrives on both trails, 7 only via relay 1: the first selection
+        // is full for 9 alone, which decides after one cover search.
+        let (mut state, g, z) = setup(&[&[1]]);
+        feed_honest(&mut state, &g, &z, 9, &NodeSet::new());
+        state.ingest_value(7, &[0.into(), 1.into()]);
+        let reg = Registry::new();
+        assert_eq!(
+            state.decide_observed(&DecisionConfig::default(), &reg),
+            Some(9)
+        );
+        assert_eq!(state.selections_examined, 1);
+        assert_eq!(state.covers_checked, 1);
+        assert_eq!(reg.counter("pka.covers_checked").get(), 1);
     }
 
     use rmt_graph::Graph;

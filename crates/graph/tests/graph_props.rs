@@ -1,5 +1,6 @@
 //! Property tests for graph invariants: components partition the node set,
-//! cuts separate, Menger duality, and view/joint-view laws.
+//! cuts separate, Menger duality, the pruned path walk agrees with path
+//! enumeration, and view/joint-view laws.
 
 use proptest::prelude::*;
 use rmt_graph::{cuts, generators, paths, traversal, Graph, ViewAssignment, ViewKind};
@@ -13,6 +14,44 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
 fn arb_connected() -> impl Strategy<Value = Graph> {
     (2usize..10, 0.0f64..0.6, any::<u64>())
         .prop_map(|(n, p, seed)| generators::gnp_connected(n, p, &mut generators::seeded(seed)))
+}
+
+/// `(g, from, to, every from–to path, the accepted ones)`.
+type WalkCase = (Graph, NodeId, NodeId, Vec<Vec<NodeId>>, Vec<Vec<NodeId>>);
+
+/// A walk case: a random graph, endpoints `from`/`to` (equal, unreachable
+/// or adjacent ones included), optionally a dead-end branch off `from` that
+/// reaches no `to`, and the accepted subset of the `from`–`to` paths
+/// (each kept with probability 0, ¼, ½, ¾ or — half the time — 1).
+fn arb_walk_case() -> impl Strategy<Value = WalkCase> {
+    (
+        arb_graph(),
+        (any::<u32>(), any::<u32>()),
+        (any::<bool>(), any::<bool>()),
+        0u32..8,
+        any::<u64>(),
+    )
+        .prop_map(|(mut g, (a, b), (adjacent, dead_end), quarters, seed)| {
+            use rand::Rng as _;
+            let n = g.node_count() as u32;
+            let (from, to) = (NodeId::new(a % n), NodeId::new(b % n));
+            if adjacent && from != to {
+                g.add_edge(from, to);
+            }
+            if dead_end {
+                g.add_edge(from, NodeId::new(n));
+                g.add_edge(NodeId::new(n), NodeId::new(n + 1));
+            }
+            let all = paths::simple_paths(&g, from, to, 100_000).unwrap();
+            let mut rng = generators::seeded(seed);
+            let rate = (f64::from(quarters) / 4.0).min(1.0);
+            let accepted = all
+                .iter()
+                .filter(|_| rng.random_bool(rate))
+                .cloned()
+                .collect();
+            (g, from, to, all, accepted)
+        })
 }
 
 proptest! {
@@ -71,6 +110,29 @@ proptest! {
                 prop_assert!(seen.insert(p.clone()));
             }
         }
+    }
+
+    #[test]
+    fn walk_agrees_with_enumeration((g, from, to, all, accepted) in arb_walk_case()) {
+        let keep = |p: &[NodeId]| accepted.iter().any(|a| a == p);
+        let mut seen = Vec::new();
+        let walked = paths::every_simple_path(&g, from, to, |p| {
+            seen.push(p.to_vec());
+            keep(p)
+        });
+        prop_assert_eq!(walked, all.iter().all(|p| keep(p)));
+        // The walk meets the paths in enumeration order, up to its stop.
+        prop_assert_eq!(&seen[..], &all[..seen.len()]);
+    }
+
+    #[test]
+    fn walk_calls_keep_at_most_once_past_the_accepted((g, from, to, _all, accepted) in arb_walk_case()) {
+        let mut calls = 0usize;
+        paths::every_simple_path(&g, from, to, |p| {
+            calls += 1;
+            accepted.iter().any(|a| a == p)
+        });
+        prop_assert!(calls <= accepted.len() + 1);
     }
 
     #[test]
