@@ -61,8 +61,8 @@ impl SessionReport {
         self.wire.honest_bits as f64 / self.payloads.max(1) as f64
     }
 
-    /// Records the session's counters into `reg` under the `session.*` and
-    /// `wire.*` names catalogued in `METRICS.md`.
+    /// Records the session's counters into `reg` under the `session.*`,
+    /// `wire.*` and `pka.*` names catalogued in `METRICS.md`.
     pub fn record_into(&self, reg: &Registry) {
         reg.counter("session.payloads").add(self.payloads);
         reg.counter("session.frames").add(self.wire.honest_messages);
@@ -74,6 +74,12 @@ impl SessionReport {
             .add(self.receiver.decide_cache_misses);
         reg.counter("session.invalid_frames")
             .add(self.invalid_frames);
+        reg.counter("pka.selections_examined")
+            .add(self.receiver.selections_examined);
+        reg.counter("pka.covers_checked")
+            .add(self.receiver.covers_checked);
+        reg.counter("pka.truncations")
+            .add(u64::from(self.receiver.truncated));
         reg.counter("wire.frame_bits").add(self.wire.honest_bits);
         reg.counter("wire.model_messages").add(self.model.messages);
         reg.counter("wire.model_bits").add(self.model.bits);
@@ -267,5 +273,15 @@ mod tests {
         );
         assert_eq!(reg.counter("wire.model_bits").get(), report.model.bits);
         assert!(reg.counter("session.decide_cache_hits").get() >= 1);
+        assert_eq!(
+            reg.counter("pka.selections_examined").get(),
+            report.receiver.selections_examined
+        );
+        assert!(report.receiver.covers_checked >= 1);
+        assert_eq!(
+            reg.counter("pka.covers_checked").get(),
+            report.receiver.covers_checked
+        );
+        assert_eq!(reg.counter("pka.truncations").get(), 0);
     }
 }

@@ -1,7 +1,9 @@
 //! Property tests for the compact session codec: every frame round-trips
 //! through its encoding byte-exactly, pack/expand are mutually inverse, the
 //! frame-native relay equals its pack-of-expand definition, the size-only
-//! `encoded_bits` equals the encoding's size, and no byte sequence —
+//! `encoded_bits` equals the encoding's size (built, relayed and decoded
+//! frames alike, whose claims and value runs carry cached sizes), and no
+//! byte sequence —
 //! arbitrary, truncated, or bit-flipped — can make the decoder panic or
 //! allocate unboundedly. Frames cross real sockets in the `rmt-netd`
 //! backend; the decoder's only legal failure mode is `Err`. The per-message
@@ -91,12 +93,12 @@ fn arb_frame() -> impl Strategy<Value = SessionFrame> {
                             SessionEntry::Values {
                                 trail,
                                 first_slot,
-                                values,
+                                values: values.into(),
                             }
                         } else {
                             SessionEntry::Knowledge {
                                 node,
-                                claim: Arc::new(Claim { view, structure }),
+                                claim: Arc::new(Claim::new(view, structure)),
                                 trail,
                             }
                         }
@@ -193,14 +195,14 @@ fn arb_inbox_frame() -> impl Strategy<Value = (NodeId, SessionFrame)> {
                         if kind / 16 % 3 == 0 {
                             SessionEntry::Knowledge {
                                 node,
-                                claim: Arc::new(Claim { view, structure }),
+                                claim: Arc::new(Claim::new(view, structure)),
                                 trail,
                             }
                         } else {
                             SessionEntry::Values {
                                 trail,
                                 first_slot,
-                                values,
+                                values: values.into(),
                             }
                         }
                     },
@@ -300,11 +302,57 @@ proptest! {
         let _ = SessionFrame::from_bytes(&bytes);
     }
 
-    /// The size-only wire accounting equals the encoding's actual size.
+    /// The size-only wire accounting equals the encoding's actual size, for
+    /// a built frame and for its decoded copy (whose claims and value runs
+    /// count their sizes afresh).
     #[test]
     fn encoded_bits_counts_the_encoding(frame in arb_frame()) {
-        prop_assert_eq!(frame.encoded_bits(), 8 * frame.to_bytes().len());
+        let bytes = frame.to_bytes();
+        prop_assert_eq!(frame.encoded_bits(), 8 * bytes.len());
+        let decoded = SessionFrame::from_bytes(&bytes).expect("own encoding must decode");
+        prop_assert_eq!(decoded.encoded_bits(), 8 * bytes.len());
     }
+}
+
+/// A frame whose body spells three varints with a redundant `0x00`
+/// continuation: a value-run count, a value and a knowledge-view node id.
+/// It decodes, re-encodes to the minimal bytes, and is billed the minimal
+/// size: cached sizes come from the decoded values, not from the span read.
+#[test]
+fn non_minimal_varints_bill_the_minimal_encoding() {
+    #[rustfmt::skip]
+    let body: Vec<u8> = vec![
+        1, 0, 1, 0,                   // one trail: [0]
+        2,                            // two entries
+        0, 0, 0, 0x82, 0x00, 0x85, 0x00, 7, // values on trail 0 from slot 0: [5, 7]
+        1, 0, 2, 0x80, 0x00, 1, 1, 0, 1, 0, 0, // knowledge of 0: view 0–1, no sets, trail 0
+    ];
+    let mut bytes = (body.len() as u32).to_le_bytes().to_vec();
+    bytes.extend_from_slice(&body);
+    let decoded = SessionFrame::from_bytes(&bytes).expect("non-minimal varints decode");
+
+    let mut view = Graph::new();
+    view.add_edge(NodeId::new(0), NodeId::new(1));
+    let minimal = SessionFrame::from_parts(
+        vec![vec![NodeId::new(0)]],
+        vec![
+            SessionEntry::Values {
+                trail: 0,
+                first_slot: 0,
+                values: vec![5, 7].into(),
+            },
+            SessionEntry::Knowledge {
+                node: NodeId::new(0),
+                claim: Arc::new(Claim::new(view, AdversaryStructure::from_sets([]))),
+                trail: 0,
+            },
+        ],
+    );
+    assert_eq!(decoded, minimal);
+    let reencoded = decoded.to_bytes();
+    assert_eq!(reencoded, minimal.to_bytes());
+    assert_eq!(reencoded.len(), bytes.len() - 3);
+    assert_eq!(decoded.encoded_bits(), 8 * reencoded.len());
 }
 
 proptest! {
@@ -366,7 +414,9 @@ proptest! {
         let (expected, expected_invalid) = reference_relay(me, &inbox);
         let mut invalid = 0;
         let relayed = SessionFrame::relay(me, inbox.iter().map(|(from, f)| (*from, f)), &mut invalid);
-        prop_assert_eq!(relayed.to_bytes(), expected.to_bytes());
+        let bytes = relayed.to_bytes();
+        prop_assert_eq!(&bytes, &expected.to_bytes());
+        prop_assert_eq!(relayed.encoded_bits(), 8 * bytes.len());
         prop_assert_eq!(relayed, expected);
         prop_assert_eq!(invalid, expected_invalid);
     }
