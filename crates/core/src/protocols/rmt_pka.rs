@@ -124,7 +124,7 @@ impl WirePayload for PkaPayload {
                 ..
             } => {
                 out.byte(TAG_KNOWLEDGE);
-                wire::encode_knowledge(*node, view, structure, out);
+                wire::encode_knowledge(*node, out, |out| wire::encode_claim(view, structure, out));
             }
         }
         let trail = self.trail();
