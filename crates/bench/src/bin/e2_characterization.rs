@@ -13,7 +13,7 @@
 //! A perfect diagonal is the paper's prediction.
 
 use rmt_bench::{Experiment, Table};
-use rmt_core::analysis::{pka_attack_suite, run_coupled_attack};
+use rmt_core::analysis::{pka_attack_suite_observed, run_coupled_attack};
 use rmt_core::cuts::{find_rmt_cut, find_rmt_cut_anchored_observed};
 use rmt_core::protocols::attacks::PKA_ATTACKS;
 use rmt_core::sampling::random_instance_nonadjacent;
@@ -59,7 +59,13 @@ fn main() {
             match witness {
                 None => {
                     solvable += 1;
-                    let report = pka_attack_suite(&inst, 7, &PKA_ATTACKS, trial as u64);
+                    let report = pka_attack_suite_observed(
+                        &inst,
+                        7,
+                        &PKA_ATTACKS,
+                        trial as u64,
+                        exp.registry(),
+                    );
                     if report.all_correct() {
                         pka_ok += 1;
                     } else {

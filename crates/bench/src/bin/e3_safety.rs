@@ -6,7 +6,7 @@
 //! paper's claim: the wrong-decision column is **zero**, unconditionally.
 
 use rmt_bench::{Experiment, Table};
-use rmt_core::analysis::pka_attack_suite;
+use rmt_core::analysis::pka_attack_suite_observed;
 use rmt_core::cuts::find_rmt_cut_observed;
 use rmt_core::protocols::attacks::{PkaAttack, PKA_ATTACKS};
 use rmt_core::sampling::random_instance;
@@ -43,7 +43,8 @@ fn main() {
             } else {
                 exp.registry().counter("e3.solvable_instances").inc();
             }
-            let report = pka_attack_suite(&inst, 7, &[attack], trial as u64);
+            let report =
+                pka_attack_suite_observed(&inst, 7, &[attack], trial as u64, exp.registry());
             runs += report.runs;
             correct += report.correct;
             undecided += report.undecided;

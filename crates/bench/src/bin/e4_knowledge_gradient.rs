@@ -9,7 +9,7 @@
 
 use rmt_bench::{Experiment, Table};
 use rmt_core::analysis::minimal_knowledge_radius;
-use rmt_core::analysis::pka_attack_suite;
+use rmt_core::analysis::pka_attack_suite_observed;
 use rmt_core::cuts::find_rmt_cut_observed;
 use rmt_core::protocols::attacks::PKA_ATTACKS;
 use rmt_core::sampling::random_structure;
@@ -71,7 +71,9 @@ fn main() {
                 // Operational confirmation at the minimal radius.
                 let inst = Instance::new(g.clone(), z.clone(), ViewKind::Radius(k), d, r).unwrap();
                 confirmable += 1;
-                if pka_attack_suite(&inst, 7, &PKA_ATTACKS, trial as u64).all_correct() {
+                if pka_attack_suite_observed(&inst, 7, &PKA_ATTACKS, trial as u64, exp.registry())
+                    .all_correct()
+                {
                     confirmed += 1;
                 }
             }
@@ -105,7 +107,8 @@ fn main() {
     }
     let min_k = minimal_knowledge_radius(&g, &z, 0.into(), 9.into(), max_k).unwrap();
     let inst = Instance::new(g.clone(), z, ViewKind::Radius(min_k), 0.into(), 9.into()).unwrap();
-    let confirmed = pka_attack_suite(&inst, 7, &PKA_ATTACKS, 1).all_correct();
+    let confirmed =
+        pka_attack_suite_observed(&inst, 7, &PKA_ATTACKS, 1, exp.registry()).all_correct();
     table.row(&[
         "staggered-theta".to_string(),
         format!("{}/1", u8::from(solvable_at[0])),

@@ -91,6 +91,10 @@ fn main() {
             .run()
         });
         assert_eq!(pka.decision(inst.receiver()), Some(7), "{name}: PKA failed");
+        pka.protocol(inst.receiver())
+            .and_then(RmtPka::receiver_state)
+            .expect("the receiver is honest")
+            .record_into(exp.registry());
         table.row(&[
             name,
             n.to_string(),

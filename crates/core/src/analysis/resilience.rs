@@ -9,11 +9,12 @@
 //! scenario-swap construction
 //! ([`coupled_attack`](crate::analysis::coupled_attack)).
 
+use rmt_obs::Registry;
 use rmt_sets::NodeSet;
 
 use crate::instance::Instance;
 use crate::protocols::attacks::{pka_adversary, zcpa_adversary, PkaAttack, ZcpaAttack};
-use crate::protocols::rmt_pka::run_pka;
+use crate::protocols::rmt_pka::{run_pka, RmtPka};
 use crate::protocols::zcpa::run_zcpa;
 use crate::protocols::Value;
 
@@ -50,11 +51,32 @@ pub fn pka_attack_suite(
     attacks: &[PkaAttack],
     seed: u64,
 ) -> SuiteReport {
+    pka_attack_suite_observed(inst, input, attacks, seed, &Registry::new())
+}
+
+/// [`pka_attack_suite`] with each run's receiver search effort added to
+/// `reg` ([`ReceiverState::record_into`]: `pka.selections_examined`,
+/// `pka.covers_checked`, `pka.truncations`).
+///
+/// [`ReceiverState::record_into`]: crate::protocols::pka_decision::ReceiverState::record_into
+pub fn pka_attack_suite_observed(
+    inst: &Instance,
+    input: Value,
+    attacks: &[PkaAttack],
+    seed: u64,
+    reg: &Registry,
+) -> SuiteReport {
     let mut report = SuiteReport::default();
     for t in inst.worst_case_corruptions() {
         for (i, &attack) in attacks.iter().enumerate() {
             let adv = pka_adversary(inst, input, t.clone(), attack, seed ^ i as u64);
             let out = run_pka(inst, input, adv);
+            if let Some(state) = out
+                .protocol(inst.receiver())
+                .and_then(RmtPka::receiver_state)
+            {
+                state.record_into(reg);
+            }
             record(
                 &mut report,
                 out.decision(inst.receiver()),

@@ -46,6 +46,7 @@ use rmt_graph::{paths, traversal, Graph};
 use rmt_obs::Registry;
 use rmt_sets::{NodeId, NodeSet};
 
+use crate::protocols::rmt_pka::knowledge_model_bits;
 use crate::protocols::Value;
 use crate::wire;
 
@@ -82,6 +83,7 @@ impl Default for DecisionConfig {
 /// [`encode`](Claim::encode) counts the [`wire::encode_claim`] bytes of its
 /// view and structure, so every later frame that carries the claim is sized
 /// without walking it again, and a claim that is never sized never counts.
+/// Its [`model_bits`](Claim::model_bits) are kept the same way.
 #[derive(Clone)]
 pub struct Claim {
     view: Graph,
@@ -89,6 +91,9 @@ pub struct Claim {
     /// The [`wire::encode_claim`] length of `view` and `structure`, counted
     /// on first use.
     wire_len: OnceLock<usize>,
+    /// [`knowledge_model_bits`] of `view` and `structure`, counted on first
+    /// use.
+    model_bits: OnceLock<usize>,
 }
 
 impl Claim {
@@ -98,6 +103,7 @@ impl Claim {
             view,
             structure,
             wire_len: OnceLock::new(),
+            model_bits: OnceLock::new(),
         }
     }
 
@@ -109,6 +115,16 @@ impl Claim {
     /// The claimed local structure 𝒵_u.
     pub fn structure(&self) -> &AdversaryStructure {
         &self.structure
+    }
+
+    /// The model-layer bits of a knowledge message carrying this claim,
+    /// trail excluded ([`knowledge_model_bits`]); the message costs
+    /// [`MODEL_ID_BITS`](crate::protocols::rmt_pka::MODEL_ID_BITS) more per
+    /// trail node.
+    pub fn model_bits(&self) -> usize {
+        *self
+            .model_bits
+            .get_or_init(|| knowledge_model_bits(&self.view, &self.structure))
     }
 
     /// Writes [`wire::encode_claim`] of the view and structure as one
@@ -143,12 +159,17 @@ impl fmt::Debug for Claim {
 }
 
 /// The receiver's accumulated messages and decision engine.
+///
+/// A clone shares the receiver's own knowledge, held as one `Arc<Claim>`,
+/// so a session's per-slot states bump a reference count instead of
+/// copying a view and a structure each.
 #[derive(Clone, Debug)]
 pub struct ReceiverState {
     me: NodeId,
     dealer: NodeId,
-    my_view: Graph,
-    my_structure: AdversaryStructure,
+    /// The receiver's own view and structure, shared by every slot of a
+    /// session.
+    own: Arc<Claim>,
     /// Received dealer-value trails, as full D…R paths, grouped by value.
     type1: BTreeMap<Value, HashSet<Vec<NodeId>>>,
     /// Claims per node; conflicting claims are kept side by side.
@@ -177,8 +198,7 @@ impl ReceiverState {
         ReceiverState {
             me,
             dealer,
-            my_view,
-            my_structure,
+            own: Arc::new(Claim::new(my_view, my_structure)),
             type1: BTreeMap::new(),
             claims: BTreeMap::new(),
             truncated: false,
@@ -350,6 +370,21 @@ impl ReceiverState {
         result
     }
 
+    /// Adds this receiver's search effort over its whole run to `reg`, under
+    /// the counters [`decide_observed`](Self::decide_observed) keeps per
+    /// call: `pka.selections_examined`, `pka.covers_checked`, and
+    /// `pka.truncations` (1 if any search ran into a budget). For runs that
+    /// call [`decide`](Self::decide) directly, as [`RmtPka`] does.
+    ///
+    /// [`RmtPka`]: crate::protocols::rmt_pka::RmtPka
+    pub fn record_into(&self, reg: &Registry) {
+        reg.counter("pka.selections_examined")
+            .add(self.selections_examined);
+        reg.counter("pka.covers_checked").add(self.covers_checked);
+        reg.counter("pka.truncations")
+            .add(u64::from(self.truncated));
+    }
+
     /// Examines one claim selection: builds G_M, looks for a value whose
     /// paths make M full, and only then rejects M if an adversary cover
     /// exists (counted in `covers`).
@@ -369,7 +404,7 @@ impl ReceiverState {
         }
 
         // γ(V_M) and the induced G_M.
-        let mut joint = self.my_view.clone();
+        let mut joint = self.own.view.clone();
         for (_, claim) in selection {
             joint.union_with(&claim.view);
         }
@@ -429,7 +464,7 @@ impl ReceiverState {
             .map(|(u, c)| (*u, (&c.view, &c.structure)))
             .chain(std::iter::once((
                 self.me,
-                (&self.my_view, &self.my_structure),
+                (&self.own.view, &self.own.structure),
             )))
             .collect();
 

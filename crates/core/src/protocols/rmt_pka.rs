@@ -77,27 +77,40 @@ impl PkaPayload {
     }
 }
 
+/// Bits per node id in the model-layer accounting of
+/// [`PkaPayload::encoded_bits`].
+pub const MODEL_ID_BITS: usize = 32;
+
+/// Bits per dealer value in the model-layer accounting of
+/// [`PkaPayload::encoded_bits`].
+pub const MODEL_VALUE_BITS: usize = 64;
+
+/// The model-layer bits of a knowledge message `(u, γ(u), 𝒵_u)` without
+/// its trail: the node id, each view node, both ends of each view edge and
+/// each member of each maximal set, at [`MODEL_ID_BITS`] apiece.
+/// [`Claim::model_bits`](crate::protocols::pka_decision::Claim::model_bits)
+/// keeps it per claim.
+pub fn knowledge_model_bits(view: &Graph, structure: &AdversaryStructure) -> usize {
+    MODEL_ID_BITS
+        + view.node_count() * MODEL_ID_BITS
+        + view.edge_count() * 2 * MODEL_ID_BITS
+        + structure
+            .maximal_sets()
+            .iter()
+            .map(|m| m.len() * MODEL_ID_BITS)
+            .sum::<usize>()
+}
+
 impl Payload for PkaPayload {
     fn encoded_bits(&self) -> usize {
-        const ID_BITS: usize = 32;
         match self {
-            PkaPayload::DealerValue { trail, .. } => 64 + ID_BITS * trail.len(),
+            PkaPayload::DealerValue { trail, .. } => MODEL_VALUE_BITS + MODEL_ID_BITS * trail.len(),
             PkaPayload::Knowledge {
                 view,
                 structure,
                 trail,
                 ..
-            } => {
-                ID_BITS
-                    + view.node_count() * ID_BITS
-                    + view.edge_count() * 2 * ID_BITS
-                    + structure
-                        .maximal_sets()
-                        .iter()
-                        .map(|m| m.len() * ID_BITS)
-                        .sum::<usize>()
-                    + ID_BITS * trail.len()
-            }
+            } => knowledge_model_bits(view, structure) + MODEL_ID_BITS * trail.len(),
         }
     }
 }

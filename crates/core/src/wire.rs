@@ -196,7 +196,8 @@ fn encode_graph(g: &Graph, out: &mut impl Sink) {
     }
 }
 
-/// Rejects an edge whose endpoint is missing from the view's node list.
+/// Rejects an edge whose endpoint is missing from the view's node list, and
+/// a self-loop, which no [`Graph`] holds.
 fn decode_graph(bytes: &[u8], pos: &mut usize) -> Result<Graph, String> {
     let mut g = Graph::new();
     decode_nodes(bytes, pos, "view node", |v| {
@@ -208,6 +209,11 @@ fn decode_graph(bytes: &[u8], pos: &mut usize) -> Result<Graph, String> {
         if !g.contains_node(u) || !g.contains_node(v) {
             return Err(format!(
                 "corrupt encoding: view edge ({u}, {v}) references a node absent from the view"
+            ));
+        }
+        if u == v {
+            return Err(format!(
+                "corrupt encoding: view edge ({u}, {v}) is a self-loop"
             ));
         }
         g.add_edge(u, v);
@@ -285,6 +291,15 @@ mod tests {
         let mut out = Vec::new();
         out.varint(19);
         assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn a_self_loop_edge_is_rejected() {
+        // Knowledge of node 0: view {0} with the edge (0, 0), no sets.
+        let bytes = [0, 1, 0, 1, 0, 0, 0];
+        let mut pos = 0;
+        let err = decode_knowledge(&bytes, &mut pos).expect_err("a self-loop must not decode");
+        assert!(err.contains("self-loop"), "{err}");
     }
 
     #[test]

@@ -14,11 +14,14 @@
 //! The implementation never materializes that expansion on received
 //! frames. A relay's round is one [`SessionFrame::relay`] call: it rewrites
 //! the inbox's trail tables (`trail ‖ me` for every trail passing the
-//! per-message trail check), shares each kept value run and claim (a
-//! fresh run only where two runs coalesce), and `tests/codec_props.rs`
-//! pins it to the
-//! pack-of-expand definition byte for byte. The receiver walks each
+//! per-message trail check) into one node buffer, interning by content
+//! only the trails of a sender with several inbox frames or of a frame
+//! that repeats a row; it shares each kept value run and claim (a fresh
+//! run only where two runs coalesce), and `tests/codec_props.rs` pins it
+//! to the pack-of-expand definition byte for byte. The receiver walks each
 //! frame's `(slot, message)`s in place, in the order `expand` defines.
+//! Its per-slot states share the receiver's own view and structure (one
+//! `Arc<Claim>`), so building a batch's slots copies no graph.
 //!
 //! A broadcast is one frame: the dealer's and each relay's round build a
 //! single [`SessionFrame`] and hand every neighbour a clone of it, which

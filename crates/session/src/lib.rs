@@ -43,7 +43,7 @@ pub mod plan;
 pub mod session;
 
 pub use adversary::{ModelCounters, SessionAdversary};
-pub use codec::{SessionEntry, SessionFrame, ValueRun};
+pub use codec::{SessionEntry, SessionFrame, TrailTable, ValueRun};
 pub use engine::{ReceiverStats, SessionNode};
 pub use plan::{NodeKnowledge, SessionPlan};
 pub use session::{ModelMetrics, Session, SessionReport};

@@ -237,6 +237,154 @@ fn reference_relay(me: NodeId, inbox: &[(NodeId, SessionFrame)]) -> (SessionFram
     (SessionFrame::pack(&forwarded), invalid)
 }
 
+/// A frame as sender `from` builds it: `pack` of messages over trails that
+/// end at `from` (all but one in four), or, with `relayed`, `from`'s relay
+/// of such a packed frame sent by `up`. Either way its rows are distinct.
+fn sent_frame(
+    from: NodeId,
+    up: NodeId,
+    relayed: bool,
+    items: Vec<(u32, PkaPayload)>,
+) -> SessionFrame {
+    let sender = if relayed { up } else { from };
+    let items: Vec<(u32, PkaPayload)> = items
+        .into_iter()
+        .enumerate()
+        .map(|(i, (slot, mut payload))| {
+            if i % 4 != 3 {
+                match &mut payload {
+                    PkaPayload::DealerValue { trail, .. } | PkaPayload::Knowledge { trail, .. } => {
+                        trail.retain(|&v| v != sender);
+                        trail.push(sender);
+                    }
+                }
+            }
+            (slot, payload)
+        })
+        .collect();
+    let packed = SessionFrame::pack(&items);
+    if relayed {
+        SessionFrame::relay(from, [(up, &packed)], &mut 0)
+    } else {
+        packed
+    }
+}
+
+/// An inbox of `pack`-built and relayed frames, one per sender, from
+/// distinct senders: every frame has distinct rows and no sender repeats,
+/// so a relay keeps every trail without interning it by content.
+fn arb_distinct_inbox() -> impl Strategy<Value = Vec<(NodeId, SessionFrame)>> {
+    (
+        0u32..8,
+        proptest::collection::vec(
+            (
+                (any::<u32>(), any::<u32>()),
+                proptest::collection::vec(arb_payload_item(), 0..8),
+            ),
+            0..4,
+        ),
+    )
+        .prop_map(|(base, frames)| {
+            frames
+                .into_iter()
+                .enumerate()
+                .map(|(i, ((relayed, up), items))| {
+                    let from = NodeId::new((base + i as u32) % 8);
+                    let up = NodeId::new((from.raw() + 1 + up % 7) % 8);
+                    (from, sent_frame(from, up, relayed % 2 == 0, items))
+                })
+                .collect()
+        })
+}
+
+/// Relays `inbox` as `me` and checks the result against
+/// [`reference_relay`]: the same frame, bytes and dropped-frame count, and
+/// a trail table recorded as distinct.
+fn assert_relay_matches_reference(me: NodeId, inbox: &[(NodeId, SessionFrame)]) -> SessionFrame {
+    let (expected, expected_invalid) = reference_relay(me, inbox);
+    let mut invalid = 0;
+    let relayed = SessionFrame::relay(me, inbox.iter().map(|(from, f)| (*from, f)), &mut invalid);
+    assert_eq!(relayed.to_bytes(), expected.to_bytes());
+    assert_eq!(relayed, expected);
+    assert_eq!(invalid, expected_invalid);
+    assert!(relayed.trails().is_distinct());
+    relayed
+}
+
+/// Two messages from sender 1 over two trails, both ending at 1.
+fn two_trail_frame() -> SessionFrame {
+    SessionFrame::pack(&[
+        (
+            0,
+            PkaPayload::DealerValue {
+                value: 7,
+                trail: vec![NodeId::new(0), NodeId::new(1)],
+            },
+        ),
+        (
+            0,
+            PkaPayload::DealerValue {
+                value: 7,
+                trail: vec![NodeId::new(0), NodeId::new(2), NodeId::new(1)],
+            },
+        ),
+    ])
+}
+
+#[test]
+fn a_frame_delivered_twice_relays_each_trail_once() {
+    let frame = two_trail_frame();
+    assert!(frame.trails().is_distinct());
+    let once = assert_relay_matches_reference(NodeId::new(3), &[(NodeId::new(1), frame.clone())]);
+    let twice = assert_relay_matches_reference(
+        NodeId::new(3),
+        &[(NodeId::new(1), frame.clone()), (NodeId::new(1), frame)],
+    );
+    assert_eq!(twice.trails(), once.trails());
+    assert_eq!(twice.expand().expect("expand").len(), 4);
+}
+
+#[test]
+fn a_repeated_row_is_recorded_and_interned() {
+    let row = vec![NodeId::new(0), NodeId::new(1)];
+    let run = |trail, first_slot| SessionEntry::Values {
+        trail,
+        first_slot,
+        values: vec![7].into(),
+    };
+    let frame = SessionFrame::from_parts(
+        vec![row.clone(), vec![NodeId::new(1)], row],
+        vec![run(0, 0), run(2, 1), run(1, 2)],
+    );
+    assert!(!frame.trails().is_distinct());
+    let decoded = SessionFrame::from_bytes(&frame.to_bytes()).expect("decode");
+    assert!(!decoded.trails().is_distinct());
+    assert!(SessionFrame::from_bytes(&two_trail_frame().to_bytes())
+        .expect("decode")
+        .trails()
+        .is_distinct());
+    let relayed = assert_relay_matches_reference(NodeId::new(3), &[(NodeId::new(1), frame)]);
+    // The repeated row is one output trail, and its runs coalesce.
+    assert_eq!(relayed.trails().len(), 2);
+    assert_eq!(relayed.entries().len(), 2);
+}
+
+#[test]
+fn a_relay_output_relays_again() {
+    let first =
+        assert_relay_matches_reference(NodeId::new(3), &[(NodeId::new(1), two_trail_frame())]);
+    let second = assert_relay_matches_reference(NodeId::new(4), &[(NodeId::new(3), first)]);
+    assert_eq!(second.trails().len(), 2);
+    assert_eq!(
+        second
+            .trails()
+            .iter()
+            .map(<[NodeId]>::len)
+            .collect::<Vec<_>>(),
+        [4, 5]
+    );
+}
+
 proptest! {
     /// Every frame survives encode → decode unchanged, and decode reports
     /// exactly how many bytes it consumed.
@@ -417,6 +565,29 @@ proptest! {
         let bytes = relayed.to_bytes();
         prop_assert_eq!(&bytes, &expected.to_bytes());
         prop_assert_eq!(relayed.encoded_bits(), 8 * bytes.len());
+        prop_assert_eq!(relayed, expected);
+        prop_assert_eq!(invalid, expected_invalid);
+    }
+
+    /// The relay equals pack-of-expand on inboxes that take no content
+    /// interning: `pack`-built and relayed frames, whose rows are distinct,
+    /// from distinct senders. Every frame involved records its rows as
+    /// distinct.
+    #[test]
+    fn relay_of_distinct_senders_is_pack_of_expand(
+        me in (0u32..8).prop_map(NodeId::new),
+        inbox in arb_distinct_inbox(),
+    ) {
+        for (_, frame) in &inbox {
+            prop_assert!(frame.trails().is_distinct());
+        }
+        let (expected, expected_invalid) = reference_relay(me, &inbox);
+        let mut invalid = 0;
+        let relayed = SessionFrame::relay(me, inbox.iter().map(|(from, f)| (*from, f)), &mut invalid);
+        let bytes = relayed.to_bytes();
+        prop_assert_eq!(&bytes, &expected.to_bytes());
+        prop_assert_eq!(relayed.encoded_bits(), 8 * bytes.len());
+        prop_assert!(relayed.trails().is_distinct());
         prop_assert_eq!(relayed, expected);
         prop_assert_eq!(invalid, expected_invalid);
     }
