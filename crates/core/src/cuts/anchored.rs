@@ -28,26 +28,36 @@
 //! and the exhaustive deciders remain the differential ground truth (see
 //! `crates/core/tests/anchored_differential.rs`).
 //!
-//! One private driver runs both questions for every entry point — plain,
-//! `_with` budget, `_observed` and the
-//! [`IncrementalEngine`](crate::engine::IncrementalEngine): it enumerates
-//! the anchors, scans them in order on the calling thread until one yields
-//! a witness or overflows its budget, and applies the exhaustive fallback.
+//! One private search, `anchored_search`, runs three questions — the
+//! RMT-cut, the 𝒵-pp cut and the RMT-PKA receiver's adversary cover
+//! (Definition 6: an RMT-cut with `C₁ = ∅` of `G_M`, tested against the
+//! *claimed* views and structures) — for every entry point: plain, `_with`
+//! budget, `_observed`, the
+//! [`IncrementalEngine`](crate::engine::IncrementalEngine) and the
+//! receiver's decision. It enumerates the anchors, scans them in order on
+//! the calling thread until one yields a witness or overflows its budget,
+//! and applies the exhaustive fallback. Every fallback runs the one subset
+//! scan of [`rmt_cut`](super::rmt_cut); the cover's runs only up to 22 cut
+//! candidates, past which the receiver abstains.
 //!
 //! Witnesses may differ from the exhaustive deciders' (the search order
 //! differs), but they are always genuine: every returned witness verifies
 //! via [`is_rmt_cut`](super::is_rmt_cut) / [`is_zpp_cut`](super::is_zpp_cut).
 
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 
+use rmt_adversary::AdversaryStructure;
 use rmt_graph::separators::{cut_anchors, scan_anchor, AnchorScan};
+use rmt_graph::Graph;
 use rmt_obs::{Counter, Registry};
-use rmt_sets::NodeSet;
+use rmt_sets::{NodeId, NodeSet};
 
 use crate::instance::Instance;
 use crate::knowledge::KnowledgeCache;
 
-use super::rmt_cut::{admissible_partition, exhaustive_search, RmtCutWitness, FALLBACK};
+use super::rmt_cut::{
+    admissible_partition, exhaustive_rmt_cut, exhaustive_search, RmtCutWitness, FALLBACK,
+};
 use super::zpp::{zpp_admissible_partition, zpp_cut_by_enumeration, ZppCutWitness};
 
 /// Budgets bounding the anchored search. Exceeding either one triggers the
@@ -90,11 +100,12 @@ struct Names {
     fallbacks: &'static str,
 }
 
-/// What the driver needs from one of the two anchored questions.
+/// What the anchored search needs from one of its questions.
 trait Question {
     type Witness;
     const NAMES: Names;
-    fn instance(&self) -> &Instance;
+    /// The graph searched, with its dealer and receiver.
+    fn graph(&self) -> (&Graph, NodeId, NodeId);
     /// The witness if `cut = N(b)` admits a partition for receiver
     /// component `b`.
     fn admissible(
@@ -141,8 +152,8 @@ impl Question for Rmt<'_> {
         fallbacks: "rmt_cut.exhaustive_fallbacks",
     };
 
-    fn instance(&self) -> &Instance {
-        self.inst
+    fn graph(&self) -> (&Graph, NodeId, NodeId) {
+        (self.inst.graph(), self.inst.dealer(), self.inst.receiver())
     }
 
     fn admissible(
@@ -151,21 +162,12 @@ impl Question for Rmt<'_> {
         b: &NodeSet,
         checks: Option<&Counter>,
     ) -> Option<RmtCutWitness> {
-        admissible_partition(self.inst, self.cache(), cut, b, checks).map(|(c1, c2)| {
-            RmtCutWitness {
-                cut: cut.clone(),
-                c1,
-                c2,
-                receiver_component: b.clone(),
-            }
-        })
+        admissible_partition(self.inst.adversary(), self.cache(), cut, b, checks)
     }
 
-    /// The exhaustive scan builds a cache of its own, so a fallback leaves
-    /// the memo of a caller-held cache as it found it; it records under the
-    /// `rmt_cut.fallback.*` names.
+    /// The exhaustive scan records under the `rmt_cut.fallback.*` names.
     fn exhaustive(&self, reg: Option<&Registry>) -> Option<RmtCutWitness> {
-        exhaustive_search(self.inst, reg, &FALLBACK)
+        exhaustive_rmt_cut(self.inst, reg.map(|reg| (reg, &FALLBACK)))
     }
 
     fn memo(&self) -> Option<(&KnowledgeCache, [&'static str; 2])> {
@@ -191,8 +193,8 @@ impl Question for Zpp<'_> {
         fallbacks: "zpp.exhaustive_fallbacks",
     };
 
-    fn instance(&self) -> &Instance {
-        self.inst
+    fn graph(&self) -> (&Graph, NodeId, NodeId) {
+        (self.inst.graph(), self.inst.dealer(), self.inst.receiver())
     }
 
     fn admissible(
@@ -201,11 +203,7 @@ impl Question for Zpp<'_> {
         b: &NodeSet,
         checks: Option<&Counter>,
     ) -> Option<ZppCutWitness> {
-        zpp_admissible_partition(self.inst, cut, b, checks).map(|(c1, c2)| ZppCutWitness {
-            cut: cut.clone(),
-            c1,
-            c2,
-        })
+        zpp_admissible_partition(self.inst, cut, b, checks)
     }
 
     /// The exhaustive 𝒵-pp enumeration records nothing, observed or not.
@@ -214,9 +212,70 @@ impl Question for Zpp<'_> {
     }
 }
 
-/// The anchored search behind every entry point of this module and the
-/// incremental engine: the anchors in order, until one yields a witness or
-/// overflows its budget.
+/// The most cut candidates `|V(G_M)| − 2` the adversary cover's exhaustive
+/// fallback scans (`2^22` subsets); past it the receiver abstains.
+const MAX_COVER_CANDIDATES: usize = 22;
+
+/// "Is there an adversary cover?" (Definition 6): Definition 3's RMT-cut
+/// with `C₁ = ∅`, asked of the receiver's `G_M` with the claimed views and
+/// structures of its nodes in `cache`.
+struct Cover<'a> {
+    graph: &'a Graph,
+    dealer: NodeId,
+    receiver: NodeId,
+    cache: &'a KnowledgeCache,
+    /// Set when a budget overflow met more than [`MAX_COVER_CANDIDATES`]
+    /// candidates, so no search answered.
+    gated: Cell<bool>,
+}
+
+impl Question for Cover<'_> {
+    type Witness = RmtCutWitness;
+    const NAMES: Names = Names {
+        span: "pka.cover",
+        timer: "pka.cover_ns",
+        anchors_span: "pka.cover.anchors",
+        scan_span: "pka.cover.scan",
+        separators: "pka.cover.separators_enumerated",
+        components: "pka.cover.components_enumerated",
+        checks: "pka.cover.trace_checks",
+        fallbacks: "pka.cover.exhaustive_fallbacks",
+    };
+
+    fn graph(&self) -> (&Graph, NodeId, NodeId) {
+        (self.graph, self.dealer, self.receiver)
+    }
+
+    /// Definition 3's partition search under the trivial global structure,
+    /// which leaves `C₁ = ∅`: `C ∩ V(γ(B)) ∈ 𝒵_B` over the claimed
+    /// structures.
+    fn admissible(
+        &self,
+        cut: &NodeSet,
+        b: &NodeSet,
+        checks: Option<&Counter>,
+    ) -> Option<RmtCutWitness> {
+        if let Some(checks) = checks {
+            checks.inc();
+        }
+        admissible_partition(&AdversaryStructure::trivial(), self.cache, cut, b, None)
+    }
+
+    /// The subset scan, behind the candidate gate; it records nothing.
+    fn exhaustive(&self, _reg: Option<&Registry>) -> Option<RmtCutWitness> {
+        if self.graph.nodes().len() > MAX_COVER_CANDIDATES + 2 {
+            self.gated.set(true);
+            return None;
+        }
+        exhaustive_search(self.graph, self.dealer, self.receiver, None, |c, b, _| {
+            self.admissible(c, b, None)
+        })
+    }
+}
+
+/// The anchored search behind every entry point of this module, the
+/// incremental engine and the receiver's cover: the anchors in order, until
+/// one yields a witness or overflows its budget.
 fn anchored_search<Q: Question>(
     q: &Q,
     budget: &AnchorBudget,
@@ -225,8 +284,8 @@ fn anchored_search<Q: Question>(
     let names = &Q::NAMES;
     let _span = reg.and_then(|reg| reg.phase(names.span));
     let _timer = reg.map(|reg| reg.timer(names.timer));
-    let inst = q.instance();
-    if inst.graph().has_edge(inst.dealer(), inst.receiver()) {
+    let (graph, dealer, receiver) = q.graph();
+    if graph.has_edge(dealer, receiver) {
         return None;
     }
     let fallback = || {
@@ -237,12 +296,7 @@ fn anchored_search<Q: Question>(
     };
     let anchors = {
         let _span = reg.and_then(|reg| reg.phase(names.anchors_span));
-        cut_anchors(
-            inst.graph(),
-            inst.dealer(),
-            inst.receiver(),
-            budget.max_separators,
-        )
+        cut_anchors(graph, dealer, receiver, budget.max_separators)
     };
     let Ok(anchors) = anchors else {
         return fallback();
@@ -259,9 +313,9 @@ fn anchored_search<Q: Question>(
     for anchor in &anchors {
         let mut found = None;
         let stats = scan_anchor(
-            inst.graph(),
+            graph,
             anchor,
-            inst.receiver(),
+            receiver,
             budget.max_components_per_anchor,
             |b, cut| {
                 found = q.admissible(cut, b, counters.as_ref().map(|[_, _, checks]| checks));
@@ -315,6 +369,30 @@ pub(crate) fn zpp_search(
     reg: Option<&Registry>,
 ) -> Option<ZppCutWitness> {
     anchored_search(&Zpp { inst }, budget, reg)
+}
+
+/// The receiver's adversary-cover search (Definition 6) on `G_M`, whose
+/// nodes' claimed knowledge `cache` holds, under the default
+/// [`AnchorBudget`] and recording under `pka.cover.*`: a cover, if one was
+/// found, and whether no search could answer (the anchored scan overran
+/// its budget and `G_M` has more than 22 cut candidates, too many for the
+/// subset scan).
+pub(crate) fn cover_search(
+    g_m: &Graph,
+    dealer: NodeId,
+    receiver: NodeId,
+    cache: &KnowledgeCache,
+    reg: Option<&Registry>,
+) -> (Option<RmtCutWitness>, bool) {
+    let q = Cover {
+        graph: g_m,
+        dealer,
+        receiver,
+        cache,
+        gated: Cell::new(false),
+    };
+    let cover = anchored_search(&q, &AnchorBudget::default(), reg);
+    (cover, q.gated.get())
 }
 
 /// Separator-anchored RMT-cut search with the default [`AnchorBudget`]:
@@ -390,11 +468,14 @@ pub fn zpp_cut_by_enumeration_anchored_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cuts::rmt_cut::receiver_side;
     use crate::cuts::{find_rmt_cut, is_rmt_cut, is_zpp_cut, zpp_cut_by_enumeration};
     use crate::sampling::{random_instance, random_instance_nonadjacent};
-    use rmt_adversary::AdversaryStructure;
+    use crate::Instance;
+    use rmt_adversary::{AdversaryStructure, RestrictedStructure};
     use rmt_graph::{generators, Graph, ViewKind};
     use rmt_sets::NodeSet;
+    use std::sync::Arc;
 
     fn set(ids: &[u32]) -> NodeSet {
         ids.iter().copied().collect()
@@ -407,6 +488,41 @@ mod tests {
         g.add_edge(1.into(), 3.into());
         g.add_edge(2.into(), 3.into());
         g
+    }
+
+    /// Claims for every node of `inst`: its view domain and a random
+    /// structure of two sets inside it, as a receiver might be sent.
+    fn random_claims(inst: &Instance, rng: &mut impl rand::Rng) -> KnowledgeCache {
+        KnowledgeCache::from_parts(inst.graph().nodes().iter().map(|u| {
+            let domain = inst.view_domain(u);
+            let sets = [0, 1]
+                .map(|_| -> NodeSet { domain.iter().filter(|_| rng.random_bool(0.5)).collect() });
+            let z = AdversaryStructure::from_sets(sets);
+            (u, Arc::new(RestrictedStructure::restrict(&z, domain)))
+        }))
+    }
+
+    /// The cover question on `inst`'s graph with the claims in `cache`.
+    fn cover<'a>(inst: &'a Instance, cache: &'a KnowledgeCache) -> Cover<'a> {
+        Cover {
+            graph: inst.graph(),
+            dealer: inst.dealer(),
+            receiver: inst.receiver(),
+            cache,
+            gated: Cell::new(false),
+        }
+    }
+
+    /// A cover witness is a D–R cut `C` with `C₁ = ∅`, `B` R's component of
+    /// `G ∖ C`, and `C ∩ V(γ(B))` in the claimed joint structure.
+    fn is_cover(inst: &Instance, cache: &KnowledgeCache, w: &RmtCutWitness) -> bool {
+        let Some(b) = receiver_side(inst.graph(), inst.dealer(), inst.receiver(), &w.cut) else {
+            return false;
+        };
+        w.c1.is_empty()
+            && w.c2 == w.cut
+            && b == w.receiver_component
+            && cache.joint_contains(&b, &w.cut.intersection(&cache.joint_domain(&b)))
     }
 
     #[test]
@@ -431,6 +547,8 @@ mod tests {
     #[test]
     fn anchored_witnesses_verify_on_random_instances() {
         let mut rng = generators::seeded(0xA11C);
+        let mut claims_rng = generators::seeded(0xC1A1);
+        let mut covers = 0;
         for trial in 0..40 {
             let n = 5 + trial % 4;
             let inst = random_instance(n, 0.4, ViewKind::AdHoc, 3, 2, &mut rng);
@@ -453,7 +571,22 @@ mod tests {
             if let Some(w) = anchored {
                 assert!(is_zpp_cut(&inst, &w.cut).is_some(), "trial {trial}");
             }
+            let claims = random_claims(&inst, &mut claims_rng);
+            let q = cover(&inst, &claims);
+            let anchored = anchored_search(&q, &AnchorBudget::default(), None);
+            assert_eq!(
+                q.exhaustive(None).is_some(),
+                anchored.is_some(),
+                "trial {trial}"
+            );
+            assert!(!q.gated.get());
+            if let Some(w) = anchored {
+                assert!(is_cover(&inst, &claims, &w), "trial {trial}: witness {w:?}");
+                covers += 1;
+            }
         }
+        // Both verdicts occur.
+        assert!(covers > 0 && covers < 40, "{covers}");
     }
 
     #[test]
@@ -469,10 +602,19 @@ mod tests {
             },
         ];
         let mut rng = generators::seeded(0xFA11);
+        let mut claims_rng = generators::seeded(0xC1A2);
+        let reg = Registry::new();
         for trial in 0..20 {
             let n = 5 + trial % 4;
             let inst = random_instance_nonadjacent(n, 0.35, ViewKind::AdHoc, 3, 2, &mut rng);
+            let claims = random_claims(&inst, &mut claims_rng);
+            let exhaustive_cover = cover(&inst, &claims).exhaustive(None).is_some();
             for budget in &budgets {
+                assert_eq!(
+                    anchored_search(&cover(&inst, &claims), budget, Some(&reg)).is_some(),
+                    exhaustive_cover,
+                    "trial {trial}, budget {budget:?}"
+                );
                 assert_eq!(
                     find_rmt_cut_anchored_with(&inst, budget).is_some(),
                     find_rmt_cut(&inst).is_some(),
@@ -485,6 +627,8 @@ mod tests {
                 );
             }
         }
+        // Some of the cover verdicts above came from its subset scan.
+        assert!(reg.counter("pka.cover.exhaustive_fallbacks").get() > 0);
     }
 
     #[test]

@@ -21,9 +21,12 @@
 //! [`anchored`](super::anchored) skips the non-cut bulk of that lattice and
 //! is the one to use beyond `n ≈ 16`.
 
-use rmt_graph::traversal;
+use std::cell::OnceCell;
+
+use rmt_adversary::AdversaryStructure;
+use rmt_graph::{traversal, Graph};
 use rmt_obs::{Counter, Registry};
-use rmt_sets::NodeSet;
+use rmt_sets::{NodeId, NodeSet};
 
 use crate::instance::Instance;
 use crate::knowledge::KnowledgeCache;
@@ -45,60 +48,58 @@ pub struct RmtCutWitness {
 ///
 /// Returns `None` if `c` is not a D–R cut or no admissible partition exists.
 pub fn is_rmt_cut(inst: &Instance, cache: &KnowledgeCache, c: &NodeSet) -> Option<RmtCutWitness> {
-    is_rmt_cut_counted(inst, cache, c, None)
+    let b = receiver_side(inst.graph(), inst.dealer(), inst.receiver(), c)?;
+    admissible_partition(inst.adversary(), cache, c, &b, None)
 }
 
-pub(crate) fn is_rmt_cut_counted(
-    inst: &Instance,
-    cache: &KnowledgeCache,
+/// R's component `B` of `G ∖ C`, if `C` is a D–R cut.
+pub(crate) fn receiver_side(
+    graph: &Graph,
+    dealer: NodeId,
+    receiver: NodeId,
     c: &NodeSet,
-    partition_checks: Option<&Counter>,
-) -> Option<RmtCutWitness> {
-    let (d, r) = (inst.dealer(), inst.receiver());
-    if c.contains(d) || c.contains(r) {
+) -> Option<NodeSet> {
+    if c.contains(dealer) || c.contains(receiver) {
         return None;
     }
     // Masked BFS: no per-candidate graph clone.
-    let b = traversal::component_of_avoiding(inst.graph(), r, c);
-    if b.contains(d) {
-        return None; // not a cut
-    }
-    admissible_partition(inst, cache, c, &b, partition_checks).map(|(c1, c2)| RmtCutWitness {
-        cut: c.clone(),
-        c1,
-        c2,
-        receiver_component: b,
-    })
+    let b = traversal::component_of_avoiding(graph, receiver, c);
+    (!b.contains(dealer)).then_some(b)
 }
 
 /// The Definition-3 partition search for a fixed receiver component `b`:
-/// the first maximal `T ∈ 𝒵` with `C₁ = C ∩ T`, `C₂ = C ∖ T` and
-/// `C₂ ∩ V(γ(B)) ∈ 𝒵_B`. Shared by the exhaustive decider (which derives
-/// `b` from the candidate cut) and the anchored decider (which enumerates
-/// `b` directly), so the condition cannot drift between them.
+/// the first maximal `T ∈ z` with `C₁ = C ∩ T`, `C₂ = C ∖ T` and
+/// `C₂ ∩ V(γ(B)) ∈ 𝒵_B`. Shared by [`is_rmt_cut`], the exhaustive decider
+/// (which derives `b` from the candidate cut) and the anchored questions
+/// (which enumerate `b` directly; the adversary cover passes the trivial
+/// `z`), so the condition cannot drift between them.
 pub(crate) fn admissible_partition(
-    inst: &Instance,
+    z: &AdversaryStructure,
     cache: &KnowledgeCache,
     c: &NodeSet,
     b: &NodeSet,
     partition_checks: Option<&Counter>,
-) -> Option<(NodeSet, NodeSet)> {
+) -> Option<RmtCutWitness> {
     let gamma_b = cache.joint_domain(b);
-    for t in inst.adversary().maximal_sets() {
+    let witness = |c1: NodeSet, c2: NodeSet| RmtCutWitness {
+        cut: c.clone(),
+        c1,
+        c2,
+        receiver_component: b.clone(),
+    };
+    for t in z.maximal_sets() {
         let c2 = c.difference(t);
         if let Some(counter) = partition_checks {
             counter.inc();
         }
         if cache.joint_contains(b, &c2.intersection(&gamma_b)) {
-            return Some((c.intersection(t), c2));
+            return Some(witness(c.intersection(t), c2));
         }
     }
     // The trivial structure admits C₁ = ∅ only; handled above iff the
     // antichain is non-empty. Cover the trivial case explicitly.
-    if inst.adversary().maximal_sets().is_empty()
-        && cache.joint_contains(b, &c.intersection(&gamma_b))
-    {
-        return Some((NodeSet::new(), c.clone()));
+    if z.maximal_sets().is_empty() && cache.joint_contains(b, &c.intersection(&gamma_b)) {
+        return Some(witness(NodeSet::new(), c.clone()));
     }
     None
 }
@@ -118,7 +119,7 @@ pub(crate) fn admissible_partition(
 /// assert!(cuts::find_rmt_cut(&gallery::tolerant_diamond(ViewKind::AdHoc)).is_none());
 /// ```
 pub fn find_rmt_cut(inst: &Instance) -> Option<RmtCutWitness> {
-    exhaustive_search(inst, None, &SEARCH)
+    exhaustive_rmt_cut(inst, None)
 }
 
 /// [`find_rmt_cut`] with the search effort recorded in `reg`:
@@ -130,7 +131,7 @@ pub fn find_rmt_cut(inst: &Instance) -> Option<RmtCutWitness> {
 ///
 /// plus a `rmt_cut.search` phase span when the registry carries a profiler.
 pub fn find_rmt_cut_observed(inst: &Instance, reg: &Registry) -> Option<RmtCutWitness> {
-    exhaustive_search(inst, Some(reg), &SEARCH)
+    exhaustive_rmt_cut(inst, Some((reg, &SEARCH)))
 }
 
 /// The span, timer and counter names one exhaustive search records under.
@@ -158,30 +159,57 @@ pub(crate) const FALLBACK: ScanNames = ScanNames {
     checks: "rmt_cut.fallback.partition_checks",
 };
 
-/// The exhaustive search behind [`find_rmt_cut`], [`find_rmt_cut_observed`]
-/// and (under [`FALLBACK`]'s names) the anchored deciders' budget fallback.
-pub(crate) fn exhaustive_search(
+/// The exhaustive RMT-cut search behind [`find_rmt_cut`],
+/// [`find_rmt_cut_observed`] and (under [`FALLBACK`]'s names) the anchored
+/// deciders' budget fallback. It builds a cache of its own, so a fallback
+/// leaves the memo of a caller-held cache as it found it.
+pub(crate) fn exhaustive_rmt_cut(
     inst: &Instance,
-    reg: Option<&Registry>,
-    names: &ScanNames,
+    observed: Option<(&Registry, &ScanNames)>,
 ) -> Option<RmtCutWitness> {
-    let _phase = reg.and_then(|reg| reg.phase(names.phase));
-    let _timer = reg.map(|reg| reg.timer(names.timer));
-    let candidates_examined = reg.map(|reg| reg.counter(names.candidates));
-    let partition_checks = reg.map(|reg| reg.counter(names.checks));
+    let cache = OnceCell::new();
+    exhaustive_search(
+        inst.graph(),
+        inst.dealer(),
+        inst.receiver(),
+        observed,
+        |c, b, checks| {
+            let cache = cache.get_or_init(|| KnowledgeCache::new(inst));
+            admissible_partition(inst.adversary(), cache, c, b, checks)
+        },
+    )
+}
+
+/// The one subset scan of the exhaustive cut searches: the subsets of
+/// `V ∖ {D, R}` in order, each D–R cut `C` handed with its receiver
+/// component `B` to `admissible` until that yields a witness. Serves the
+/// exhaustive RMT-cut and 𝒵-pp deciders, and through them and the
+/// receiver's adversary cover every anchored fallback
+/// ([`anchored`](super::anchored)).
+pub(crate) fn exhaustive_search<W>(
+    graph: &Graph,
+    dealer: NodeId,
+    receiver: NodeId,
+    observed: Option<(&Registry, &ScanNames)>,
+    admissible: impl Fn(&NodeSet, &NodeSet, Option<&Counter>) -> Option<W>,
+) -> Option<W> {
+    let _phase = observed.and_then(|(reg, names)| reg.phase(names.phase));
+    let _timer = observed.map(|(reg, names)| reg.timer(names.timer));
+    let candidates_examined = observed.map(|(reg, names)| reg.counter(names.candidates));
+    let partition_checks = observed.map(|(reg, names)| reg.counter(names.checks));
     // If D and R are adjacent no node cut exists at all.
-    if inst.graph().has_edge(inst.dealer(), inst.receiver()) {
+    if graph.has_edge(dealer, receiver) {
         return None;
     }
-    let cache = KnowledgeCache::new(inst);
-    let mut candidates = inst.graph().nodes().clone();
-    candidates.remove(inst.dealer());
-    candidates.remove(inst.receiver());
+    let mut candidates = graph.nodes().clone();
+    candidates.remove(dealer);
+    candidates.remove(receiver);
     candidates.subsets().find_map(|c| {
         if let Some(examined) = &candidates_examined {
             examined.inc();
         }
-        is_rmt_cut_counted(inst, &cache, &c, partition_checks.as_ref())
+        let b = receiver_side(graph, dealer, receiver, &c)?;
+        admissible(&c, &b, partition_checks.as_ref())
     })
 }
 

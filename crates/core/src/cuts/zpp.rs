@@ -21,11 +21,12 @@
 //! they test membership with [`Instance::local_contains`] (`S ⊆ V(γ(u))`
 //! and `S ∈ 𝒵`) instead of restricting all of 𝒵 to `u`'s view per check.
 
-use rmt_graph::traversal;
 use rmt_obs::{Counter, Registry};
 use rmt_sets::NodeSet;
 
 use crate::instance::Instance;
+
+use super::rmt_cut::{exhaustive_search, receiver_side};
 
 /// A witness that an RMT 𝒵-pp cut exists.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -40,20 +41,8 @@ pub struct ZppCutWitness {
 
 /// Checks whether `c` is an RMT 𝒵-pp cut, returning the partition.
 pub fn is_zpp_cut(inst: &Instance, c: &NodeSet) -> Option<ZppCutWitness> {
-    let (d, r) = (inst.dealer(), inst.receiver());
-    if c.contains(d) || c.contains(r) {
-        return None;
-    }
-    // Masked BFS: no per-candidate graph clone.
-    let b = traversal::component_of_avoiding(inst.graph(), r, c);
-    if b.contains(d) {
-        return None;
-    }
-    zpp_admissible_partition(inst, c, &b, None).map(|(c1, c2)| ZppCutWitness {
-        cut: c.clone(),
-        c1,
-        c2,
-    })
+    let b = receiver_side(inst.graph(), inst.dealer(), inst.receiver(), c)?;
+    zpp_admissible_partition(inst, c, &b, None)
 }
 
 /// The Definition-7 partition search for a fixed far-side node set `b`: the
@@ -67,12 +56,17 @@ pub(crate) fn zpp_admissible_partition(
     c: &NodeSet,
     b: &NodeSet,
     plausibility_checks: Option<&Counter>,
-) -> Option<(NodeSet, NodeSet)> {
+) -> Option<ZppCutWitness> {
     let locally_plausible = |c2: &NodeSet| {
         b.iter().all(|u| {
             let trace = inst.graph().neighbors(u).intersection(c2);
             inst.local_contains(u, &trace)
         })
+    };
+    let witness = |c1: NodeSet, c2: NodeSet| ZppCutWitness {
+        cut: c.clone(),
+        c1,
+        c2,
     };
     for t in inst.adversary().maximal_sets() {
         if let Some(counter) = plausibility_checks {
@@ -80,7 +74,7 @@ pub(crate) fn zpp_admissible_partition(
         }
         let c2 = c.difference(t);
         if locally_plausible(&c2) {
-            return Some((c.intersection(t), c2));
+            return Some(witness(c.intersection(t), c2));
         }
     }
     if inst.adversary().maximal_sets().is_empty() {
@@ -88,21 +82,19 @@ pub(crate) fn zpp_admissible_partition(
             counter.inc();
         }
         if locally_plausible(c) {
-            return Some((NodeSet::new(), c.clone()));
+            return Some(witness(NodeSet::new(), c.clone()));
         }
     }
     None
 }
 
-/// Exhaustive 𝒵-pp-cut search over all subsets of V∖{D,R}.
+/// Exhaustive 𝒵-pp-cut search over all subsets of V∖{D,R}, by the one
+/// subset scan of the exhaustive cut searches.
 pub fn zpp_cut_by_enumeration(inst: &Instance) -> Option<ZppCutWitness> {
-    if inst.graph().has_edge(inst.dealer(), inst.receiver()) {
-        return None;
-    }
-    let mut candidates = inst.graph().nodes().clone();
-    candidates.remove(inst.dealer());
-    candidates.remove(inst.receiver());
-    candidates.subsets().find_map(|c| is_zpp_cut(inst, &c))
+    let (g, d, r) = (inst.graph(), inst.dealer(), inst.receiver());
+    exhaustive_search(g, d, r, None, |c, b, _| {
+        zpp_admissible_partition(inst, c, b, None)
+    })
 }
 
 /// The worst-case Z-CPA decided set against corruption set `corrupted`:

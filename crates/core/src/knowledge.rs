@@ -20,7 +20,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 use rmt_adversary::{JointView, RestrictedStructure};
 use rmt_graph::Graph;
@@ -41,8 +41,9 @@ pub struct InvalidationStats {
 
 /// Precomputed per-node knowledge for fast joint queries.
 pub struct KnowledgeCache {
-    /// v ↦ 𝒵^{V(γ(v))}, indexed by node id.
-    parts: Vec<Option<RestrictedStructure>>,
+    /// v ↦ 𝒵^{V(γ(v))}, indexed by node id; shared, so a cache built from
+    /// parts its caller keeps copies no structure.
+    parts: Vec<Option<Arc<RestrictedStructure>>>,
     /// B ↦ V(γ(B)) memo shared by all queries on this cache.
     domains: RwLock<HashMap<NodeSet, NodeSet>>,
     /// Memo lookups answered from the map.
@@ -77,11 +78,27 @@ impl std::fmt::Debug for KnowledgeCache {
 impl KnowledgeCache {
     /// Builds the cache for an instance.
     pub fn new(inst: &Instance) -> Self {
-        let size = inst.graph().nodes().last().map_or(0, |v| v.index() + 1);
-        let mut parts = vec![None; size];
-        for v in inst.graph().nodes() {
+        KnowledgeCache::from_parts(inst.graph().nodes().iter().map(|v| {
             let domain = inst.view_domain(v);
-            parts[v.index()] = Some(RestrictedStructure::restrict(inst.adversary(), domain));
+            (
+                v,
+                Arc::new(RestrictedStructure::restrict(inst.adversary(), domain)),
+            )
+        }))
+    }
+
+    /// Builds the cache from per-node parts `(v, 𝒵_v)`, each `𝒵_v` a
+    /// structure over its view domain `V(γ(v))`: the knowledge a receiver
+    /// holds as claims, where no [`Instance`] exists.
+    pub(crate) fn from_parts(
+        knowledge: impl IntoIterator<Item = (NodeId, Arc<RestrictedStructure>)>,
+    ) -> Self {
+        let mut parts = Vec::new();
+        for (v, part) in knowledge {
+            if parts.len() <= v.index() {
+                parts.resize(v.index() + 1, None);
+            }
+            parts[v.index()] = Some(part);
         }
         KnowledgeCache {
             parts,
@@ -126,7 +143,10 @@ impl KnowledgeCache {
                 None => true,
             };
             if stale {
-                *slot = Some(RestrictedStructure::restrict(inst.adversary(), domain));
+                *slot = Some(Arc::new(RestrictedStructure::restrict(
+                    inst.adversary(),
+                    domain,
+                )));
                 changed.insert(v);
                 stats.parts_rebuilt += 1;
             }
@@ -163,7 +183,7 @@ impl KnowledgeCache {
     pub fn part(&self, v: NodeId) -> &RestrictedStructure {
         self.parts
             .get(v.index())
-            .and_then(Option::as_ref)
+            .and_then(Option::as_deref)
             .unwrap_or_else(|| panic!("no knowledge cached for {v}"))
     }
 

@@ -20,15 +20,21 @@
 //! 3. only for a full `x`, searches for an **adversary cover**
 //!    (Definition 6): a D–R cut `C` of `G_M` with `C ∩ V(γ(B)) ∈ 𝒵_B`,
 //!    where `B` is R's component of `G_M ∖ C` and `𝒵_B` is the joint of the
-//!    *claimed* structures of `B` (evaluated with the cylinder membership
-//!    test — never materialized). The cover does not depend on `x`, so
-//!    running it second changes no answer; the first full, cover-free
+//!    *claimed* structures of `B`. That is Definition 3's RMT-cut with
+//!    `C₁ = ∅`, so the anchored cut search answers it as its third question
+//!    ([`cuts::anchored`](crate::cuts::anchored)), over a
+//!    [`KnowledgeCache`] of the selection's claims (membership by the
+//!    cylinder test, never materialized). The cover does not depend on `x`,
+//!    so running it second changes no answer; the first full, cover-free
 //!    `(selection, x)` decides `x`.
 //!
-//! Everything is budgeted ([`DecisionConfig`]); exceeding a budget makes the
-//! receiver *conservative* (it abstains rather than risking an unverified
-//! decision), preserving safety unconditionally — the [`truncated`] flag
-//! records that feasibility may have been under-reported.
+//! Everything is budgeted: the selections by [`DecisionConfig`], the cover
+//! by the default [`AnchorBudget`](crate::cuts::AnchorBudget) and,
+//! past it, a 22-candidate gate on the exhaustive fallback. Exceeding a
+//! budget makes the receiver *conservative* (it abstains rather than
+//! risking an unverified decision), preserving safety unconditionally —
+//! the [`truncated`] flag records that feasibility may have been
+//! under-reported.
 //!
 //! [`truncated`]: ReceiverState::truncated
 //!
@@ -40,34 +46,30 @@ use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use rmt_adversary::AdversaryStructure;
-use rmt_graph::separators::{self, AnchorScan};
+use rmt_adversary::{AdversaryStructure, RestrictedStructure};
 use rmt_graph::{paths, traversal, Graph};
 use rmt_obs::Registry;
 use rmt_sets::{NodeId, NodeSet};
 
+use crate::cuts::anchored::cover_search;
+use crate::knowledge::KnowledgeCache;
 use crate::protocols::rmt_pka::knowledge_model_bits;
 use crate::protocols::Value;
 use crate::wire;
 
-/// Budgets for the receiver's (exponential in the worst case) decision
-/// search.
+/// The budget of the receiver's (exponential in the worst case) decision
+/// search. The cover search keeps its own fixed budgets (see
+/// [`cuts::anchored`](crate::cuts::anchored)).
 #[derive(Clone, Copy, Debug)]
 pub struct DecisionConfig {
     /// Maximum number of claim selections examined per round.
     pub max_selections: usize,
-    /// Maximum `|V_M| − 2` for the exhaustive adversary-cover search
-    /// (the search visits `2^(|V_M|−2)` subsets). It bounds only that
-    /// fallback, which runs when the anchored cover scan overruns its own
-    /// budget; past it the receiver abstains and sets `truncated`.
-    pub max_cover_candidates: usize,
 }
 
 impl Default for DecisionConfig {
     fn default() -> Self {
         DecisionConfig {
             max_selections: 256,
-            max_cover_candidates: 22,
         }
     }
 }
@@ -83,7 +85,9 @@ impl Default for DecisionConfig {
 /// [`encode`](Claim::encode) counts the [`wire::encode_claim`] bytes of its
 /// view and structure, so every later frame that carries the claim is sized
 /// without walking it again, and a claim that is never sized never counts.
-/// Its [`model_bits`](Claim::model_bits) are kept the same way.
+/// Its [`model_bits`](Claim::model_bits) are kept the same way, and so is
+/// its part of a cover search's [`KnowledgeCache`], which every selection
+/// holding the claim shares.
 #[derive(Clone)]
 pub struct Claim {
     view: Graph,
@@ -94,6 +98,8 @@ pub struct Claim {
     /// [`knowledge_model_bits`] of `view` and `structure`, counted on first
     /// use.
     model_bits: OnceLock<usize>,
+    /// `structure` over the nodes of `view`, built on first use.
+    part: OnceLock<Arc<RestrictedStructure>>,
 }
 
 impl Claim {
@@ -104,6 +110,7 @@ impl Claim {
             structure,
             wire_len: OnceLock::new(),
             model_bits: OnceLock::new(),
+            part: OnceLock::new(),
         }
     }
 
@@ -125,6 +132,16 @@ impl Claim {
         *self
             .model_bits
             .get_or_init(|| knowledge_model_bits(&self.view, &self.structure))
+    }
+
+    /// The claim as a [`KnowledgeCache`] part: the structure over the
+    /// view's nodes, built once and shared by every cover search that
+    /// reads the claim.
+    fn part(&self) -> &Arc<RestrictedStructure> {
+        self.part.get_or_init(|| {
+            let domain = self.view.nodes().clone();
+            Arc::new(RestrictedStructure::restrict(&self.structure, domain))
+        })
     }
 
     /// Writes [`wire::encode_claim`] of the view and structure as one
@@ -278,6 +295,12 @@ impl ReceiverState {
     /// |E| ≤ |T|), claim selections by a mixed-radix counter, all under the
     /// shared `max_selections` budget.
     pub fn decide(&mut self, cfg: &DecisionConfig) -> Option<Value> {
+        self.search(cfg, None)
+    }
+
+    /// [`decide`](Self::decide), with the cover searches recorded in `reg`
+    /// when one is given.
+    fn search(&mut self, cfg: &DecisionConfig, reg: Option<&Registry>) -> Option<Value> {
         if self.type1.is_empty() || !self.claims.contains_key(&self.dealer) {
             return None;
         }
@@ -311,7 +334,7 @@ impl ReceiverState {
                         .map(|(&u, &i)| (u, &*self.claims[&u][i]))
                         .collect();
                     if let Some(x) =
-                        self.examine_selection(&selection, cfg, &mut truncated, &mut covers)
+                        self.examine_selection(&selection, reg, &mut truncated, &mut covers)
                     {
                         result = Some(x);
                         break 'search;
@@ -348,6 +371,8 @@ impl ReceiverState {
     /// * `pka.decisions` — calls that returned a value;
     /// * `pka.truncations` — calls that ran into a budget and abstained
     ///   conservatively;
+    /// * `pka.cover.*` — the anchored search's counters, histogram and spans
+    ///   for each cover search (see METRICS.md);
     ///
     /// plus a `pka.decide` phase span when the registry carries a profiler.
     pub fn decide_observed(&mut self, cfg: &DecisionConfig, reg: &Registry) -> Option<Value> {
@@ -356,7 +381,7 @@ impl ReceiverState {
         let before_examined = self.selections_examined;
         let before_covers = self.covers_checked;
         let before_truncated = self.truncated;
-        let result = self.decide(cfg);
+        let result = self.search(cfg, Some(reg));
         reg.counter("pka.selections_examined")
             .add(self.selections_examined - before_examined);
         reg.counter("pka.covers_checked")
@@ -387,11 +412,14 @@ impl ReceiverState {
 
     /// Examines one claim selection: builds G_M, looks for a value whose
     /// paths make M full, and only then rejects M if an adversary cover
-    /// exists (counted in `covers`).
+    /// exists (counted in `covers`). The cover is the anchored search's
+    /// third question ([`cuts::anchored`](crate::cuts::anchored)), asked
+    /// with the selection's claimed knowledge; when no search can answer,
+    /// the receiver abstains and sets `truncated`.
     fn examine_selection(
         &self,
         selection: &[(NodeId, &Claim)],
-        cfg: &DecisionConfig,
+        reg: Option<&Registry>,
         truncated: &mut bool,
         covers: &mut u64,
     ) -> Option<Value> {
@@ -430,135 +458,19 @@ impl ReceiverState {
         let (&x, _) = *full.first()?;
 
         *covers += 1;
-        if self.has_adversary_cover(&g_m, &v_m, selection, cfg, truncated) {
-            return None;
-        }
-        Some(x)
+        // The claims of V_M, the receiver's own knowledge included.
+        let cache = KnowledgeCache::from_parts(
+            selection
+                .iter()
+                .copied()
+                .chain(std::iter::once((self.me, &*self.own)))
+                .map(|(u, claim)| (u, Arc::clone(claim.part()))),
+        );
+        // Where no search can rule a cover out, R abstains conservatively.
+        let (cover, unanswered) = cover_search(&g_m, self.dealer, self.me, &cache, reg);
+        *truncated |= unanswered;
+        (cover.is_none() && !unanswered).then_some(x)
     }
-
-    /// Search for an adversary cover of M (Definition 6).
-    ///
-    /// It tries the separator-anchored scan first (see
-    /// `rmt_core::cuts::anchored` for the charging argument): a cover exists
-    /// iff some connected `B ∋ R` of `G_M` with `D ∉ N[B]` makes `C = N(B)`
-    /// a cover, since the claimed structures are subset-closed so the cover
-    /// condition is monotone in `C` for fixed `B`. Only if the anchored scan
-    /// overruns its budget does the `2^|candidates|` subset scan run, and
-    /// `max_cover_candidates` bounds only that fallback: a selection with
-    /// more cut candidates (`|V_M| − 2`) abstains conservatively (reported
-    /// as a cover, with `truncated` set) instead of running it.
-    fn has_adversary_cover(
-        &self,
-        g_m: &Graph,
-        v_m: &NodeSet,
-        selection: &[(NodeId, &Claim)],
-        cfg: &DecisionConfig,
-        truncated: &mut bool,
-    ) -> bool {
-        if g_m.has_edge(self.dealer, self.me) {
-            return false; // no D–R cut of G_M at all
-        }
-        // Claimed knowledge per node, for the joint-structure membership.
-        let knowledge: BTreeMap<NodeId, (&Graph, &AdversaryStructure)> = selection
-            .iter()
-            .map(|(u, c)| (*u, (&c.view, &c.structure)))
-            .chain(std::iter::once((
-                self.me,
-                (&self.own.view, &self.own.structure),
-            )))
-            .collect();
-
-        if let Some(covered) = self.anchored_cover(g_m, &knowledge) {
-            return covered;
-        }
-        let mut candidates = v_m.clone();
-        candidates.remove(self.dealer);
-        candidates.remove(self.me);
-        if candidates.len() > cfg.max_cover_candidates {
-            // Cannot verify the absence of a cover: abstain conservatively.
-            *truncated = true;
-            return true;
-        }
-
-        'cuts: for c in candidates.subsets() {
-            let b = traversal::reachable_avoiding(g_m, self.me, &c);
-            if b.contains(self.dealer) {
-                continue; // not a cut of G_M
-            }
-            let trace = c.intersection(&claimed_domain(&b, &knowledge));
-            if self.trace_inadmissible(&b, &trace, &knowledge) {
-                continue 'cuts;
-            }
-            return true;
-        }
-        false
-    }
-
-    /// The anchored cover scan; `None` means a budget overflowed and the
-    /// caller must fall back to the exhaustive subset scan.
-    fn anchored_cover(
-        &self,
-        g_m: &Graph,
-        knowledge: &BTreeMap<NodeId, (&Graph, &AdversaryStructure)>,
-    ) -> Option<bool> {
-        const MAX_SEPARATORS: usize = 2048;
-        const MAX_COMPONENTS_PER_ANCHOR: u64 = 1 << 18;
-        let anchors = separators::cut_anchors(g_m, self.dealer, self.me, MAX_SEPARATORS).ok()?;
-        for anchor in &anchors {
-            let mut covered = false;
-            let stats = separators::scan_anchor(
-                g_m,
-                anchor,
-                self.me,
-                MAX_COMPONENTS_PER_ANCHOR,
-                |b, cut| {
-                    let trace = cut.intersection(&claimed_domain(b, knowledge));
-                    if !self.trace_inadmissible(b, &trace, knowledge) {
-                        covered = true;
-                        return false;
-                    }
-                    true
-                },
-            );
-            if covered {
-                return Some(true);
-            }
-            if stats.outcome == AnchorScan::BudgetExceeded {
-                return None;
-            }
-        }
-        Some(false)
-    }
-
-    /// `true` iff some node of `B` refutes the trace — the cut is then *not*
-    /// a cover; `false` means the trace is jointly admissible (cover found).
-    fn trace_inadmissible(
-        &self,
-        b: &NodeSet,
-        trace: &NodeSet,
-        knowledge: &BTreeMap<NodeId, (&Graph, &AdversaryStructure)>,
-    ) -> bool {
-        // 𝒵_B membership via the cylinder test over claimed structures.
-        b.iter().any(|u| {
-            knowledge.get(&u).is_some_and(|(view, structure)| {
-                !structure.contains(&trace.intersection(view.nodes()))
-            })
-        })
-    }
-}
-
-/// γ(B) from the claimed views of B.
-fn claimed_domain(
-    b: &NodeSet,
-    knowledge: &BTreeMap<NodeId, (&Graph, &AdversaryStructure)>,
-) -> NodeSet {
-    let mut gamma_b = NodeSet::new();
-    for u in b {
-        if let Some((view, _)) = knowledge.get(&u) {
-            gamma_b.union_with(view.nodes());
-        }
-    }
-    gamma_b
 }
 
 #[cfg(test)]
@@ -769,63 +681,50 @@ mod tests {
     fn exhausted_selection_budget_sets_truncated() {
         let (mut state, g, z) = setup(&[&[1]]);
         feed_honest(&mut state, &g, &z, 7, &NodeSet::new());
-        let cfg = DecisionConfig {
-            max_selections: 0,
-            ..DecisionConfig::default()
-        };
+        let cfg = DecisionConfig { max_selections: 0 };
         assert_eq!(state.decide(&cfg), None);
         assert!(state.truncated);
     }
 
-    #[test]
-    fn cover_budget_forces_conservative_abstention() {
-        // D = 0 and R = 1 joined by seven disjoint three-relay paths: 3^7 =
-        // 2187 minimal D–R separators overrun the anchored scan's 2048, so
-        // only the exhaustive fallback could answer, and its 21 candidates
-        // exceed the budget of 0.
+    /// D = 0 and R = 1 joined by `paths` disjoint paths of `relays` relays
+    /// each, trivial structures and ad hoc views; every node claims its
+    /// view and every path's trail carries 7.
+    fn parallel_paths(paths: u32, relays: u32) -> ReceiverState {
         let mut g = Graph::new();
-        for path in 0..7u32 {
-            let relays = [2 + 3 * path, 3 + 3 * path, 4 + 3 * path];
-            g.add_edge(0.into(), relays[0].into());
-            g.add_edge(relays[0].into(), relays[1].into());
-            g.add_edge(relays[1].into(), relays[2].into());
-            g.add_edge(relays[2].into(), 1.into());
+        let relay = |path: u32, i: u32| NodeId::new(2 + relays * path + i);
+        for path in 0..paths {
+            g.add_edge(0.into(), relay(path, 0));
+            for i in 1..relays {
+                g.add_edge(relay(path, i - 1), relay(path, i));
+            }
+            g.add_edge(relay(path, relays - 1), 1.into());
         }
         let me = NodeId::new(1);
         let view_of = |u: NodeId| ViewKind::AdHoc.view_of(&g, u);
         let mut state =
             ReceiverState::new(me, 0.into(), view_of(me), AdversaryStructure::trivial());
-        let claims: Vec<(NodeId, Claim)> = g
-            .nodes()
-            .iter()
-            .filter(|&u| u != me)
-            .map(|u| (u, Claim::new(view_of(u), AdversaryStructure::trivial())))
-            .collect();
-        let selection: Vec<(NodeId, &Claim)> = claims.iter().map(|(u, c)| (*u, c)).collect();
-        let cfg = DecisionConfig {
-            max_cover_candidates: 0,
-            ..DecisionConfig::default()
-        };
-        // Unable to verify the absence of a cover, R abstains (safely).
-        let mut truncated = false;
-        assert!(state.has_adversary_cover(&g, g.nodes(), &selection, &cfg, &mut truncated));
-        assert!(truncated);
-
-        // Through `decide`: 7 fills the full selection, which abstains and
-        // sets `truncated`. `decide` then tries smaller selections; the next
-        // one leaves out relay 2 and with it a path, and its 3^6 = 729
-        // separators are within the anchored scan's budget, so R decides on
-        // it and the flag stays set. (`decide` cannot return `None` on the
-        // gate alone: a graph big enough to overrun the anchored scan has
-        // more selections than `max_selections` admits.)
-        for (u, claim) in &claims {
-            state.ingest_claim(*u, claim.view().clone(), claim.structure().clone());
+        for u in g.nodes().iter().filter(|&u| u != me) {
+            state.ingest_claim(u, view_of(u), AdversaryStructure::trivial());
         }
-        for path in 0..7u32 {
-            let trail = [0, 2 + 3 * path, 3 + 3 * path, 4 + 3 * path].map(NodeId::new);
+        for path in 0..paths {
+            let mut trail = vec![NodeId::new(0)];
+            trail.extend((0..relays).map(|i| relay(path, i)));
             state.ingest_value(7, &trail);
         }
-        assert_eq!(state.decide(&cfg), Some(7));
+        state
+    }
+
+    #[test]
+    fn cover_budget_forces_conservative_abstention() {
+        // Eight disjoint three-relay paths: 3^8 = 6561 minimal D–R
+        // separators overrun the anchored scan's 4096, and the 24 cut
+        // candidates exceed the exhaustive fallback's gate of 22. The full
+        // selection therefore abstains and sets `truncated`. `decide` then
+        // leaves out relay 2 and with it a path: 3^7 = 2187 separators fit
+        // the budget, the anchored scan finds no cover, and R decides with
+        // the flag still set.
+        let mut state = parallel_paths(8, 3);
+        assert_eq!(state.decide(&DecisionConfig::default()), Some(7));
         assert!(state.truncated);
         assert_eq!(state.selections_examined, 2);
         assert_eq!(state.covers_checked, 2);
@@ -833,17 +732,21 @@ mod tests {
 
     #[test]
     fn cover_budget_waits_for_the_anchored_scan() {
-        // The diamond's two cut candidates exceed a budget of 0, but the
-        // anchored scan answers alone: no cover, so R decides, untruncated.
-        let (mut state, g, z) = setup(&[&[1]]);
-        feed_honest(&mut state, &g, &z, 7, &NodeSet::new());
-        let cfg = DecisionConfig {
-            max_cover_candidates: 0,
-            ..DecisionConfig::default()
-        };
-        assert_eq!(state.decide(&cfg), Some(7));
+        // Two disjoint twelve-relay paths: 24 cut candidates exceed the
+        // fallback's gate, but 12^2 = 144 separators are well within the
+        // anchored scan's budget, which answers alone: no cover, so R
+        // decides, untruncated.
+        let mut state = parallel_paths(2, 12);
+        let reg = Registry::new();
+        assert_eq!(
+            state.decide_observed(&DecisionConfig::default(), &reg),
+            Some(7)
+        );
         assert!(!state.truncated);
         assert_eq!(state.covers_checked, 1);
+        assert_eq!(reg.counter("pka.cover.separators_enumerated").get(), 144);
+        assert_eq!(reg.counter("pka.cover.exhaustive_fallbacks").get(), 0);
+        assert_eq!(reg.histogram("pka.cover_ns").count(), 1);
     }
 
     #[test]
@@ -851,7 +754,7 @@ mod tests {
         // Only D and relay 1 send claims, and the one trail arrives via
         // relay 2. The selection {D, 1} has the D–R path 0–1–3, which no
         // value holds; {D} alone has no D–R path. With no full value the
-        // cover never runs, so its zero candidate budget cannot fire.
+        // cover never runs.
         let (mut state, g, z) = setup(&[&[1]]);
         for u in [0u32, 1] {
             let view = ViewKind::AdHoc.view_of(&g, u.into());
@@ -859,14 +762,15 @@ mod tests {
             state.ingest_claim(u.into(), view, structure);
         }
         state.ingest_value(7, &[0.into(), 2.into()]);
-        let cfg = DecisionConfig {
-            max_cover_candidates: 0,
-            ..DecisionConfig::default()
-        };
-        assert_eq!(state.decide(&cfg), None);
+        let reg = Registry::new();
+        assert_eq!(
+            state.decide_observed(&DecisionConfig::default(), &reg),
+            None
+        );
         assert!(!state.truncated);
         assert_eq!(state.selections_examined, 2);
         assert_eq!(state.covers_checked, 0);
+        assert_eq!(reg.histogram("pka.cover_ns").count(), 0);
     }
 
     #[test]

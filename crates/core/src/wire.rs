@@ -19,8 +19,9 @@
 //! walking the value, a byte buffer writes the bytes and (in debug builds)
 //! checks that the cache was right. Decoders are bounds- and
 //! overflow-checked, validate every collection length against the bytes
-//! left before allocating ([`read_len`]), and return `Err` — never panic —
-//! on adversarial input.
+//! left before allocating ([`read_len`]), reject node ids from
+//! [`MAX_NODE_ID`] up, and return `Err` — never panic — on adversarial
+//! input.
 
 use rmt_adversary::AdversaryStructure;
 use rmt_graph::Graph;
@@ -114,10 +115,26 @@ pub fn read_u64(bytes: &[u8], pos: &mut usize, what: &str) -> Result<u64, String
     }
 }
 
-/// [`read_u64`] restricted to the `u32` range (node ids, indices, slots).
+/// [`read_u64`] restricted to the `u32` range (indices, slots).
 pub fn read_u32(bytes: &[u8], pos: &mut usize, what: &str) -> Result<u32, String> {
     let x = read_u64(bytes, pos, what)?;
     u32::try_from(x).map_err(|_| format!("varint out of range: {what} = {x} exceeds u32"))
+}
+
+/// The bound on a decoded node id. Graphs, node sets and knowledge caches
+/// allocate by id, so an unbounded id from the wire would make a few bytes
+/// cost memory linear in the id.
+pub const MAX_NODE_ID: u32 = 1 << 16;
+
+/// Reads one node id, rejecting any id `≥` [`MAX_NODE_ID`].
+fn read_node(bytes: &[u8], pos: &mut usize, what: &str) -> Result<NodeId, String> {
+    let x = read_u64(bytes, pos, what)?;
+    if x >= u64::from(MAX_NODE_ID) {
+        return Err(format!(
+            "node id out of range: {what} = {x} is not below {MAX_NODE_ID}"
+        ));
+    }
+    Ok(NodeId::new(x as u32))
 }
 
 /// A collection length, checked against the bytes actually left (each
@@ -156,7 +173,7 @@ pub fn decode_nodes(
     mut push: impl FnMut(NodeId),
 ) -> Result<(), String> {
     for _ in 0..read_len(bytes, pos, what, 1)? {
-        push(NodeId::new(read_u32(bytes, pos, what)?));
+        push(read_node(bytes, pos, what)?);
     }
     Ok(())
 }
@@ -181,7 +198,7 @@ pub fn decode_knowledge(
     bytes: &[u8],
     pos: &mut usize,
 ) -> Result<(NodeId, Graph, AdversaryStructure), String> {
-    let node = NodeId::new(read_u32(bytes, pos, "knowledge node")?);
+    let node = read_node(bytes, pos, "knowledge node")?;
     let view = decode_graph(bytes, pos)?;
     let structure = decode_structure(bytes, pos)?;
     Ok((node, view, structure))
@@ -204,8 +221,8 @@ fn decode_graph(bytes: &[u8], pos: &mut usize) -> Result<Graph, String> {
         g.add_node(v);
     })?;
     for _ in 0..read_len(bytes, pos, "view edge count", 2)? {
-        let u = NodeId::new(read_u32(bytes, pos, "view edge endpoint")?);
-        let v = NodeId::new(read_u32(bytes, pos, "view edge endpoint")?);
+        let u = read_node(bytes, pos, "view edge endpoint")?;
+        let v = read_node(bytes, pos, "view edge endpoint")?;
         if !g.contains_node(u) || !g.contains_node(v) {
             return Err(format!(
                 "corrupt encoding: view edge ({u}, {v}) references a node absent from the view"
@@ -300,6 +317,41 @@ mod tests {
         let mut pos = 0;
         let err = decode_knowledge(&bytes, &mut pos).expect_err("a self-loop must not decode");
         assert!(err.contains("self-loop"), "{err}");
+    }
+
+    #[test]
+    fn node_ids_past_the_bound_are_rejected_before_allocating() {
+        let below = MAX_NODE_ID - 1;
+        for (id, ok) in [
+            (below, true),
+            (MAX_NODE_ID, false),
+            (1 << 24, false),
+            (u32::MAX, false),
+        ] {
+            // Knowledge of `id`: view {id}, no edges, no sets. Without the
+            // bound, an id of 2^24 cost hundreds of MB to decode.
+            let mut bytes = Vec::new();
+            encode_knowledge(NodeId::new(id), &mut bytes, |out| {
+                encode_nodes(1, [NodeId::new(id)], out);
+                out.varint(0);
+                out.varint(0);
+            });
+            let mut pos = 0;
+            assert_eq!(decode_knowledge(&bytes, &mut pos).is_ok(), ok, "{id}");
+            // The view node alone, behind an in-range knowledge node.
+            let mut bytes = vec![0, 1];
+            bytes.varint(u64::from(id));
+            bytes.extend([0, 0]);
+            let mut pos = 0;
+            assert_eq!(decode_knowledge(&bytes, &mut pos).is_ok(), ok, "{id}");
+            // An edge endpoint.
+            let mut bytes = vec![0, 1, 0, 1, 0];
+            bytes.varint(u64::from(id));
+            bytes.push(0);
+            let mut pos = 0;
+            let err = decode_knowledge(&bytes, &mut pos).expect_err("absent endpoint");
+            assert_eq!(err.contains("out of range"), !ok, "{id}: {err}");
+        }
     }
 
     #[test]
