@@ -10,6 +10,9 @@
 //!   block RMT-PKA (Theorem 3 — no safe algorithm can decide), and the
 //!   receiver-side views must be provably identical across the coupled runs.
 //!
+//! The `pka.*` counters sum the receiver's search over every RMT-PKA run,
+//! the attack suite's and both coupled runs of each attack.
+//!
 //! A perfect diagonal is the paper's prediction.
 
 use rmt_bench::{Experiment, Table};
@@ -75,7 +78,12 @@ fn main() {
                 }
                 Some(witness) => {
                     unsolvable += 1;
-                    match run_coupled_attack(&inst, &witness, 0, 1, 1 << 14) {
+                    let attack = run_coupled_attack(&inst, &witness, 0, 1, 1 << 14);
+                    if let Ok(rep) = &attack {
+                        rep.receiver_e.record_into(exp.registry());
+                        rep.receiver_e2.record_into(exp.registry());
+                    }
+                    match attack {
                         Ok(rep)
                             if rep.blocked && rep.receiver_views_equal && !rep.safety_violation =>
                         {

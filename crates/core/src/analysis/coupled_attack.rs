@@ -27,6 +27,7 @@ use rmt_sets::NodeSet;
 use crate::cuts::RmtCutWitness;
 use crate::instance::Instance;
 use crate::knowledge::KnowledgeCache;
+use crate::protocols::pka_decision::ReceiverState;
 use crate::protocols::rmt_pka::{PkaPayload, RmtPka};
 use crate::protocols::Value;
 use rmt_sim::{CoupledRunner, Envelope};
@@ -76,6 +77,11 @@ pub struct CoupledAttackReport {
     pub delivered_e: Vec<(u32, Envelope<PkaPayload>)>,
     /// The messages delivered to R in run e′.
     pub delivered_e2: Vec<(u32, Envelope<PkaPayload>)>,
+    /// R's receiver state at the end of run e, whose search counters
+    /// [`ReceiverState::record_into`] reports.
+    pub receiver_e: ReceiverState,
+    /// R's receiver state at the end of run e′.
+    pub receiver_e2: ReceiverState,
 }
 
 /// Executes the scenario-swap attack for an RMT-cut witness.
@@ -152,6 +158,12 @@ where
     .run_observed(obs_e, obs_e2);
 
     let r = inst.receiver();
+    // R lies outside the cut, so it is honest in both runs.
+    let receiver = |node: Option<&RmtPka>| {
+        node.and_then(RmtPka::receiver_state)
+            .expect("the receiver is honest in both runs")
+            .clone()
+    };
     let decision_e = outcome.decision_e(r);
     let decision_e2 = outcome.decision_e2(r);
     Ok(CoupledAttackReport {
@@ -165,6 +177,8 @@ where
         rounds: outcome.rounds,
         delivered_e: outcome.delivered_e(r).to_vec(),
         delivered_e2: outcome.delivered_e2(r).to_vec(),
+        receiver_e: receiver(outcome.protocol_e(r)),
+        receiver_e2: receiver(outcome.protocol_e2(r)),
     })
 }
 

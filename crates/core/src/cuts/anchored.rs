@@ -19,8 +19,8 @@
 //!    visits every candidate exactly once, with no cross-anchor
 //!    deduplication ([`rmt_graph::separators::scan_anchor`]).
 //! 3. **Everything is allocation-light.** Component extraction is masked
-//!    BFS (no graph clones) and the [`KnowledgeCache`] memoizes
-//!    `V(γ(B))` per component bitset.
+//!    BFS (no graph clones), and each partition check is the
+//!    [`KnowledgeCache`]'s cylinder test over the per-node parts.
 //!
 //! The searches are **budgeted**: if the separator enumeration or a
 //! per-anchor component scan exceeds [`AnchorBudget`], the decider falls
@@ -116,11 +116,6 @@ trait Question {
     ) -> Option<Self::Witness>;
     /// The exhaustive decider a budget overflow falls back to.
     fn exhaustive(&self, reg: Option<&Registry>) -> Option<Self::Witness>;
-    /// The knowledge cache whose memo statistics an observed search
-    /// reports, with the two counter names (hits, misses).
-    fn memo(&self) -> Option<(&KnowledgeCache, [&'static str; 2])> {
-        None
-    }
 }
 
 /// "Is there an RMT-cut?" (Definition 3).
@@ -168,10 +163,6 @@ impl Question for Rmt<'_> {
     /// The exhaustive scan records under the `rmt_cut.fallback.*` names.
     fn exhaustive(&self, reg: Option<&Registry>) -> Option<RmtCutWitness> {
         exhaustive_rmt_cut(self.inst, reg.map(|reg| (reg, &FALLBACK)))
-    }
-
-    fn memo(&self) -> Option<(&KnowledgeCache, [&'static str; 2])> {
-        Some((self.cache(), ["rmt_cut.cache_hits", "rmt_cut.cache_misses"]))
     }
 }
 
@@ -302,10 +293,6 @@ fn anchored_search<Q: Question>(
         return fallback();
     };
     let _scan = reg.and_then(|reg| reg.phase(names.scan_span));
-    // Per-call memo delta: the incremental engine's cache lives across calls.
-    let memo = reg
-        .and_then(|_| q.memo())
-        .map(|(cache, counters)| (cache, counters, cache.memo_hits(), cache.memo_misses()));
     let counters = reg.map(|reg| {
         [names.separators, names.components, names.checks].map(|name| reg.counter(name))
     });
@@ -334,10 +321,6 @@ fn anchored_search<Q: Question>(
         if outcome.is_some() {
             break;
         }
-    }
-    if let (Some(reg), Some((cache, [hits, misses], hits0, misses0))) = (reg, memo) {
-        reg.counter(hits).add(cache.memo_hits() - hits0);
-        reg.counter(misses).add(cache.memo_misses() - misses0);
     }
     match outcome {
         Some(AnchorOutcome::Witness(w)) => Some(w),
@@ -428,8 +411,6 @@ pub fn find_rmt_cut_anchored_with(inst: &Instance, budget: &AnchorBudget) -> Opt
 ///   the anchor scans;
 /// * `rmt_cut.partition_checks` — `(C₁, C₂)` partitions the anchored scan
 ///   tested against 𝒵_B (same meaning as the exhaustive decider's);
-/// * `rmt_cut.cache_hits` / `rmt_cut.cache_misses` — lookups in the
-///   [`KnowledgeCache`] joint-domain memo during this call;
 /// * `rmt_cut.exhaustive_fallbacks` — budget overflows that re-ran the
 ///   exhaustive decider, which then records the counters of
 ///   [`find_rmt_cut_observed`](super::find_rmt_cut_observed) under
@@ -651,7 +632,7 @@ mod tests {
         }
         assert!(reg.counter("rmt_cut.separators_enumerated").get() > 0);
         assert!(reg.counter("rmt_cut.components_enumerated").get() > 0);
-        assert!(reg.counter("rmt_cut.cache_misses").get() > 0);
+        assert!(reg.counter("rmt_cut.partition_checks").get() > 0);
         assert!(reg.counter("zpp.separators_enumerated").get() > 0);
         assert_eq!(reg.histogram("rmt_cut.anchored_ns").count(), 12);
     }

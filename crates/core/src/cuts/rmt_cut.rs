@@ -161,8 +161,8 @@ pub(crate) const FALLBACK: ScanNames = ScanNames {
 
 /// The exhaustive RMT-cut search behind [`find_rmt_cut`],
 /// [`find_rmt_cut_observed`] and (under [`FALLBACK`]'s names) the anchored
-/// deciders' budget fallback. It builds a cache of its own, so a fallback
-/// leaves the memo of a caller-held cache as it found it.
+/// deciders' budget fallback. It builds a cache of its own, on the first
+/// D–R cut it meets.
 pub(crate) fn exhaustive_rmt_cut(
     inst: &Instance,
     observed: Option<(&Registry, &ScanNames)>,

@@ -57,8 +57,6 @@ pub enum Delta {
 pub struct ApplyStats {
     /// Per-node knowledge parts rebuilt by the cache refresh.
     pub parts_rebuilt: u64,
-    /// Joint-domain memo entries dropped by the cache refresh.
-    pub domains_dropped: u64,
     /// `true` iff the delta forced a full rebuild (structure change).
     pub full_rebuild: bool,
 }
@@ -141,9 +139,9 @@ impl IncrementalEngine {
     }
 
     /// [`IncrementalEngine::apply`] with the invalidation recorded in `reg`:
-    /// `cache.invalidate.parts`, `cache.invalidate.domains`,
-    /// `cache.invalidate.full`. All values are pure functions of the delta
-    /// stream, so they are deterministic across runs and thread counts.
+    /// `cache.invalidate.parts` and `cache.invalidate.full`. Both are pure
+    /// functions of the delta stream, so they are deterministic across runs
+    /// and thread counts.
     pub fn apply_observed(
         &mut self,
         delta: Delta,
@@ -184,21 +182,18 @@ impl IncrementalEngine {
             // it — the dominant apply cost on large structures.
             None => self.inst.with_graph(graph, self.views)?,
         };
-        let cache = if full_rebuild {
+        let parts_rebuilt = if full_rebuild {
             self.cache.rebuild(&self.inst)
         } else {
-            self.cache.refresh(&self.inst).1
+            self.cache.refresh(&self.inst)
         };
         let stats = ApplyStats {
-            parts_rebuilt: cache.parts_rebuilt,
-            domains_dropped: cache.domains_dropped,
+            parts_rebuilt,
             full_rebuild,
         };
         if let Some(reg) = reg {
             reg.counter("cache.invalidate.parts")
                 .add(stats.parts_rebuilt);
-            reg.counter("cache.invalidate.domains")
-                .add(stats.domains_dropped);
             reg.counter("cache.invalidate.full")
                 .add(stats.full_rebuild as u64);
         }
@@ -214,8 +209,7 @@ impl IncrementalEngine {
 
     /// [`IncrementalEngine::decide_rmt`] recording the counters and spans of
     /// [`find_rmt_cut_anchored_observed`](crate::cuts::find_rmt_cut_anchored_observed)
-    /// in `reg`; `rmt_cut.cache_hits` / `rmt_cut.cache_misses` count this
-    /// call's lookups in the engine's long-lived memo.
+    /// in `reg`.
     pub fn decide_rmt_observed(&mut self, reg: &Registry) -> Option<RmtCutWitness> {
         rmt_search(&self.inst, Some(&self.cache), &self.budget, Some(reg))
     }
@@ -330,28 +324,6 @@ mod tests {
         let (mut twin, _) = engine_and_mirror();
         twin.apply(Delta::AddEdge(2.into(), 6.into())).unwrap();
         assert_eq!(twin.decide_rmt(), observed);
-    }
-
-    #[test]
-    fn memo_counters_are_a_per_call_delta() {
-        let lookups = |reg: &Registry| {
-            reg.counter("rmt_cut.cache_hits").get() + reg.counter("rmt_cut.cache_misses").get()
-        };
-        let (mut once, _) = engine_and_mirror();
-        let one = Registry::new();
-        once.decide_rmt_observed(&one);
-        assert!(lookups(&one) > 0);
-
-        let (mut twice, _) = engine_and_mirror();
-        let two = Registry::new();
-        twice.decide_rmt_observed(&two);
-        twice.decide_rmt_observed(&two);
-        assert_eq!(lookups(&two), 2 * lookups(&one));
-        // The memo outlives the call: the repeat is answered from it.
-        assert_eq!(
-            two.counter("rmt_cut.cache_misses").get(),
-            one.counter("rmt_cut.cache_misses").get()
-        );
     }
 
     #[test]

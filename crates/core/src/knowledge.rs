@@ -5,74 +5,27 @@
 //! structure once and answers joint-membership queries with the cylinder
 //! characterization (see `rmt-adversary`), avoiding any antichain blow-up.
 //!
-//! Since many candidate cuts induce the *same* receiver component `B`, the
-//! cache additionally memoizes the joint domain `V(γ(B))` keyed on `B`'s
-//! bitset: [`KnowledgeCache::joint_domain`] (and through it
-//! [`KnowledgeCache::joint_contains`]) consults the memo first. The memo is
-//! semantics-neutral shared state behind an `RwLock` — concurrent readers
-//! never block each other after warm-up — and its effectiveness is reported
-//! through [`KnowledgeCache::memo_hits`] / [`KnowledgeCache::memo_misses`].
-//! One-worker observed anchored searches surface the per-call change of
-//! these totals as the `rmt_cut.cache_hits` / `rmt_cut.cache_misses`
-//! counters; a delta, because the
+//! The cache holds only these per-node parts and unions the joint domain
+//! `V(γ(B))` from them on every query: a per-component memo of it answered
+//! 99 % of its lookups on E17 and the `churn` benchmark, yet saved no time.
+//! The
 //! [`IncrementalEngine`](crate::engine::IncrementalEngine) keeps one cache
-//! (refreshed per mutation, see [`KnowledgeCache::refresh`]) across calls.
+//! across mutations and refreshes only the parts a delta touches
+//! ([`KnowledgeCache::refresh`]).
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use rmt_adversary::{JointView, RestrictedStructure};
-use rmt_graph::Graph;
 use rmt_sets::{NodeId, NodeSet};
 
 use crate::instance::Instance;
 
-/// What one [`KnowledgeCache::refresh`] (or full rebuild) invalidated.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct InvalidationStats {
-    /// Per-node restricted structures rebuilt because their view domain
-    /// changed (or the node was new).
-    pub parts_rebuilt: u64,
-    /// Joint-domain memo entries dropped because they touched a changed
-    /// node.
-    pub domains_dropped: u64,
-}
-
 /// Precomputed per-node knowledge for fast joint queries.
+#[derive(Clone, Debug)]
 pub struct KnowledgeCache {
     /// v ↦ 𝒵^{V(γ(v))}, indexed by node id; shared, so a cache built from
     /// parts its caller keeps copies no structure.
     parts: Vec<Option<Arc<RestrictedStructure>>>,
-    /// B ↦ V(γ(B)) memo shared by all queries on this cache.
-    domains: RwLock<HashMap<NodeSet, NodeSet>>,
-    /// Memo lookups answered from the map.
-    hits: AtomicU64,
-    /// Memo lookups that had to compute (and then inserted).
-    misses: AtomicU64,
-}
-
-impl Clone for KnowledgeCache {
-    fn clone(&self) -> Self {
-        KnowledgeCache {
-            parts: self.parts.clone(),
-            domains: RwLock::new(self.domains.read().expect("domain memo lock").clone()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-}
-
-impl std::fmt::Debug for KnowledgeCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KnowledgeCache")
-            .field("parts", &self.parts)
-            .field(
-                "memoized_domains",
-                &self.domains.read().expect("domain memo lock").len(),
-            )
-            .finish()
-    }
 }
 
 impl KnowledgeCache {
@@ -100,12 +53,7 @@ impl KnowledgeCache {
             }
             parts[v.index()] = Some(part);
         }
-        KnowledgeCache {
-            parts,
-            domains: RwLock::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+        KnowledgeCache { parts }
     }
 
     /// Reconciles the cache with `inst` after a topology mutation,
@@ -114,27 +62,22 @@ impl KnowledgeCache {
     /// For every node of `inst`, the cached part is kept iff its domain
     /// still equals the node's current view domain — valid because
     /// `𝒵^{V(γ(v))}` is a pure function of the (unchanged) global structure
-    /// and that domain. Joint-domain memo entries are dropped iff their key
-    /// intersects a changed node, for the same reason. Nodes removed from
-    /// the graph lose their parts.
+    /// and that domain. Nodes removed from the graph lose their parts.
     ///
-    /// Returns the set of nodes whose knowledge changed (rebuilt, added, or
-    /// removed) plus invalidation statistics. **Precondition:** the global
-    /// adversary structure of `inst` is the one this cache was built from;
-    /// after a structure change call [`KnowledgeCache::rebuild`] instead.
-    pub fn refresh(&mut self, inst: &Instance) -> (NodeSet, InvalidationStats) {
+    /// Returns the number of parts rebuilt (added nodes included).
+    /// **Precondition:** the global adversary structure of `inst` is the one
+    /// this cache was built from; after a structure change call
+    /// [`KnowledgeCache::rebuild`] instead.
+    pub fn refresh(&mut self, inst: &Instance) -> u64 {
         let size = inst.graph().nodes().last().map_or(0, |v| v.index() + 1);
         if self.parts.len() < size {
             self.parts.resize(size, None);
         }
-        let mut changed = NodeSet::new();
-        let mut stats = InvalidationStats::default();
+        let mut rebuilt = 0;
         for (index, slot) in self.parts.iter_mut().enumerate() {
             let v = NodeId::new(index as u32);
             if !inst.graph().nodes().contains(v) {
-                if slot.take().is_some() {
-                    changed.insert(v);
-                }
+                *slot = None;
                 continue;
             }
             let domain = inst.view_domain(v);
@@ -147,32 +90,18 @@ impl KnowledgeCache {
                     inst.adversary(),
                     domain,
                 )));
-                changed.insert(v);
-                stats.parts_rebuilt += 1;
+                rebuilt += 1;
             }
         }
-        if !changed.is_empty() {
-            let mut memo = self.domains.write().expect("domain memo lock");
-            let before = memo.len();
-            memo.retain(|b, _| b.is_disjoint(&changed));
-            stats.domains_dropped = (before - memo.len()) as u64;
-        }
-        (changed, stats)
+        rebuilt
     }
 
-    /// Rebuilds every part and empties the memo — the refresh path for
-    /// adversary-structure changes, where no cached knowledge survives.
-    /// Returns the same statistics shape as [`KnowledgeCache::refresh`].
-    pub fn rebuild(&mut self, inst: &Instance) -> InvalidationStats {
-        let dropped = self.domains.read().expect("domain memo lock").len() as u64;
-        let rebuilt = KnowledgeCache::new(inst);
-        let stats = InvalidationStats {
-            parts_rebuilt: inst.graph().nodes().len() as u64,
-            domains_dropped: dropped,
-        };
-        self.parts = rebuilt.parts;
-        *self.domains.write().expect("domain memo lock") = HashMap::new();
-        stats
+    /// Rebuilds every part — the refresh path for adversary-structure
+    /// changes, where no cached knowledge survives. Returns the number of
+    /// parts rebuilt.
+    pub fn rebuild(&mut self, inst: &Instance) -> u64 {
+        *self = KnowledgeCache::new(inst);
+        inst.graph().nodes().len() as u64
     }
 
     /// The restricted structure 𝒵^{V(γ(v))} of one player.
@@ -187,42 +116,28 @@ impl KnowledgeCache {
             .unwrap_or_else(|| panic!("no knowledge cached for {v}"))
     }
 
-    /// The domain V(γ(B)) = ∪_{v∈B} V(γ(v)), memoized on `B`'s bitset.
+    /// The domain V(γ(B)) = ∪_{v∈B} V(γ(v)).
     pub fn joint_domain(&self, b: &NodeSet) -> NodeSet {
-        if let Some(domain) = self.domains.read().expect("domain memo lock").get(b) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return domain.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let mut out = NodeSet::new();
         for v in b {
             out.union_with(self.part(v).domain());
         }
-        self.domains
-            .write()
-            .expect("domain memo lock")
-            .insert(b.clone(), out.clone());
         out
     }
 
-    /// Memo lookups served from the component-keyed domain memo.
-    pub fn memo_hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Memo lookups that computed the domain fresh.
-    pub fn memo_misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
     /// Membership in 𝒵_B = ⊕_{v∈B} 𝒵^{V(γ(v))}, via the cylinder test:
-    /// `set ⊆ V(γ(B))` and `set ∩ V(γ(v)) ∈ 𝒵_v` for every `v ∈ B`.
+    /// `set ⊆ V(γ(B))` and `set ∩ V(γ(v)) ∈ 𝒵_v` for every `v ∈ B`, in one
+    /// pass over `B`.
     pub fn joint_contains(&self, b: &NodeSet, set: &NodeSet) -> bool {
-        set.is_subset(&self.joint_domain(b))
-            && b.iter().all(|v| {
-                let p = self.part(v);
-                p.contains(&set.intersection(p.domain()))
-            })
+        let mut outside = set.clone();
+        for v in b {
+            let p = self.part(v);
+            if !p.contains(&set.intersection(p.domain())) {
+                return false;
+            }
+            outside.difference_with(p.domain());
+        }
+        outside.is_empty()
     }
 
     /// Materializes 𝒵_B as a [`JointView`] (for callers needing the antichain
@@ -230,17 +145,13 @@ impl KnowledgeCache {
     pub fn joint_view(&self, b: &NodeSet) -> JointView {
         b.iter().map(|v| self.part(v).clone()).collect()
     }
-
-    /// The joint *topology* view γ(B) for the same node set, from the
-    /// instance's assignment.
-    pub fn joint_graph(inst: &Instance, b: &NodeSet) -> Graph {
-        inst.views().joint_view(b)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampling::random_instance;
+    use rand::Rng;
     use rmt_graph::{generators, ViewKind};
 
     fn set(ids: &[u32]) -> NodeSet {
@@ -261,20 +172,43 @@ mod tests {
         assert_eq!(cache.joint_domain(&set(&[1, 2])), set(&[0, 1, 2, 3]));
     }
 
+    /// The one-pass cylinder test against the materialized join, on the
+    /// 6-cycle and on seeded random instances under ad hoc and radius-2
+    /// views: several `B` per instance (∅ and all nodes among them), and
+    /// every subset of the node set as a candidate, so candidates that
+    /// escape `V(γ(B))` are tested too.
     #[test]
     fn joint_contains_matches_materialized_join() {
-        let inst = instance();
-        let cache = KnowledgeCache::new(&inst);
-        let b = set(&[1, 2, 4]);
-        let view = cache.joint_view(&b);
-        let materialized = view.materialize();
-        for cand in cache.joint_domain(&b).subsets() {
-            assert_eq!(
-                cache.joint_contains(&b, &cand),
-                materialized.contains(&cand),
-                "{cand}"
-            );
+        let mut rng = generators::seeded(0x10C7);
+        let mut cases = vec![(instance(), vec![set(&[1, 2, 4])])];
+        for trial in 0..12 {
+            let views = [ViewKind::AdHoc, ViewKind::Radius(2)][trial % 2];
+            let inst = random_instance(5 + trial % 4, 0.4, views, 3, 2, &mut rng);
+            let nodes = inst.graph().nodes().clone();
+            let mut bs = vec![NodeSet::new(), nodes.clone()];
+            for _ in 0..4 {
+                bs.push(nodes.iter().filter(|_| rng.random_bool(0.4)).collect());
+            }
+            cases.push((inst, bs));
         }
+        let mut escaping = 0;
+        for (inst, bs) in &cases {
+            let cache = KnowledgeCache::new(inst);
+            for b in bs {
+                let materialized = cache.joint_view(b).materialize();
+                let domain = cache.joint_domain(b);
+                assert_eq!(materialized.domain(), &domain, "B = {b}");
+                for cand in inst.graph().nodes().subsets() {
+                    escaping += u32::from(!cand.is_subset(&domain));
+                    assert_eq!(
+                        cache.joint_contains(b, &cand),
+                        materialized.contains(&cand),
+                        "B = {b}, candidate {cand}"
+                    );
+                }
+            }
+        }
+        assert!(escaping > 0);
     }
 
     #[test]
@@ -304,9 +238,8 @@ mod tests {
     fn refresh_rebuilds_only_touched_parts() {
         let inst = instance();
         let mut cache = KnowledgeCache::new(&inst);
-        let _ = cache.joint_domain(&set(&[0, 1])); // touches the delta
-        let _ = cache.joint_domain(&set(&[4, 5])); // does not
-                                                   // Add the chord 0–3: under AdHoc views only 0 and 3 see new domains.
+        let before = cache.clone();
+        // Add the chord 0–3: under AdHoc views only 0 and 3 see new domains.
         let mut g = inst.graph().clone();
         g.add_edge(0.into(), 3.into());
         let inst2 = Instance::new(
@@ -317,29 +250,22 @@ mod tests {
             3.into(),
         )
         .unwrap();
-        let (changed, stats) = cache.refresh(&inst2);
-        assert_eq!(changed, set(&[0, 3]));
-        assert_eq!(stats.parts_rebuilt, 2);
-        assert_eq!(stats.domains_dropped, 1); // {0,1} out, {4,5} kept
+        assert_eq!(cache.refresh(&inst2), 2);
         let fresh = KnowledgeCache::new(&inst2);
         for v in inst2.graph().nodes() {
             assert_eq!(cache.part(v), fresh.part(v), "{v}");
-            assert_eq!(
-                cache.joint_domain(&NodeSet::singleton(v)),
-                fresh.joint_domain(&NodeSet::singleton(v))
-            );
+            // Untouched parts are the very structures built before.
+            let kept = std::ptr::eq(cache.part(v), before.part(v));
+            assert_eq!(kept, !set(&[0, 3]).contains(v), "{v}");
         }
         // A refresh against an unchanged instance is a no-op.
-        let (changed, stats) = cache.refresh(&inst2);
-        assert!(changed.is_empty());
-        assert_eq!(stats, InvalidationStats::default());
+        assert_eq!(cache.refresh(&inst2), 0);
     }
 
     #[test]
     fn rebuild_matches_a_fresh_cache() {
         let inst = instance();
         let mut cache = KnowledgeCache::new(&inst);
-        let _ = cache.joint_domain(&set(&[1, 2]));
         let z2 = rmt_adversary::threshold(inst.graph().nodes(), 1);
         let inst2 = Instance::new(
             inst.graph().clone(),
@@ -349,34 +275,10 @@ mod tests {
             3.into(),
         )
         .unwrap();
-        let stats = cache.rebuild(&inst2);
-        assert_eq!(stats.parts_rebuilt, 6);
-        assert_eq!(stats.domains_dropped, 1);
+        assert_eq!(cache.rebuild(&inst2), 6);
         let fresh = KnowledgeCache::new(&inst2);
         for v in inst2.graph().nodes() {
             assert_eq!(cache.part(v), fresh.part(v), "{v}");
         }
-    }
-
-    #[test]
-    fn domain_memo_hits_on_repeats_and_stays_correct() {
-        let inst = instance();
-        let cache = KnowledgeCache::new(&inst);
-        let fresh = KnowledgeCache::new(&inst);
-        for b in [set(&[1, 2]), set(&[2, 4]), set(&[1, 2]), set(&[1, 2])] {
-            // Memoized answers equal a never-memoizing baseline's.
-            let mut expected = NodeSet::new();
-            for v in &b {
-                expected.union_with(fresh.part(v).domain());
-            }
-            assert_eq!(cache.joint_domain(&b), expected);
-        }
-        assert_eq!(cache.memo_misses(), 2);
-        assert_eq!(cache.memo_hits(), 2);
-        // Cloning keeps the memo content but resets the statistics.
-        let cloned = cache.clone();
-        assert_eq!(cloned.memo_hits(), 0);
-        assert_eq!(cloned.joint_domain(&set(&[1, 2])), set(&[0, 1, 2, 3]));
-        assert_eq!(cloned.memo_hits(), 1);
     }
 }

@@ -70,5 +70,5 @@ pub mod wire;
 
 pub use engine::{ApplyStats, Delta, IncrementalEngine};
 pub use instance::{Instance, InstanceError};
-pub use knowledge::{InvalidationStats, KnowledgeCache};
+pub use knowledge::KnowledgeCache;
 pub use protocols::Value;

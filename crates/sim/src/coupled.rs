@@ -352,10 +352,26 @@ impl<Q: Protocol> CoupledOutcome<Q> {
     }
 
     fn decision(&self, world: World, v: NodeId) -> Option<Q::Decision> {
+        self.protocol(world, v)?.decision()
+    }
+
+    /// Honest node `v`'s protocol instance at the end of run e (`None` if
+    /// `v ∈ C₁`).
+    pub fn protocol_e(&self, v: NodeId) -> Option<&Q> {
+        self.protocol(World::E, v)
+    }
+
+    /// Honest node `v`'s protocol instance at the end of run e′ (`None` if
+    /// `v ∈ C₂`).
+    pub fn protocol_e2(&self, v: NodeId) -> Option<&Q> {
+        self.protocol(World::E2, v)
+    }
+
+    fn protocol(&self, world: World, v: NodeId) -> Option<&Q> {
         if self.corrupted[world as usize].contains(v) {
             return None;
         }
-        self.run.protocol(v)?.inst[world as usize].decision()
+        Some(&self.run.protocol(v)?.inst[world as usize])
     }
 
     /// Messages delivered to `v` in run e, as `(round, envelope)`.
