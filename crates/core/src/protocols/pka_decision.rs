@@ -5,10 +5,11 @@
 //! The receiver accumulates type-1 messages (value + propagation trail) and
 //! type-2 messages (a node's claimed view γ(u) and local structure 𝒵_u).
 //! Corrupted nodes can inject *conflicting* claims about the same node and
-//! entirely fictitious nodes, so a candidate valid set M corresponds to a
-//! *selection*: one claim per claimed node (conflicts arise only through
-//! corrupted trails, so honest information always survives as one of the
-//! options). For each selection the engine
+//! entirely fictitious nodes, so a candidate valid set M corresponds to an
+//! *exclusion set* E of claiming nodes left out of M and a *selection*: one
+//! claim per kept node (conflicts arise only through corrupted trails, so
+//! honest information always survives as one of the options). For each
+//! pair the engine
 //!
 //! 1. builds `G_M` — the subgraph induced by the joint claimed view on the
 //!    claiming node set `V_M` (plus the receiver's own knowledge);
@@ -28,12 +29,22 @@
 //!    so running it second changes no answer; the first full, cover-free
 //!    `(selection, x)` decides `x`.
 //!
-//! Everything is budgeted: the selections by [`DecisionConfig`], the cover
-//! by the default [`AnchorBudget`](crate::cuts::AnchorBudget) and,
-//! past it, a 22-candidate gate on the exhaustive fallback. Exceeding a
-//! budget makes the receiver *conservative* (it abstains rather than
-//! risking an unverified decision), preserving safety unconditionally —
-//! the [`truncated`] flag records that feasibility may have been
+//! Which exclusion sets are examined follows from a monotonicity lemma
+//! (DESIGN.md §3.3): with the kept nodes' claims fixed, growing E only
+//! shrinks `G_M`, and a cover of `G_M` minus the newly excluded nodes
+//! stays a cover. So a set that disconnects D from R or has a cover is
+//! pruned with all its supersets, and a set that no value fills is
+//! refined only by excluding a node that can remove a missing path. The
+//! search is a depth-first hitting-set tree over exclusion sets, rooted at
+//! each selection of the whole claim pool.
+//!
+//! Everything is budgeted: the examined (exclusion set, selection) pairs
+//! by [`DecisionConfig`], the cover by the default
+//! [`AnchorBudget`](crate::cuts::AnchorBudget) and, past it, a
+//! 22-candidate gate on the exhaustive fallback. Exceeding a budget makes
+//! the receiver *conservative* (it abstains rather than risking an
+//! unverified decision), preserving safety unconditionally — the
+//! [`truncated`] flag records that feasibility may have been
 //! under-reported.
 //!
 //! [`truncated`]: ReceiverState::truncated
@@ -62,7 +73,8 @@ use crate::wire;
 /// [`cuts::anchored`](crate::cuts::anchored)).
 #[derive(Clone, Copy, Debug)]
 pub struct DecisionConfig {
-    /// Maximum number of claim selections examined per round.
+    /// Maximum number of (exclusion set, claim selection) pairs examined
+    /// per round.
     pub max_selections: usize,
 }
 
@@ -197,7 +209,8 @@ pub struct ReceiverState {
     /// Claims dropped as self-inconsistent (structure escaping the view, or
     /// view not containing the node).
     pub malformed_claims: u64,
-    /// Claim selections examined across all [`ReceiverState::decide`] calls.
+    /// (Exclusion set, claim selection) pairs examined across all
+    /// [`ReceiverState::decide`] calls.
     pub selections_examined: u64,
     /// Adversary-cover searches run across all [`ReceiverState::decide`]
     /// calls: one per selection that some value fills.
@@ -289,11 +302,17 @@ impl ReceiverState {
     /// A candidate M is determined by (a) an *exclusion set* E of claiming
     /// nodes whose type-2 messages are left out of M — necessary because a
     /// corrupted node may report honest knowledge while lying about values,
-    /// so the honest full set omits it — and (b) one claim per remaining
-    /// node with conflicting claims. Exclusion sets are enumerated in
-    /// increasing size (the honest run needs E = ∅, an attacked run
-    /// |E| ≤ |T|), claim selections by a mixed-radix counter, all under the
-    /// shared `max_selections` budget.
+    /// so the honest full set omits it — and (b) one claim per kept node.
+    /// Each claim selection with nothing excluded (in mixed-radix order)
+    /// roots a depth-first search over exclusion sets, in the manner of
+    /// Reiter's hitting-set tree: each examined set is pruned when no
+    /// superset can decide, decides, or names the nodes one of which every
+    /// deciding superset excludes, and the search descends into each of
+    /// them, smallest id first. A visited set keyed by (exclusion set, kept
+    /// nodes' claims) examines no pair twice, and every examined pair
+    /// counts against `max_selections`. DESIGN.md §3.3 proves that the
+    /// search decides whenever some full, cover-free M exists, so only a
+    /// budget can make it miss one.
     pub fn decide(&mut self, cfg: &DecisionConfig) -> Option<Value> {
         self.search(cfg, None)
     }
@@ -304,53 +323,54 @@ impl ReceiverState {
         if self.type1.is_empty() || !self.claims.contains_key(&self.dealer) {
             return None;
         }
-        let all_nodes: Vec<NodeId> = self.claims.keys().copied().collect();
-        let mut excludable: NodeSet = all_nodes.iter().copied().collect();
-        excludable.remove(self.dealer); // D must be in V_M for paths to exist
+        let claimed: Vec<(NodeId, &[Arc<Claim>])> = self
+            .claims
+            .iter()
+            .map(|(&u, c)| (u, c.as_slice()))
+            .collect();
 
         let mut truncated = false;
         let mut examined = 0usize;
         let mut covers = 0u64;
         let mut result = None;
-
-        'search: for k in 0..=excludable.len() {
-            for excluded in excludable.combinations(k) {
-                let nodes: Vec<NodeId> = all_nodes
-                    .iter()
-                    .copied()
-                    .filter(|u| !excluded.contains(*u))
-                    .collect();
-                let radices: Vec<usize> = nodes.iter().map(|u| self.claims[u].len()).collect();
-                let mut counter = vec![0usize; nodes.len()];
-                loop {
-                    if examined >= cfg.max_selections {
-                        truncated = true;
-                        break 'search;
-                    }
-                    examined += 1;
-                    let selection: Vec<(NodeId, &Claim)> = nodes
-                        .iter()
-                        .zip(&counter)
-                        .map(|(&u, &i)| (u, &*self.claims[&u][i]))
-                        .collect();
-                    if let Some(x) =
-                        self.examine_selection(&selection, reg, &mut truncated, &mut covers)
-                    {
-                        result = Some(x);
-                        break 'search;
-                    }
-                    // Advance the mixed-radix counter; done when it wraps.
-                    let mut wrapped = true;
-                    for (digit, &radix) in counter.iter_mut().zip(&radices) {
-                        *digit += 1;
-                        if *digit < radix {
-                            wrapped = false;
-                            break;
+        // A search node: each claimed node's claim index, `None` where the
+        // node is excluded. Roots come from a mixed-radix counter over the
+        // claims, the first one when the stack runs dry.
+        let mut next_root = Some(vec![Some(0usize); claimed.len()]);
+        let mut stack: Vec<Vec<Option<usize>>> = Vec::new();
+        let mut visited: HashSet<Vec<Option<usize>>> = HashSet::new();
+        while let Some(choice) = stack.pop().or_else(|| {
+            let root = next_root.take()?;
+            next_root = next_selection(&root, &claimed);
+            Some(root)
+        }) {
+            if examined >= cfg.max_selections {
+                truncated = true;
+                break;
+            }
+            examined += 1;
+            let selection: Vec<(NodeId, &Claim)> = claimed
+                .iter()
+                .zip(&choice)
+                .filter_map(|(&(u, claims), i)| Some((u, &*claims[(*i)?])))
+                .collect();
+            match self.examine_selection(&selection, reg, &mut truncated, &mut covers) {
+                Outcome::Prune => {}
+                Outcome::Decide(x) => {
+                    result = Some(x);
+                    break;
+                }
+                Outcome::Branch(nodes) => {
+                    // Pushed largest id first, so the smallest is examined
+                    // next. A root has no exclusion, so no child is a root.
+                    for (i, &(u, _)) in claimed.iter().enumerate().rev() {
+                        if choice[i].is_some() && nodes.contains(u) {
+                            let mut child = choice.clone();
+                            child[i] = None;
+                            if visited.insert(child.clone()) {
+                                stack.push(child);
+                            }
                         }
-                        *digit = 0;
-                    }
-                    if wrapped {
-                        break;
                     }
                 }
             }
@@ -365,7 +385,8 @@ impl ReceiverState {
     ///
     /// * `pka.decide_ns` — wall time per call (histogram, stamped by the
     ///   registry's clock);
-    /// * `pka.selections_examined` — claim selections examined;
+    /// * `pka.selections_examined` — (exclusion set, claim selection) pairs
+    ///   examined;
     /// * `pka.covers_checked` — adversary-cover searches run (one per
     ///   selection that some value fills);
     /// * `pka.decisions` — calls that returned a value;
@@ -410,26 +431,35 @@ impl ReceiverState {
             .add(u64::from(self.truncated));
     }
 
-    /// Examines one claim selection: builds G_M, looks for a value whose
-    /// paths make M full, and only then rejects M if an adversary cover
-    /// exists (counted in `covers`). The cover is the anchored search's
-    /// third question ([`cuts::anchored`](crate::cuts::anchored)), asked
-    /// with the selection's claimed knowledge; when no search can answer,
-    /// the receiver abstains and sets `truncated`.
+    /// Examines one claim selection, the kept nodes' claims of an
+    /// exclusion set E, and says what the search does with E:
+    ///
+    /// * [`Outcome::Prune`] when D and R are disconnected in G_M, or a full
+    ///   value is covered: no superset of E decides (DESIGN.md §3.3);
+    /// * [`Outcome::Decide`] when the first full value has no cover;
+    /// * [`Outcome::Branch`] when no value is full: for each value's first
+    ///   missing D–R path, its interior nodes and, per edge that an
+    ///   excludable node alone could remove, one of the kept nodes that
+    ///   report it — every superset of E that kills the path excludes one
+    ///   of them;
+    /// * [`Outcome::Branch`] on every kept node but D, with `truncated` set,
+    ///   when no cover search can answer.
+    ///
+    /// The cover is the anchored search's third question
+    /// ([`cuts::anchored`](crate::cuts::anchored)), asked with the
+    /// selection's claimed knowledge and only for a full value (counted in
+    /// `covers`).
     fn examine_selection(
         &self,
         selection: &[(NodeId, &Claim)],
         reg: Option<&Registry>,
         truncated: &mut bool,
         covers: &mut u64,
-    ) -> Option<Value> {
+    ) -> Outcome {
         // V_M: the claiming nodes plus the receiver itself (whose knowledge
         // R holds locally).
         let mut v_m: NodeSet = selection.iter().map(|(u, _)| *u).collect();
         v_m.insert(self.me);
-        if !v_m.contains(self.dealer) {
-            return None;
-        }
 
         // γ(V_M) and the induced G_M.
         let mut joint = self.own.view.clone();
@@ -437,25 +467,29 @@ impl ReceiverState {
             joint.union_with(&claim.view);
         }
         let g_m = joint.induced(&v_m);
-        if !g_m.contains_node(self.dealer) || !g_m.contains_node(self.me) {
-            return None;
-        }
-
-        // No D–R path in G_M: nothing to be full, no decision.
-        if !traversal::reachable(&g_m, self.dealer).contains(self.me) {
-            return None;
+        if !g_m.contains_node(self.dealer)
+            || !g_m.contains_node(self.me)
+            || !traversal::reachable(&g_m, self.dealer).contains(self.me)
+        {
+            return Outcome::Prune;
         }
 
         // Fullness: every D–R path of G_M must have arrived carrying x. The
-        // walk drops each value missing a path and stops once none is left.
+        // walk drops each value missing a path, collecting the nodes that
+        // could remove that path, and stops once no value is left.
         let mut full: Vec<_> = self.type1.iter().collect();
-        if !paths::every_simple_path(&g_m, self.dealer, self.me, |path| {
+        let mut branch = NodeSet::new();
+        paths::every_simple_path(&g_m, self.dealer, self.me, |path| {
+            let before = full.len();
             full.retain(|(_, received)| received.contains(path));
+            if full.len() < before {
+                self.path_killers(path, selection, &mut branch);
+            }
             !full.is_empty()
-        }) {
-            return None;
-        }
-        let (&x, _) = *full.first()?;
+        });
+        let Some(&(&x, _)) = full.first() else {
+            return Outcome::Branch(branch);
+        };
 
         *covers += 1;
         // The claims of V_M, the receiver's own knowledge included.
@@ -466,11 +500,75 @@ impl ReceiverState {
                 .chain(std::iter::once((self.me, &*self.own)))
                 .map(|(u, claim)| (u, Arc::clone(claim.part()))),
         );
-        // Where no search can rule a cover out, R abstains conservatively.
-        let (cover, unanswered) = cover_search(&g_m, self.dealer, self.me, &cache, reg);
-        *truncated |= unanswered;
-        (cover.is_none() && !unanswered).then_some(x)
+        match cover_search(&g_m, self.dealer, self.me, &cache, reg) {
+            (_, true) => {
+                // No search can rule a cover out: R abstains here, and a
+                // superset may still decide.
+                *truncated = true;
+                let mut kept = v_m;
+                kept.remove(self.dealer);
+                kept.remove(self.me);
+                Outcome::Branch(kept)
+            }
+            (Some(_), false) => Outcome::Prune,
+            (None, false) => Outcome::Decide(x),
+        }
     }
+
+    /// Adds to `branch` nodes of `selection` one of which every exclusion
+    /// set that removes the D–R path `path` from G_M leaves out: the path's
+    /// interior nodes, and for each edge that neither R's own view nor D's
+    /// claim reports, one kept node reporting it unless `branch` already
+    /// holds one (an edge leaves G_M only when all its reporters do).
+    fn path_killers(&self, path: &[NodeId], selection: &[(NodeId, &Claim)], branch: &mut NodeSet) {
+        branch.extend(path[1..path.len() - 1].iter().copied());
+        for edge in path.windows(2) {
+            let (a, b) = (edge[0], edge[1]);
+            if self.own.view.has_edge(a, b) {
+                continue;
+            }
+            let reporters: Vec<NodeId> = selection
+                .iter()
+                .filter(|(_, claim)| claim.view.has_edge(a, b))
+                .map(|&(u, _)| u)
+                .collect();
+            if reporters
+                .iter()
+                .all(|&u| u != self.dealer && !branch.contains(u))
+            {
+                branch.extend(reporters.first().copied());
+            }
+        }
+    }
+}
+
+/// What the receiver's search does with one exclusion set
+/// ([`ReceiverState::examine_selection`]).
+enum Outcome {
+    /// No superset of the set can decide.
+    Prune,
+    /// The set's message set is full for this value and has no cover.
+    Decide(Value),
+    /// Every superset that can decide excludes one of these nodes.
+    Branch(NodeSet),
+}
+
+/// The claim selection after `choice` in mixed-radix order (the first
+/// node's claim changing fastest), or `None` after the last.
+fn next_selection(
+    choice: &[Option<usize>],
+    claimed: &[(NodeId, &[Arc<Claim>])],
+) -> Option<Vec<Option<usize>>> {
+    let mut next = choice.to_vec();
+    for (digit, (_, claims)) in next.iter_mut().zip(claimed) {
+        let i = digit.map_or(0, |i| i + 1);
+        if i < claims.len() {
+            *digit = Some(i);
+            return Some(next);
+        }
+        *digit = Some(0);
+    }
+    None
 }
 
 #[cfg(test)]
@@ -690,6 +788,11 @@ mod tests {
     /// each, trivial structures and ad hoc views; every node claims its
     /// view and every path's trail carries 7.
     fn parallel_paths(paths: u32, relays: u32) -> ReceiverState {
+        parallel_paths_withholding(paths, relays, None)
+    }
+
+    /// [`parallel_paths`] without the trail of path `withheld`.
+    fn parallel_paths_withholding(paths: u32, relays: u32, withheld: Option<u32>) -> ReceiverState {
         let mut g = Graph::new();
         let relay = |path: u32, i: u32| NodeId::new(2 + relays * path + i);
         for path in 0..paths {
@@ -706,7 +809,7 @@ mod tests {
         for u in g.nodes().iter().filter(|&u| u != me) {
             state.ingest_claim(u, view_of(u), AdversaryStructure::trivial());
         }
-        for path in 0..paths {
+        for path in (0..paths).filter(|&path| Some(path) != withheld) {
             let mut trail = vec![NodeId::new(0)];
             trail.extend((0..relays).map(|i| relay(path, i)));
             state.ingest_value(7, &trail);
@@ -747,6 +850,59 @@ mod tests {
         assert_eq!(reg.counter("pka.cover.separators_enumerated").get(), 144);
         assert_eq!(reg.counter("pka.cover.exhaustive_fallbacks").get(), 0);
         assert_eq!(reg.histogram("pka.cover_ns").count(), 1);
+    }
+
+    #[test]
+    fn a_withheld_trail_excludes_only_its_own_path() {
+        // Four disjoint three-relay paths, the trail of path 2 missing. The
+        // empty exclusion misses that path, and only its relays can remove
+        // it, so the search branches on them alone: its first relay is
+        // examined next, the set is full and (trivial structures) has no
+        // cover.
+        let relays = 3;
+        let mut state = parallel_paths_withholding(4, relays, Some(2));
+        assert_eq!(state.decide(&DecisionConfig::default()), Some(7));
+        assert!(!state.truncated);
+        assert!(state.selections_examined <= u64::from(relays) + 1);
+        assert_eq!(state.covers_checked, 1);
+    }
+
+    #[test]
+    fn an_edge_reported_only_by_an_excludable_node_is_a_branch() {
+        // G: 0–1–2–3 and 0–4–3 with D = 0, R = 3, 𝒵 = {{2}, {4}}; both
+        // trails carry 7. A fictitious node 5 claims the edge 1–3, which
+        // adds the D–R path 0–1–3 that no trail holds. Leaving out relay 1
+        // removes that path but leaves the cover {4} (B = {2, 3}); leaving
+        // out 5, the only node reporting 1–3, leaves both real paths and no
+        // cover, so R decides on the third set examined.
+        let mut g = Graph::new();
+        for (a, b) in [(0, 1), (1, 2), (2, 3), (0, 4), (4, 3)] {
+            g.add_edge(NodeId::new(a), NodeId::new(b));
+        }
+        let z = AdversaryStructure::from_sets([set(&[2]), set(&[4])]);
+        let me = NodeId::new(3);
+        let view_of = |u: NodeId| ViewKind::AdHoc.view_of(&g, u);
+        let mut state = ReceiverState::new(
+            me,
+            0.into(),
+            view_of(me),
+            z.restrict_sets(view_of(me).nodes()),
+        );
+        for u in [0u32, 1, 2, 4] {
+            let view = view_of(u.into());
+            let structure = z.restrict_sets(view.nodes());
+            state.ingest_claim(u.into(), view, structure);
+        }
+        let mut liar = Graph::new();
+        liar.add_node(5.into());
+        liar.add_edge(1.into(), 3.into());
+        state.ingest_claim(5.into(), liar, AdversaryStructure::trivial());
+        state.ingest_value(7, &[0.into(), 1.into(), 2.into()]);
+        state.ingest_value(7, &[0.into(), 4.into()]);
+        assert_eq!(state.decide(&DecisionConfig::default()), Some(7));
+        assert!(!state.truncated);
+        assert_eq!(state.selections_examined, 3);
+        assert_eq!(state.covers_checked, 2);
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! membership lazily; the reference enumerates subsets directly and folds
 //! the join explicitly.
 
+use proptest::prelude::*;
 use rmt_adversary::{AdversaryStructure, JointView, RestrictedStructure};
 use rmt_core::protocols::attacks::{pka_adversary, PKA_ATTACKS};
+use rmt_core::protocols::pka_decision::{DecisionConfig, ReceiverState};
 use rmt_core::protocols::rmt_pka::{PkaPayload, RmtPka};
 use rmt_core::sampling::random_instance_nonadjacent;
 use rmt_core::Instance;
@@ -218,4 +220,79 @@ fn engine_matches_the_literal_semantics_under_attacks() {
         }
     }
     assert!(compared > 20, "enough comparisons ran: {compared}");
+}
+
+/// The engine's verdict on one pool, from a fresh receiver: `None` when the
+/// search ran into a budget (it may then abstain where the reference
+/// decides).
+fn engine_decide(
+    inst: &Instance,
+    type1: &[(u64, Vec<NodeId>)],
+    claims: &[Claim],
+) -> Option<Option<u64>> {
+    let me = inst.receiver();
+    let mut state = ReceiverState::new(
+        me,
+        inst.dealer(),
+        inst.view(me).clone(),
+        inst.local_structure(me),
+    );
+    for (x, path) in type1 {
+        state.ingest_value(*x, &path[..path.len() - 1]);
+    }
+    for c in claims {
+        state.ingest_claim(c.node, c.view.clone(), c.structure.clone());
+    }
+    let decided = state.decide(&DecisionConfig::default());
+    (!state.truncated).then_some(decided)
+}
+
+proptest! {
+    /// The receiver's exclusion-set search against the literal rule on
+    /// every pool R held during an attacked run: each round prefix of its
+    /// deliveries, and that prefix with one claim removed. Radius views
+    /// report edges between other nodes, which leave G_M only when every
+    /// node reporting them is excluded.
+    #[test]
+    fn search_matches_the_literal_semantics_on_every_round_prefix(
+        seed in any::<u64>(),
+        n in 5usize..=7,
+        views in 0usize..3,
+        removed in any::<usize>(),
+    ) {
+        let mut rng = rmt_graph::generators::seeded(seed);
+        let views = [ViewKind::AdHoc, ViewKind::Radius(1), ViewKind::Radius(2)][views];
+        let inst = random_instance_nonadjacent(n, 0.5, views, 2, 2, &mut rng);
+        let cells = PKA_ATTACKS
+            .iter()
+            .flat_map(|&a| inst.worst_case_corruptions().into_iter().map(move |t| (a, t)));
+        for (attack, t) in cells {
+            let adv = pka_adversary(&inst, 7, t.clone(), attack, seed);
+            let out = Runner::new(inst.graph().clone(), |v| RmtPka::node(&inst, v, 7), adv)
+                .watch(NodeSet::singleton(inst.receiver()))
+                .run();
+            let log = out.delivered_to(inst.receiver());
+            let mut rounds: Vec<u32> = log.iter().map(|(r, _)| *r).collect();
+            rounds.dedup();
+            for round in rounds {
+                let prefix = &log[..log.partition_point(|(r, _)| *r <= round)];
+                let (type1, claims) = collect_pools(&inst, prefix);
+                let mut pools = vec![claims.clone()];
+                if !claims.is_empty() {
+                    let mut fewer = claims;
+                    fewer.remove(removed % fewer.len());
+                    pools.push(fewer);
+                }
+                for claims in pools.iter().filter(|c| c.len() <= 12) {
+                    if let Some(engine) = engine_decide(&inst, &type1, claims) {
+                        prop_assert_eq!(
+                            engine,
+                            reference_decide(&inst, &type1, claims),
+                            "attack {}, T = {}, round {}: {:?}", attack, t, round, inst
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

@@ -65,7 +65,8 @@ pub struct ReceiverStats {
     pub decide_cache_hits: u64,
     /// Decide calls actually executed (group representatives).
     pub decide_cache_misses: u64,
-    /// Claim selections examined, summed over all slots.
+    /// (Exclusion set, claim selection) pairs examined, summed over all
+    /// slots.
     pub selections_examined: u64,
     /// Adversary-cover searches run, summed over all slots.
     pub covers_checked: u64,

@@ -1,8 +1,6 @@
-//! Long-running randomized consistency sweeps, ignored by default.
-//!
-//! Run with `cargo test --release --test stress -- --ignored` for a deeper
-//! soak than the default suite: thousands of instances through the
-//! characterization/protocol equivalences and the safety property.
+//! Randomized consistency sweeps: a thousand random instances through the
+//! characterization/protocol equivalences and the safety property, RMT-PKA's
+//! receiver search included (about 0.5 s in release, 5 s in debug).
 
 use rmt::core::analysis::{pka_attack_suite, zcpa_attack_suite};
 use rmt::core::cuts::{find_rmt_cut, zcpa_resilient, zpp_cut_by_enumeration, zpp_cut_by_fixpoint};
@@ -11,7 +9,6 @@ use rmt::core::sampling::random_instance_nonadjacent;
 use rmt::graph::{generators, ViewKind};
 
 #[test]
-#[ignore = "soak test: ~minutes; run with --ignored"]
 fn soak_zpp_decider_equivalence() {
     let mut rng = generators::seeded(0x50AC);
     for trial in 0..600 {
@@ -31,7 +28,6 @@ fn soak_zpp_decider_equivalence() {
 }
 
 #[test]
-#[ignore = "soak test: ~minutes; run with --ignored"]
 fn soak_pka_safety_and_resilience() {
     let mut rng = generators::seeded(0x50AD);
     for trial in 0..60 {
@@ -47,7 +43,6 @@ fn soak_pka_safety_and_resilience() {
 }
 
 #[test]
-#[ignore = "soak test: ~minutes; run with --ignored"]
 fn soak_zcpa_characterization() {
     let mut rng = generators::seeded(0x50AE);
     for trial in 0..400 {
