@@ -140,9 +140,30 @@ impl AdversaryStructure {
     /// The restriction `𝒵^A = { Z ∩ A | Z ∈ 𝒵 }` as a plain structure.
     ///
     /// Because the family is downward closed, intersecting each maximal set
-    /// with `A` and re-pruning yields exactly the restriction.
+    /// with `A` and re-pruning yields exactly the restriction. When `A` is
+    /// itself a member, every trace `M ∩ A` lies inside it, so the answer is
+    /// `{A}` without looking at the traces. Otherwise each trace is formed in
+    /// one reused scratch set and copied only if no kept trace contains it.
+    /// The result equals the [`from_sets`](Self::from_sets) fold over the
+    /// traces.
     pub fn restrict_sets(&self, domain: &NodeSet) -> AdversaryStructure {
-        AdversaryStructure::from_sets(self.max_sets.iter().map(|m| m.intersection(domain)))
+        if self.contains(domain) {
+            return AdversaryStructure::from_sets([domain.clone()]);
+        }
+        let mut kept: Vec<NodeSet> = Vec::new();
+        let mut trace = NodeSet::new();
+        for m in &self.max_sets {
+            trace.clear();
+            trace.union_with(m);
+            trace.intersect_with(domain);
+            if trace.is_empty() || kept.iter().any(|k| trace.is_subset(k)) {
+                continue;
+            }
+            kept.retain(|k| !k.is_subset(&trace));
+            kept.push(trace.clone());
+        }
+        kept.sort_unstable();
+        AdversaryStructure::from_sorted_antichain(kept)
     }
 
     /// The family with the nodes of `removed` taken out of every member:

@@ -2,8 +2,8 @@
 //! (semilattice laws, maximality) and Corollary 2, checked against brute
 //! force on random structures over small domains. The antichain the
 //! structures are built on is itself checked against a brute-force oracle:
-//! insertion scripts, `from_sets`, membership and `without_nodes` over a
-//! 9-node universe.
+//! insertion scripts, `from_sets`, membership, `restrict_sets` and
+//! `without_nodes` over a 9-node universe.
 
 use proptest::prelude::*;
 use rmt_adversary::{AdversaryStructure, JointView, RestrictedStructure};
@@ -191,6 +191,41 @@ proptest! {
         prop_assert_eq!(z.maximal_sets(), brute_maximal(&script).as_slice());
         prop_assert_eq!(&AdversaryStructure::from_sets(script.iter().rev().cloned()), &z);
         prop_assert!(z.invariant_holds());
+    }
+
+    /// `restrict_sets` equals the `from_sets` fold over the traces `M ∩ A`
+    /// — same sets, same order — for a domain drawn as one of: any set over
+    /// a universe larger than the support, ∅, a member of 𝒵, the support
+    /// plus more nodes, and a set disjoint from the support.
+    #[test]
+    fn restrict_sets_equals_the_from_sets_fold(
+        script in oracle_sets(16),
+        kind in 0usize..5,
+        pick in any::<usize>(),
+        mask in proptest::collection::btree_set(0u32..ORACLE_UNIVERSE + 3, 0..=8),
+    ) {
+        let z = AdversaryStructure::from_sets(script);
+        let mask: NodeSet = mask.into_iter().collect();
+        let support = z.support();
+        let domain = match kind {
+            0 => mask,
+            1 => NodeSet::new(),
+            2 => match z.maximal_sets() {
+                [] => NodeSet::new(),
+                sets => sets[pick % sets.len()].intersection(&mask),
+            },
+            3 => support.union(&mask),
+            _ => mask.difference(&support),
+        };
+        let fold = AdversaryStructure::from_sets(
+            z.maximal_sets().iter().map(|m| m.intersection(&domain)),
+        );
+        let fast = z.restrict_sets(&domain);
+        prop_assert_eq!(fast.maximal_sets(), fold.maximal_sets());
+        prop_assert!(fast.invariant_holds());
+        if kind == 2 {
+            prop_assert!(z.contains(&domain));
+        }
     }
 
     /// `contains` agrees with the brute-force down-closure on every subset

@@ -16,12 +16,17 @@
 //!    minimized fixtures into the corpus that `cargo test` replays forever.
 //!
 //! The whole run is deterministic for a fixed seed: same candidates, same
-//! violations, byte-identical artifact modulo the `wall` timing field.
+//! violations, byte-identical artifact modulo its timing fields (`wall`
+//! and the `evaluations` row's time and rate). That row counts the
+//! protocol runs of both parts — frontier runs, hunt candidates and shrink
+//! steps — and their rate per second of wall time.
 //!
 //! Flags: `--json` (write `BENCH_E14.json`), `--smoke` (reduced budgets for
 //! CI), `--promote DIR` (write corpus fixtures).
 
-use rmt_bench::{parallel_map, Experiment, Table};
+use std::time::Instant;
+
+use rmt_bench::{fmt_duration, parallel_map, Experiment, Table};
 use rmt_core::cuts::find_rmt_cut;
 use rmt_core::protocols::attacks::{PkaAttack, ZcpaAttack};
 use rmt_graph::ViewKind;
@@ -107,6 +112,8 @@ fn main() {
             "suppressed",
         ],
     );
+    let evaluating = Instant::now();
+    let mut frontier_runs = 0u64;
     let mut total_wrong = 0u64;
     let mut frontier_rows: Vec<Json> = Vec::new();
     for behaviour in [
@@ -129,6 +136,7 @@ fn main() {
                 (report.verdict, report.faults.suppressed)
             });
             let runs = outcomes.len();
+            frontier_runs += runs as u64;
             let wrong = outcomes.iter().filter(|o| o.0 == Verdict::Wrong).count();
             let decided = outcomes.iter().filter(|o| o.0 == Verdict::Safe).count();
             let stalled = outcomes.iter().filter(|o| o.0 == Verdict::Stalled).count();
@@ -255,6 +263,34 @@ fn main() {
     }
     hunts.print();
     exp.record_table(&hunts);
+
+    let counter = |name: &'static str| exp.registry().counter(name).get();
+    let evaluations =
+        frontier_runs + counter("hunt.candidates_executed") + counter("hunt.shrink_steps");
+    let elapsed = evaluating.elapsed();
+    let per_s = evaluations as f64 / elapsed.as_secs_f64();
+    println!(
+        "E14: {evaluations} protocol runs in {} ({per_s:.1} runs/s)",
+        fmt_duration(elapsed)
+    );
+    exp.record(Json::obj([
+        ("kind", Json::from("evaluations")),
+        ("evaluations", Json::Int(evaluations as i64)),
+        (
+            "time",
+            Json::obj([
+                ("ns", Json::Int(elapsed.as_nanos() as i64)),
+                ("human", Json::from(fmt_duration(elapsed).as_str())),
+            ]),
+        ),
+        (
+            "per second",
+            Json::obj([
+                ("ratio", Json::Num(per_s)),
+                ("human", Json::from(format!("{per_s:.1}/s").as_str())),
+            ]),
+        ),
+    ]));
     if promote_dir.is_some() {
         exp.param("promoted", promoted as i64);
     }

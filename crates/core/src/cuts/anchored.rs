@@ -18,14 +18,18 @@
 //!    of `S`'s receiver-side region whose neighbourhood contains `S`
 //!    visits every candidate exactly once, with no cross-anchor
 //!    deduplication ([`rmt_graph::separators::scan_anchor`]).
-//! 3. **Everything is allocation-light.** Component extraction is masked
-//!    BFS (no graph clones), and each partition check is the
-//!    [`KnowledgeCache`]'s cylinder test over the per-node parts.
+//! 3. **Anchors are scanned as they are generated.** The separator BFS
+//!    ([`rmt_graph::separators::for_each_minimal_separator`]) hands each
+//!    anchor to the scan as soon as it exists and stops at the first
+//!    witness, so the separators after it are never generated. Each
+//!    partition check is the [`KnowledgeCache`]'s cylinder test over the
+//!    per-node parts.
 //!
-//! The searches are **budgeted**: if the separator enumeration or a
-//! per-anchor component scan exceeds [`AnchorBudget`], the decider falls
-//! back to the exhaustive scan — so the verdict is exact in every case,
-//! and the exhaustive deciders remain the differential ground truth (see
+//! The searches are **budgeted** by [`AnchorBudget`]: generating more than
+//! `max_separators` separators, or a per-anchor component scan past
+//! `max_components_per_anchor`, sends the decider to the exhaustive scan —
+//! so the verdict is exact in every case, and the exhaustive deciders
+//! remain the differential ground truth (see
 //! `crates/core/tests/anchored_differential.rs`).
 //!
 //! One private search, `anchored_search`, runs three questions — the
@@ -34,20 +38,22 @@
 //! *claimed* views and structures) — for every entry point: plain, `_with`
 //! budget, `_observed`, the
 //! [`IncrementalEngine`](crate::engine::IncrementalEngine) and the
-//! receiver's decision. It enumerates the anchors, scans them in order on
-//! the calling thread until one yields a witness or overflows its budget,
-//! and applies the exhaustive fallback. Every fallback runs the one subset
-//! scan of [`rmt_cut`](super::rmt_cut); the cover's runs only up to 22 cut
-//! candidates, past which the receiver abstains.
+//! receiver's decision. It scans the anchors on the calling thread in the
+//! order the separator BFS generates them, until one yields a witness or a
+//! budget overflows, and then applies the exhaustive fallback. Every
+//! fallback runs the one subset scan of [`rmt_cut`](super::rmt_cut); the
+//! cover's runs only up to 22 cut candidates, past which the receiver
+//! abstains.
 //!
 //! Witnesses may differ from the exhaustive deciders' (the search order
 //! differs), but they are always genuine: every returned witness verifies
 //! via [`is_rmt_cut`](super::is_rmt_cut) / [`is_zpp_cut`](super::is_zpp_cut).
 
 use std::cell::{Cell, OnceCell};
+use std::ops::ControlFlow;
 
 use rmt_adversary::AdversaryStructure;
-use rmt_graph::separators::{cut_anchors, scan_anchor, AnchorScan};
+use rmt_graph::separators::{for_each_minimal_separator, scan_anchor, AnchorScan, CutAnchor};
 use rmt_graph::Graph;
 use rmt_obs::{Counter, Registry};
 use rmt_sets::{NodeId, NodeSet};
@@ -63,9 +69,15 @@ use super::zpp::{zpp_admissible_partition, zpp_cut_by_enumeration, ZppCutWitness
 /// Budgets bounding the anchored search. Exceeding either one triggers the
 /// exact exhaustive fallback (counted as `*.exhaustive_fallbacks`), so the
 /// budgets trade speed, never correctness.
+///
+/// Anchors are scanned as they are generated, so `max_separators` bounds
+/// the separators *generated*, not the separators that exist: a witness
+/// found at one of the first `max_separators` anchors is returned even if
+/// more separators exist, and generating separator `max_separators + 1`
+/// falls back.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AnchorBudget {
-    /// Maximum number of minimal D–R separators to enumerate.
+    /// Maximum number of minimal D–R separators to generate (and scan).
     pub max_separators: usize,
     /// Maximum connected subsets emitted per anchor scan.
     pub max_components_per_anchor: u64,
@@ -80,11 +92,11 @@ impl Default for AnchorBudget {
     }
 }
 
-/// How scanning one anchor ended, when it did not simply run dry (`None`).
+/// Why the anchored scan stopped before its anchors ran out.
 enum AnchorOutcome<W> {
-    /// A witness was found at this anchor.
+    /// A witness was found at the current anchor.
     Witness(W),
-    /// The per-anchor component budget ran out.
+    /// The current anchor's component budget ran out.
     Overflow,
 }
 
@@ -92,7 +104,6 @@ enum AnchorOutcome<W> {
 struct Names {
     span: &'static str,
     timer: &'static str,
-    anchors_span: &'static str,
     scan_span: &'static str,
     separators: &'static str,
     components: &'static str,
@@ -139,7 +150,6 @@ impl Question for Rmt<'_> {
     const NAMES: Names = Names {
         span: "rmt_cut.anchored",
         timer: "rmt_cut.anchored_ns",
-        anchors_span: "rmt_cut.anchored.anchors",
         scan_span: "rmt_cut.anchored.scan",
         separators: "rmt_cut.separators_enumerated",
         components: "rmt_cut.components_enumerated",
@@ -176,7 +186,6 @@ impl Question for Zpp<'_> {
     const NAMES: Names = Names {
         span: "zpp.anchored",
         timer: "zpp.anchored_ns",
-        anchors_span: "zpp.anchored.anchors",
         scan_span: "zpp.anchored.scan",
         separators: "zpp.separators_enumerated",
         components: "zpp.components_enumerated",
@@ -225,7 +234,6 @@ impl Question for Cover<'_> {
     const NAMES: Names = Names {
         span: "pka.cover",
         timer: "pka.cover_ns",
-        anchors_span: "pka.cover.anchors",
         scan_span: "pka.cover.scan",
         separators: "pka.cover.separators_enumerated",
         components: "pka.cover.components_enumerated",
@@ -265,8 +273,9 @@ impl Question for Cover<'_> {
 }
 
 /// The anchored search behind every entry point of this module, the
-/// incremental engine and the receiver's cover: the anchors in order, until
-/// one yields a witness or overflows its budget.
+/// incremental engine and the receiver's cover: each anchor scanned as the
+/// separator BFS generates it, until one yields a witness or a budget
+/// overflows.
 fn anchored_search<Q: Question>(
     q: &Q,
     budget: &AnchorBudget,
@@ -279,53 +288,46 @@ fn anchored_search<Q: Question>(
     if graph.has_edge(dealer, receiver) {
         return None;
     }
-    let fallback = || {
-        if let Some(reg) = reg {
-            reg.counter(names.fallbacks).inc();
-        }
-        q.exhaustive(reg)
-    };
-    let anchors = {
-        let _span = reg.and_then(|reg| reg.phase(names.anchors_span));
-        cut_anchors(graph, dealer, receiver, budget.max_separators)
-    };
-    let Ok(anchors) = anchors else {
-        return fallback();
-    };
-    let _scan = reg.and_then(|reg| reg.phase(names.scan_span));
     let counters = reg.map(|reg| {
         [names.separators, names.components, names.checks].map(|name| reg.counter(name))
     });
-    let mut outcome = None;
-    for anchor in &anchors {
-        let mut found = None;
-        let stats = scan_anchor(
-            graph,
-            anchor,
-            receiver,
-            budget.max_components_per_anchor,
-            |b, cut| {
-                found = q.admissible(cut, b, counters.as_ref().map(|[_, _, checks]| checks));
-                found.is_none()
-            },
-        );
-        if let Some([separators, components, _]) = &counters {
-            separators.inc();
-            components.add(stats.emitted);
-        }
-        outcome = match stats.outcome {
-            AnchorScan::Exhausted => None,
-            AnchorScan::Stopped => found.map(AnchorOutcome::Witness),
-            AnchorScan::BudgetExceeded => Some(AnchorOutcome::Overflow),
-        };
-        if outcome.is_some() {
-            break;
-        }
-    }
+    let outcome = {
+        let _scan = reg.and_then(|reg| reg.phase(names.scan_span));
+        for_each_minimal_separator(graph, dealer, receiver, budget.max_separators, |s| {
+            let anchor = CutAnchor::new(graph, receiver, s.clone());
+            let mut found = None;
+            let stats = scan_anchor(
+                graph,
+                &anchor,
+                receiver,
+                budget.max_components_per_anchor,
+                |b, cut| {
+                    found = q.admissible(cut, b, counters.as_ref().map(|[_, _, checks]| checks));
+                    found.is_none()
+                },
+            );
+            if let Some([separators, components, _]) = &counters {
+                separators.inc();
+                components.add(stats.emitted);
+            }
+            match stats.outcome {
+                AnchorScan::Exhausted => ControlFlow::Continue(()),
+                AnchorScan::Stopped => ControlFlow::Break(AnchorOutcome::Witness(
+                    found.expect("a scan stops only at a witness"),
+                )),
+                AnchorScan::BudgetExceeded => ControlFlow::Break(AnchorOutcome::Overflow),
+            }
+        })
+    };
     match outcome {
-        Some(AnchorOutcome::Witness(w)) => Some(w),
-        Some(AnchorOutcome::Overflow) => fallback(),
-        None => None,
+        Ok(None) => None,
+        Ok(Some(AnchorOutcome::Witness(witness))) => Some(witness),
+        Ok(Some(AnchorOutcome::Overflow)) | Err(_) => {
+            if let Some(reg) = reg {
+                reg.counter(names.fallbacks).inc();
+            }
+            q.exhaustive(reg)
+        }
     }
 }
 
@@ -451,9 +453,10 @@ mod tests {
     use super::*;
     use crate::cuts::rmt_cut::receiver_side;
     use crate::cuts::{find_rmt_cut, is_rmt_cut, is_zpp_cut, zpp_cut_by_enumeration};
-    use crate::sampling::{random_instance, random_instance_nonadjacent};
+    use crate::sampling::{random_instance, random_instance_nonadjacent, threshold_instance};
     use crate::Instance;
     use rmt_adversary::{AdversaryStructure, RestrictedStructure};
+    use rmt_graph::separators::minimal_separators;
     use rmt_graph::{generators, Graph, ViewKind};
     use rmt_sets::NodeSet;
     use std::sync::Arc;
@@ -613,6 +616,63 @@ mod tests {
     }
 
     #[test]
+    fn a_witness_within_the_separator_budget_needs_no_fallback() {
+        let count = |reg: &Registry, name: &'static str| reg.counter(name).get();
+        let mut rng = generators::seeded(0xB0D6);
+        let mut checked = 0;
+        for trial in 0..200 {
+            let n = 6 + trial % 4;
+            let g = generators::gnp_connected(n, 0.35, &mut rng);
+            if g.has_edge(0.into(), (n as u32 - 1).into()) {
+                continue;
+            }
+            let inst = threshold_instance(g, 1, ViewKind::Radius(2), 0, n as u32 - 1);
+            let reg = Registry::new();
+            let Some(witness) = find_rmt_cut_anchored_observed(&inst, &reg) else {
+                continue;
+            };
+            // The witness sits at anchor k, and more separators exist.
+            let k = count(&reg, "rmt_cut.separators_enumerated") as usize;
+            let (g, d, r) = (inst.graph(), inst.dealer(), inst.receiver());
+            let separators = minimal_separators(g, d, r, usize::MAX).unwrap().len();
+            if k < 2 || separators <= k || count(&reg, "rmt_cut.exhaustive_fallbacks") > 0 {
+                continue;
+            }
+            let within = AnchorBudget {
+                max_separators: k,
+                ..AnchorBudget::default()
+            };
+            let reg = Registry::new();
+            assert_eq!(rmt_search(&inst, None, &within, Some(&reg)), Some(witness));
+            assert_eq!(
+                count(&reg, "rmt_cut.exhaustive_fallbacks"),
+                0,
+                "trial {trial}"
+            );
+            assert_eq!(count(&reg, "rmt_cut.separators_enumerated"), k as u64);
+            // One separator short: the k-th is never scanned.
+            let short = AnchorBudget {
+                max_separators: k - 1,
+                ..AnchorBudget::default()
+            };
+            let reg = Registry::new();
+            assert_eq!(
+                rmt_search(&inst, None, &short, Some(&reg)),
+                find_rmt_cut(&inst),
+                "trial {trial}"
+            );
+            assert_eq!(
+                count(&reg, "rmt_cut.exhaustive_fallbacks"),
+                1,
+                "trial {trial}"
+            );
+            assert_eq!(count(&reg, "rmt_cut.separators_enumerated"), k as u64 - 1);
+            checked += 1;
+        }
+        assert!(checked >= 3, "instances with a later witness: {checked}");
+    }
+
+    #[test]
     fn observed_variants_match_and_count() {
         let reg = rmt_obs::Registry::new();
         let mut rng = generators::seeded(0x0B5);
@@ -640,12 +700,12 @@ mod tests {
     #[test]
     fn observed_fallback_records_the_exhaustive_counters() {
         use crate::cuts::find_rmt_cut_observed;
-        // Nine minimal separators on the 8-cycle: a one-separator budget
+        // Nine minimal separators on the 8-cycle: a zero-separator budget
         // overflows before any anchor is scanned, a one-component budget at
         // the first anchor scan.
         let starved = [
             AnchorBudget {
-                max_separators: 1,
+                max_separators: 0,
                 max_components_per_anchor: 1 << 20,
             },
             AnchorBudget {
@@ -703,7 +763,7 @@ mod tests {
         assert_eq!(roots.len(), 1);
         assert_eq!(roots[0].name, "rmt_cut.anchored");
         let kids: Vec<&str> = roots[0].children.iter().map(|c| c.name.as_str()).collect();
-        assert!(kids.contains(&"rmt_cut.anchored.anchors"), "{kids:?}");
+        assert_eq!(kids, ["rmt_cut.anchored.scan"]);
         // Virtual clock: a second identical run replays identical timestamps.
         let reg2 = rmt_obs::Registry::new().with_clock(rmt_obs::Clock::virtual_ns(1));
         let prof2 = rmt_obs::Profiler::new(reg2.clock());

@@ -3,12 +3,16 @@
 //! A production deployment does not decide one frozen instance — links come
 //! and go, nodes join, the adversary model gets re-estimated. Re-deciding
 //! from scratch after every mutation rebuilds the whole [`KnowledgeCache`]:
-//! one restriction of the global 𝒵 per node, which dominates the decision
-//! on structures with thousands of maximal sets. [`IncrementalEngine`] is an
-//! [`Instance`] plus a cache it keeps fresh: each [`Delta`] shares 𝒵 with
-//! the previous instance ([`Instance::with_graph`]) and rebuilds only the
-//! knowledge parts whose view domain changed
-//! ([`KnowledgeCache::refresh`]; structure changes rebuild everything).
+//! one restriction of the global 𝒵 per node. On E17 at n = 26 (t = 4,
+//! 14 950 maximal sets) a from-scratch re-decision took 4.6–7.6 ms against
+//! 0.5–0.9 ms for the engine, which restricts only at the two endpoints of
+//! an edge toggle (medians of 40 deltas, 2-vCPU VM).
+//!
+//! [`IncrementalEngine`] is an [`Instance`] plus a cache it keeps fresh:
+//! each [`Delta`] shares 𝒵 with the previous instance
+//! ([`Instance::with_graph`]) and rebuilds only the knowledge parts whose
+//! view domain changed ([`KnowledgeCache::refresh`]; structure changes
+//! rebuild everything).
 //!
 //! Decisions run the same anchored driver as the from-scratch deciders,
 //! fed the engine's cache and budget, so

@@ -5,6 +5,11 @@
 //! structure once and answers joint-membership queries with the cylinder
 //! characterization (see `rmt-adversary`), avoiding any antichain blow-up.
 //!
+//! Each part is one [`RestrictedStructure::restrict`] of 𝒵 to the node's
+//! view domain. When that domain is itself in 𝒵 (ad hoc views with
+//! `|N[v]| ≤ t` under a threshold 𝒵) the part is `{V(γ(v))}`, found by
+//! one membership test without forming a single trace.
+//!
 //! The cache holds only these per-node parts and unions the joint domain
 //! `V(γ(B))` from them on every query: a per-component memo of it answered
 //! 99 % of its lookups on E17 and the `churn` benchmark, yet saved no time.

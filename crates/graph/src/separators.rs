@@ -9,10 +9,17 @@
 //! and the procedure started from the close separator of `a` visits every
 //! minimal separator exactly once.
 //!
+//! [`for_each_minimal_separator`] is the one enumeration body: it hands each
+//! separator to its caller as soon as the BFS generates it and stops
+//! generating when the caller says so, so a cut search that finds its
+//! witness at the first anchor pays for one separator, not for all of them.
+//! [`minimal_separators`] collects the whole stream.
+//!
 //! The completeness of the implementation is property-tested against the
 //! brute-force enumeration on random graphs.
 
 use std::collections::{HashSet, VecDeque};
+use std::ops::ControlFlow;
 
 use rmt_sets::{NodeId, NodeSet};
 
@@ -46,9 +53,86 @@ fn minimalize(g: &Graph, a: NodeId, b: NodeId, s: &NodeSet) -> NodeSet {
     neighborhood(g, &c_a)
 }
 
-/// Enumerates **all** minimal a–b separators of `g`.
+/// Generates the minimal a–b separators of `g` one at a time and hands each
+/// to `visit` as soon as it is generated, in generation (BFS) order.
 ///
-/// Returns them in generation (BFS) order.
+/// `visit` returns [`ControlFlow::Break`] to stop the enumeration: a caller
+/// that finds what it looks for at the k-th separator has generated exactly
+/// k of them. `budget` bounds the separators *generated*: generating
+/// separator `budget + 1` ends the enumeration with
+/// [`SeparatorBudgetExceeded`] before it is visited, so every separator
+/// `visit` sees is one of the first `budget`.
+///
+/// Returns the break value, or `None` if every separator was visited.
+///
+/// # Errors
+///
+/// Returns [`SeparatorBudgetExceeded`] if more than `budget` separators
+/// exist and `visit` did not stop before the `budget + 1`-th.
+///
+/// # Panics
+///
+/// Panics if `a` and `b` are equal or adjacent (no separator exists).
+pub fn for_each_minimal_separator<B>(
+    g: &Graph,
+    a: NodeId,
+    b: NodeId,
+    budget: usize,
+    mut visit: impl FnMut(&NodeSet) -> ControlFlow<B>,
+) -> Result<Option<B>, SeparatorBudgetExceeded> {
+    assert_ne!(a, b, "endpoints must differ");
+    assert!(!g.has_edge(a, b), "adjacent endpoints have no separator");
+    let mut generated = 0;
+    let mut emit = |s: &NodeSet| {
+        if generated == budget {
+            return Err(SeparatorBudgetExceeded { budget });
+        }
+        generated += 1;
+        Ok(visit(s))
+    };
+    if !traversal::connected_avoiding(g, a, b, &NodeSet::new()) {
+        // Disconnected endpoints: the unique minimal separator is ∅.
+        return Ok(emit(&NodeSet::new())?.break_value());
+    }
+
+    let mut seen: HashSet<NodeSet> = HashSet::new();
+    let mut queue = VecDeque::new();
+
+    let first = minimalize(g, a, b, g.neighbors(a));
+    if let ControlFlow::Break(found) = emit(&first)? {
+        return Ok(Some(found));
+    }
+    seen.insert(first.clone());
+    queue.push_back(first);
+
+    while let Some(s) = queue.pop_front() {
+        for x in &s {
+            // Pivot on x: absorb its neighbourhood into the separator and
+            // re-minimalize toward b (skipping pivots adjacent to b, which
+            // would swallow it).
+            if g.neighbors(x).contains(b) {
+                continue;
+            }
+            let enlarged = s.union(g.neighbors(x));
+            let c_b = traversal::reachable_avoiding(g, b, &enlarged);
+            if c_b.contains(a) || c_b.is_empty() {
+                continue;
+            }
+            let candidate = minimalize(g, a, b, &neighborhood(g, &c_b));
+            if !seen.insert(candidate.clone()) {
+                continue;
+            }
+            if let ControlFlow::Break(found) = emit(&candidate)? {
+                return Ok(Some(found));
+            }
+            queue.push_back(candidate);
+        }
+    }
+    Ok(None)
+}
+
+/// Collects **all** minimal a–b separators of `g`, in the generation order
+/// of [`for_each_minimal_separator`].
 ///
 /// # Errors
 ///
@@ -74,45 +158,11 @@ pub fn minimal_separators(
     b: NodeId,
     budget: usize,
 ) -> Result<Vec<NodeSet>, SeparatorBudgetExceeded> {
-    assert_ne!(a, b, "endpoints must differ");
-    assert!(!g.has_edge(a, b), "adjacent endpoints have no separator");
-    if !traversal::connected_avoiding(g, a, b, &NodeSet::new()) {
-        // Disconnected endpoints: the unique minimal separator is ∅.
-        return Ok(vec![NodeSet::new()]);
-    }
-
-    let mut seen: HashSet<NodeSet> = HashSet::new();
     let mut out = Vec::new();
-    let mut queue = VecDeque::new();
-
-    let first = minimalize(g, a, b, g.neighbors(a));
-    seen.insert(first.clone());
-    queue.push_back(first.clone());
-    out.push(first);
-
-    while let Some(s) = queue.pop_front() {
-        for x in &s {
-            // Pivot on x: absorb its neighbourhood into the separator and
-            // re-minimalize toward b (skipping pivots adjacent to b, which
-            // would swallow it).
-            if g.neighbors(x).contains(b) {
-                continue;
-            }
-            let enlarged = s.union(g.neighbors(x));
-            let c_b = traversal::reachable_avoiding(g, b, &enlarged);
-            if c_b.contains(a) || c_b.is_empty() {
-                continue;
-            }
-            let candidate = minimalize(g, a, b, &neighborhood(g, &c_b));
-            if seen.insert(candidate.clone()) {
-                if out.len() >= budget {
-                    return Err(SeparatorBudgetExceeded { budget });
-                }
-                queue.push_back(candidate.clone());
-                out.push(candidate);
-            }
-        }
-    }
+    for_each_minimal_separator(g, a, b, budget, |s| {
+        out.push(s.clone());
+        ControlFlow::<()>::Continue(())
+    })?;
     Ok(out)
 }
 
@@ -136,30 +186,15 @@ pub struct CutAnchor {
     pub region: NodeSet,
 }
 
-/// Enumerates all [`CutAnchor`]s for the a–b cut search: one per minimal
-/// a–b separator, in [`minimal_separators`] generation order.
-///
-/// # Errors
-///
-/// Returns [`SeparatorBudgetExceeded`] if more than `budget` minimal
-/// separators exist.
-///
-/// # Panics
-///
-/// Panics if `a` and `b` are equal or adjacent (no separator exists).
-pub fn cut_anchors(
-    g: &Graph,
-    a: NodeId,
-    b: NodeId,
-    budget: usize,
-) -> Result<Vec<CutAnchor>, SeparatorBudgetExceeded> {
-    Ok(minimal_separators(g, a, b, budget)?
-        .into_iter()
-        .map(|s| CutAnchor {
-            region: traversal::component_of_avoiding(g, b, &s),
-            separator: s,
-        })
-        .collect())
+impl CutAnchor {
+    /// The anchor of the minimal a–b separator `separator`, whose region is
+    /// `b`'s component of `G ∖ separator`.
+    pub fn new(g: &Graph, b: NodeId, separator: NodeSet) -> Self {
+        CutAnchor {
+            region: traversal::component_of_avoiding(g, b, &separator),
+            separator,
+        }
+    }
 }
 
 /// How one [`scan_anchor`] run ended.
@@ -190,7 +225,7 @@ pub struct AnchorScanStats {
 /// — `C` is exactly the minimal cut with b-side component `B` — and returns
 /// `false` to stop the scan (witness found).
 ///
-/// Across the full anchor list of [`cut_anchors`] each candidate component
+/// Across the anchors of all minimal a–b separators each candidate component
 /// is visited exactly once, which is what makes per-anchor scans an exact,
 /// duplicate-free partition of the cut-search space (and an embarrassingly
 /// parallel one). At most `max_emissions` connected subsets are enumerated;
@@ -229,6 +264,15 @@ mod tests {
     use super::*;
     use crate::cuts;
     use crate::generators;
+
+    /// Every anchor of the a–b cut search, in generation order.
+    fn anchors(g: &Graph, a: NodeId, b: NodeId) -> Vec<CutAnchor> {
+        minimal_separators(g, a, b, 10_000)
+            .unwrap()
+            .into_iter()
+            .map(|s| CutAnchor::new(g, b, s))
+            .collect()
+    }
 
     fn brute_force(g: &Graph, a: NodeId, b: NodeId) -> Vec<NodeSet> {
         let mut v: Vec<NodeSet> = cuts::minimal_dr_cuts(g, a, b).collect();
@@ -317,7 +361,7 @@ mod tests {
             if !g.contains_node(a) || !g.contains_node(b) || g.has_edge(a, b) {
                 continue;
             }
-            let anchors = cut_anchors(&g, a, b, 10_000).unwrap();
+            let anchors = anchors(&g, a, b);
             let mut visited = Vec::new();
             for anchor in &anchors {
                 let stats = scan_anchor(&g, anchor, b, u64::MAX, |comp, cut| {
@@ -345,7 +389,7 @@ mod tests {
     #[test]
     fn scan_anchor_budget_and_early_stop() {
         let g = generators::cycle(8);
-        let anchors = cut_anchors(&g, 0.into(), 4.into(), 100).unwrap();
+        let anchors = anchors(&g, 0.into(), 4.into());
         let anchor = &anchors[0];
         let stats = scan_anchor(&g, anchor, 4.into(), 1, |_, _| true);
         assert_eq!(stats.outcome, AnchorScan::BudgetExceeded);
@@ -358,7 +402,7 @@ mod tests {
     fn disconnected_endpoints_have_the_empty_anchor() {
         let mut g = generators::path_graph(2);
         g.add_node(5.into());
-        let anchors = cut_anchors(&g, 0.into(), 5.into(), 10).unwrap();
+        let anchors = anchors(&g, 0.into(), 5.into());
         assert_eq!(anchors.len(), 1);
         assert!(anchors[0].separator.is_empty());
         assert_eq!(anchors[0].region, NodeSet::singleton(5.into()));

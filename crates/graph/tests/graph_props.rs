@@ -1,9 +1,12 @@
 //! Property tests for graph invariants: components partition the node set,
 //! cuts separate, Menger duality, the pruned path walk agrees with path
-//! enumeration, and view/joint-view laws.
+//! enumeration, the separator stream agrees with its collected list, and
+//! view/joint-view laws.
+
+use std::ops::ControlFlow;
 
 use proptest::prelude::*;
-use rmt_graph::{cuts, generators, paths, traversal, Graph, ViewAssignment, ViewKind};
+use rmt_graph::{cuts, generators, paths, separators, traversal, Graph, ViewAssignment, ViewKind};
 use rmt_sets::{NodeId, NodeSet};
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -174,6 +177,52 @@ proptest! {
             for u in g.nodes() {
                 let within = dist[u.index()].is_some_and(|d| d as usize <= k);
                 prop_assert_eq!(ball.contains(u), within);
+            }
+        }
+    }
+}
+
+proptest! {
+    /// The separator stream is the collected list in order, complete and
+    /// duplicate-free against the brute-force subset filter; stopping after
+    /// k visits generates exactly k separators (a prefix of the list); and a
+    /// budget of k fails iff more than k separators exist.
+    #[test]
+    fn separator_stream_matches_the_collected_list(g in arb_graph()) {
+        let mut g = g;
+        let (a, b) = (NodeId::new(0), NodeId::new(g.node_count() as u32 - 1));
+        g.remove_edge(a, b);
+        let all = separators::minimal_separators(&g, a, b, usize::MAX).unwrap();
+        let mut streamed = Vec::new();
+        let end = separators::for_each_minimal_separator(&g, a, b, usize::MAX, |s| {
+            streamed.push(s.clone());
+            ControlFlow::<()>::Continue(())
+        });
+        prop_assert_eq!(end, Ok(None));
+        prop_assert_eq!(&streamed, &all);
+        let mut sorted = all.clone();
+        sorted.sort();
+        let mut brute: Vec<NodeSet> = cuts::minimal_dr_cuts(&g, a, b).collect();
+        brute.sort();
+        prop_assert_eq!(sorted, brute);
+
+        for k in 1..=all.len() {
+            let mut visited = Vec::new();
+            let end = separators::for_each_minimal_separator(&g, a, b, k, |s| {
+                visited.push(s.clone());
+                if visited.len() == k {
+                    ControlFlow::Break(k)
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            prop_assert_eq!(end, Ok(Some(k)));
+            prop_assert_eq!(&visited[..], &all[..k]);
+        }
+        for k in 0..=all.len() + 1 {
+            match separators::minimal_separators(&g, a, b, k) {
+                Ok(list) => prop_assert!(k >= all.len() && list == all),
+                Err(err) => prop_assert!(k < all.len() && err.budget == k),
             }
         }
     }

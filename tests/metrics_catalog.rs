@@ -83,8 +83,8 @@ fn emitted_names() -> (Vec<&'static str>, Vec<String>) {
         .apply_observed(Delta::StructureChange(z), &reg)
         .expect("well-formed delta");
     let _ = engine.decide_zpp_observed(&reg);
-    // A one-separator budget sends both anchored searches on the 8-cycle
-    // (nine minimal separators) to their exhaustive fallbacks.
+    // A zero-separator budget sends both anchored searches on the 8-cycle
+    // to their exhaustive fallbacks before any anchor is scanned.
     let cycle = rmt_core::sampling::threshold_instance(
         rmt_graph::generators::cycle(8),
         1,
@@ -94,7 +94,7 @@ fn emitted_names() -> (Vec<&'static str>, Vec<String>) {
     );
     let mut starved =
         IncrementalEngine::from_instance(&cycle, ViewKind::AdHoc).with_budget(AnchorBudget {
-            max_separators: 1,
+            max_separators: 0,
             ..AnchorBudget::default()
         });
     let _ = starved.decide_rmt_observed(&reg);
