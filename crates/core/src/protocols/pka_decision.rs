@@ -89,7 +89,7 @@ impl Default for DecisionConfig {
 /// One node's claimed knowledge, as carried by a type-2 message.
 ///
 /// Claims are shared behind an `Arc`: a session frame builds each one once,
-/// and every relayed copy and every receiver slot holds a reference. `Eq`
+/// and every relayed copy and the receiver's claim pool hold a reference. `Eq`
 /// gives `Arc<Claim>`'s equality a pointer fast path, so a shared copy
 /// dedups without comparing views.
 ///
@@ -189,15 +189,17 @@ impl fmt::Debug for Claim {
 
 /// The receiver's accumulated messages and decision engine.
 ///
-/// A clone shares the receiver's own knowledge, held as one `Arc<Claim>`,
-/// so a session's per-slot states bump a reference count instead of
-/// copying a view and a structure each.
+/// The claims and the type-1 table are separable: [`decide_on`] decides
+/// on a table held outside the state, so a batched session keeps one
+/// state (its claim pool) and one table per payload slot. A clone shares
+/// the receiver's own knowledge, held as one `Arc<Claim>`.
+///
+/// [`decide_on`]: ReceiverState::decide_on
 #[derive(Clone, Debug)]
 pub struct ReceiverState {
     me: NodeId,
     dealer: NodeId,
-    /// The receiver's own view and structure, shared by every slot of a
-    /// session.
+    /// The receiver's own view and structure.
     own: Arc<Claim>,
     /// Received dealer-value trails, as full D…R paths, grouped by value.
     type1: BTreeMap<Value, HashSet<Vec<NodeId>>>,
@@ -245,12 +247,6 @@ impl ReceiverState {
         let mut path = trail.to_vec();
         path.push(self.me);
         self.type1.entry(value).or_default().insert(path);
-    }
-
-    /// The received type-1 messages: value ↦ stored D–R paths
-    /// (`trail ‖ me`), in value order.
-    pub fn type1(&self) -> &BTreeMap<Value, HashSet<Vec<NodeId>>> {
-        &self.type1
     }
 
     /// Ingests a validated type-2 message: node `u` claims knowledge
@@ -314,13 +310,38 @@ impl ReceiverState {
     /// search decides whenever some full, cover-free M exists, so only a
     /// budget can make it miss one.
     pub fn decide(&mut self, cfg: &DecisionConfig) -> Option<Value> {
-        self.search(cfg, None)
+        self.search_own(cfg, None)
     }
 
-    /// [`decide`](Self::decide), with the cover searches recorded in `reg`
-    /// when one is given.
-    fn search(&mut self, cfg: &DecisionConfig, reg: Option<&Registry>) -> Option<Value> {
-        if self.type1.is_empty() || !self.claims.contains_key(&self.dealer) {
+    /// [`decide`](Self::decide) on the type-1 table `type1` instead of the
+    /// state's own: value ↦ D–R paths `trail ‖ me`, in value order, as
+    /// [`ingest_value`](Self::ingest_value) stores them. The search reads
+    /// the state's claims and adds its effort to the state's counters.
+    pub fn decide_on(
+        &mut self,
+        type1: &BTreeMap<Value, HashSet<Vec<NodeId>>>,
+        cfg: &DecisionConfig,
+    ) -> Option<Value> {
+        self.search(type1, cfg, None)
+    }
+
+    /// The search on the state's own type-1 table.
+    fn search_own(&mut self, cfg: &DecisionConfig, reg: Option<&Registry>) -> Option<Value> {
+        let type1 = std::mem::take(&mut self.type1);
+        let result = self.search(&type1, cfg, reg);
+        self.type1 = type1;
+        result
+    }
+
+    /// [`decide_on`](Self::decide_on), with the cover searches recorded in
+    /// `reg` when one is given.
+    fn search(
+        &mut self,
+        type1: &BTreeMap<Value, HashSet<Vec<NodeId>>>,
+        cfg: &DecisionConfig,
+        reg: Option<&Registry>,
+    ) -> Option<Value> {
+        if type1.is_empty() || !self.claims.contains_key(&self.dealer) {
             return None;
         }
         let claimed: Vec<(NodeId, &[Arc<Claim>])> = self
@@ -354,7 +375,7 @@ impl ReceiverState {
                 .zip(&choice)
                 .filter_map(|(&(u, claims), i)| Some((u, &*claims[(*i)?])))
                 .collect();
-            match self.examine_selection(&selection, reg, &mut truncated, &mut covers) {
+            match self.examine_selection(type1, &selection, reg, &mut truncated, &mut covers) {
                 Outcome::Prune => {}
                 Outcome::Decide(x) => {
                     result = Some(x);
@@ -402,7 +423,7 @@ impl ReceiverState {
         let before_examined = self.selections_examined;
         let before_covers = self.covers_checked;
         let before_truncated = self.truncated;
-        let result = self.search(cfg, Some(reg));
+        let result = self.search_own(cfg, Some(reg));
         reg.counter("pka.selections_examined")
             .add(self.selections_examined - before_examined);
         reg.counter("pka.covers_checked")
@@ -451,6 +472,7 @@ impl ReceiverState {
     /// `covers`).
     fn examine_selection(
         &self,
+        type1: &BTreeMap<Value, HashSet<Vec<NodeId>>>,
         selection: &[(NodeId, &Claim)],
         reg: Option<&Registry>,
         truncated: &mut bool,
@@ -477,7 +499,7 @@ impl ReceiverState {
         // Fullness: every D–R path of G_M must have arrived carrying x. The
         // walk drops each value missing a path, collecting the nodes that
         // could remove that path, and stops once no value is left.
-        let mut full: Vec<_> = self.type1.iter().collect();
+        let mut full: Vec<_> = type1.iter().collect();
         let mut branch = NodeSet::new();
         paths::every_simple_path(&g_m, self.dealer, self.me, |path| {
             let before = full.len();
@@ -773,6 +795,22 @@ mod tests {
         let roots = rmt_obs::span_tree(&prof.events()).expect("well nested");
         assert_eq!(roots.len(), 1);
         assert_eq!(roots[0].name, "pka.decide");
+    }
+
+    #[test]
+    fn decide_on_an_outside_table_matches_decide() {
+        // The same claims and trails, the trails once in the state and once
+        // in a table held outside it: same verdict, same effort.
+        let (mut state, g, z) = setup(&[&[1]]);
+        feed_honest(&mut state, &g, &z, 7, &NodeSet::new());
+        let mut pool = state.clone();
+        let table = std::mem::take(&mut pool.type1);
+        let cfg = DecisionConfig::default();
+        assert_eq!(pool.decide_on(&table, &cfg), state.decide(&cfg));
+        assert_eq!(pool.selections_examined, state.selections_examined);
+        assert_eq!(pool.covers_checked, state.covers_checked);
+        // The pool's own table is empty, so it decides nothing on it.
+        assert_eq!(pool.decide(&cfg), None);
     }
 
     #[test]

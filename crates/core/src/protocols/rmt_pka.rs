@@ -197,7 +197,6 @@ pub struct RmtPka {
     structure: AdversaryStructure,
     role: Role,
     decision: Option<Value>,
-    cfg: DecisionConfig,
     /// Maximum trail length relays will forward (`None` = unbounded, the
     /// paper's protocol). See [`RmtPka::node_with_trail_bound`].
     trail_bound: Option<usize>,
@@ -207,11 +206,6 @@ impl RmtPka {
     /// Builds node `v` of `inst`; `input` is the dealer's value (used only
     /// when `v` is the dealer).
     pub fn node(inst: &Instance, v: NodeId, input: Value) -> Self {
-        RmtPka::node_with_config(inst, v, input, DecisionConfig::default())
-    }
-
-    /// Builds node `v` with explicit decision budgets.
-    pub fn node_with_config(inst: &Instance, v: NodeId, input: Value, cfg: DecisionConfig) -> Self {
         let view = inst.view(v).clone();
         let structure = inst.local_structure(v);
         let role = if v == inst.dealer() {
@@ -233,7 +227,6 @@ impl RmtPka {
             structure,
             role,
             decision: (v == inst.dealer()).then_some(input),
-            cfg,
             trail_bound: None,
         }
     }
@@ -352,7 +345,7 @@ impl Protocol for RmtPka {
                         }
                     }
                 }
-                if let Some(x) = state.decide(&self.cfg) {
+                if let Some(x) = state.decide(&DecisionConfig::default()) {
                     self.decision = Some(x);
                 }
                 Vec::new()

@@ -113,7 +113,7 @@ pub enum SessionEntry {
         /// The node the claim is about.
         node: NodeId,
         /// The claimed view γ(node) and local structure 𝒵_node, shared by
-        /// every relayed copy and every receiver slot.
+        /// every relayed copy and the receiver's claim pool.
         claim: Arc<Claim>,
         /// Index into the frame's trail table.
         trail: u32,

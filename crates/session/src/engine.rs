@@ -20,8 +20,6 @@
 //! run only where two runs coalesce), and `tests/codec_props.rs` pins it
 //! to the pack-of-expand definition byte for byte. The receiver walks each
 //! frame's `(slot, message)`s in place, in the order `expand` defines.
-//! Its per-slot states share the receiver's own view and structure (one
-//! `Arc<Claim>`), so building a batch's slots copies no graph.
 //!
 //! A broadcast is one frame: the dealer's and each relay's round build a
 //! single [`SessionFrame`] and hand every neighbour a clone of it, which
@@ -35,17 +33,18 @@
 //! * **knowledge once** — type-2 messages are payload-independent and flow
 //!   once per session, not once per payload; each claim is allocated once,
 //!   by the sender's `pack` (or by `decode` off a socket), and every relayed
-//!   copy and every receiver slot holds the same `Arc`, so a slot's ingest
-//!   is a validity check and a pointer-equality dedup, never a copy;
+//!   copy holds the same `Arc`. The receiver keeps one claim pool (a
+//!   [`ReceiverState`] holding the claims, its own knowledge and the search
+//!   counters) and ingests each claim into it once, while any slot is
+//!   undecided; a payload slot holds only its type-1 table and decision;
 //! * **trail sharing** — a frame's value runs reference one trail-table
 //!   entry however many slots ride it;
 //! * **decide caching** — the receiver's exponential decision search runs
-//!   once per *equivalence class* of slots: undecided slots share their
-//!   claim sets by construction, so slots whose type-1 tables
-//!   ([`ReceiverState::type1`]) are equal up to value renaming must decide
-//!   alike (the renaming maps sorted value positions; `decide` treats
-//!   values opaquely except for their sorted iteration order, so positions
-//!   are preserved).
+//!   once per *equivalence class* of slots: every slot decides on the one
+//!   pool of claims, so slots whose type-1 tables are equal up to value
+//!   renaming must decide alike (the renaming maps sorted value positions;
+//!   [`ReceiverState::decide_on`] treats values opaquely except for their
+//!   sorted iteration order, so positions are preserved).
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -65,31 +64,31 @@ pub struct ReceiverStats {
     pub decide_cache_hits: u64,
     /// Decide calls actually executed (group representatives).
     pub decide_cache_misses: u64,
-    /// (Exclusion set, claim selection) pairs examined, summed over all
-    /// slots.
+    /// (Exclusion set, claim selection) pairs examined by every decide
+    /// call of the session.
     pub selections_examined: u64,
-    /// Adversary-cover searches run, summed over all slots.
+    /// Adversary-cover searches run by every decide call of the session.
     pub covers_checked: u64,
-    /// `true` if any slot's search ran into a budget (abstained
-    /// conservatively).
+    /// `true` if any search ran into a budget (abstained conservatively).
     pub truncated: bool,
-    /// Malformed claims dropped (maximum over slots — undecided slots see
-    /// the same claim stream, so the longest-running slot saw them all).
+    /// Malformed claims dropped by the claim pool, each counted once.
     pub malformed_claims: u64,
 }
 
-/// One payload slot of the receiver.
-#[derive(Clone, Debug)]
+/// One payload slot of the receiver: its type-1 table (value ↦ D–R paths
+/// `trail ‖ R`) and its decision.
+#[derive(Clone, Debug, Default)]
 struct Slot {
-    state: ReceiverState,
+    type1: BTreeMap<Value, HashSet<Vec<NodeId>>>,
     decision: Option<Value>,
 }
 
-/// The receiver's session state: one `ReceiverState` per slot plus the
-/// cross-slot decide cache.
+/// The receiver's session state: the claim pool every slot decides on, the
+/// slots, and the cross-slot decide cache.
 #[derive(Clone, Debug)]
 struct ReceiverRole {
     cfg: DecisionConfig,
+    pool: ReceiverState,
     slots: Vec<Slot>,
     cache_hits: u64,
     cache_misses: u64,
@@ -132,18 +131,10 @@ impl SessionNode {
                 knowledge,
             }
         } else if v == plan.receiver() {
-            let slot = Slot {
-                state: ReceiverState::new(
-                    v,
-                    plan.dealer(),
-                    knowledge.view.clone(),
-                    knowledge.structure.clone(),
-                ),
-                decision: None,
-            };
             Role::Receiver(Box::new(ReceiverRole {
                 cfg: *plan.decision_config(),
-                slots: vec![slot; values.len()],
+                pool: ReceiverState::new(v, plan.dealer(), knowledge.view, knowledge.structure),
+                slots: vec![Slot::default(); values.len()],
                 cache_hits: 0,
                 cache_misses: 0,
             }))
@@ -173,15 +164,10 @@ impl SessionNode {
             Role::Receiver(r) => Some(ReceiverStats {
                 decide_cache_hits: r.cache_hits,
                 decide_cache_misses: r.cache_misses,
-                selections_examined: r.slots.iter().map(|s| s.state.selections_examined).sum(),
-                covers_checked: r.slots.iter().map(|s| s.state.covers_checked).sum(),
-                truncated: r.slots.iter().any(|s| s.state.truncated),
-                malformed_claims: r
-                    .slots
-                    .iter()
-                    .map(|s| s.state.malformed_claims)
-                    .max()
-                    .unwrap_or(0),
+                selections_examined: r.pool.selections_examined,
+                covers_checked: r.pool.covers_checked,
+                truncated: r.pool.truncated,
+                malformed_claims: r.pool.malformed_claims,
             }),
             _ => None,
         }
@@ -224,12 +210,12 @@ impl ReceiverRole {
     /// exponential search once per equivalence class of renamed type-1
     /// tables.
     ///
-    /// Soundness: all undecided slots have ingested the same claim stream
-    /// (claims are slot-independent and fed to every undecided slot), and
-    /// `decide` is a pure function of (claims, type-1 paths, budgets) apart
-    /// from sticky effort counters. Its only value-dependence is the sorted
-    /// iteration order of the type-1 map, so a decision at sorted position
-    /// `k` of the representative maps to position `k` of each member.
+    /// Soundness: every slot decides on the same claims, the pool's, and
+    /// [`ReceiverState::decide_on`] is a pure function of (claims, type-1
+    /// paths, budgets) apart from sticky effort counters. Its only
+    /// value-dependence is the sorted iteration order of the type-1 map, so
+    /// a decision at sorted position `k` of the representative maps to
+    /// position `k` of each member.
     fn decide_pass(&mut self) {
         // (representative slot, its decision as a sorted-value position).
         let mut reps: Vec<(usize, Option<usize>)> = Vec::new();
@@ -238,16 +224,14 @@ impl ReceiverRole {
                 continue;
             }
             let cached = reps.iter().find_map(|&(rep, renamed)| {
-                type1_equal(self.slots[rep].state.type1(), self.slots[i].state.type1())
-                    .then_some(renamed)
+                type1_equal(&self.slots[rep].type1, &self.slots[i].type1).then_some(renamed)
             });
             match cached {
                 Some(renamed) => {
                     self.cache_hits += 1;
                     if let Some(k) = renamed {
                         let value = *self.slots[i]
-                            .state
-                            .type1()
+                            .type1
                             .keys()
                             .nth(k)
                             .expect("renamed position within the type-1 table");
@@ -257,10 +241,9 @@ impl ReceiverRole {
                 None => {
                     self.cache_misses += 1;
                     let slot = &mut self.slots[i];
-                    let decided = slot.state.decide(&self.cfg);
+                    let decided = self.pool.decide_on(&slot.type1, &self.cfg);
                     let renamed = decided.map(|x| {
-                        slot.state
-                            .type1()
+                        slot.type1
                             .keys()
                             .position(|&v| v == x)
                             .expect("decided value was ingested")
@@ -356,6 +339,10 @@ impl Protocol for SessionNode {
                 let me = self.id;
                 let dealer = self.dealer;
                 let mut changed = false;
+                // Some slot is undecided. Once none is, later claims go
+                // uncounted, as the per-message receiver stops reading
+                // when it decides.
+                let mut live = true;
                 for env in inbox {
                     let Ok(msgs) = env.payload.messages() else {
                         self.invalid_frames += 1;
@@ -377,20 +364,21 @@ impl Protocol for SessionNode {
                                 // channel from the dealer is definitive.
                                 if env.from == dealer && trail == [dealer] {
                                     s.decision = Some(value);
+                                    live = receiver.slots.iter().any(|s| s.decision.is_none());
                                     continue;
                                 }
-                                s.state.ingest_value(value, trail);
+                                s.type1
+                                    .entry(value)
+                                    .or_default()
+                                    .insert([trail, &[me]].concat());
                                 changed = true;
                             }
                             Message::Knowledge { node, claim, .. } => {
-                                // Knowledge is slot-independent: every
-                                // undecided slot ingests it (keeping their
-                                // claim sets identical — the cache invariant),
+                                // Knowledge is slot-independent: the pool
+                                // ingests it once for every undecided slot,
                                 // sharing the frame's claim.
-                                for s in &mut receiver.slots {
-                                    if s.decision.is_none() {
-                                        s.state.ingest_shared_claim(node, claim);
-                                    }
+                                if live {
+                                    receiver.pool.ingest_shared_claim(node, claim);
                                 }
                                 changed = true;
                             }

@@ -10,8 +10,9 @@
 //!   per-node views and local structures (the knowledge announcements) and
 //!   the receiver's validation state.
 //! * [`SessionNode`] (built from the plan) runs the protocol for N payload
-//!   slots at once: knowledge flows once per session, and all same-round
-//!   messages on a link coalesce into one [`SessionFrame`].
+//!   slots at once: knowledge flows once per session into the receiver's
+//!   one claim pool, and all same-round messages on a link coalesce into
+//!   one [`SessionFrame`].
 //! * [`SessionFrame`] is the compact wire codec: varint ids, a front-coded
 //!   per-frame trail table that value runs and knowledge entries reference
 //!   by index, and the shared `rmt_sim::framing` length prefix. It
@@ -21,10 +22,10 @@
 //!   honest nodes never run them on received frames: relays forward in
 //!   frame form ([`SessionFrame::relay`] rewrites the trail table), and
 //!   the receiver reads messages in place.
-//! * [`Session`] drives a whole transmission over any of the three
-//!   backends — the synchronous `Runner`, the fault-injecting `NetRunner`,
-//!   and the socket daemon `rmt-netd` — and reports wire-layer and
-//!   model-layer cost side by side ([`SessionReport`]).
+//! * [`Session`] drives a whole transmission over the synchronous `Runner`
+//!   or the fault-injecting `NetRunner` and reports wire-layer and
+//!   model-layer cost side by side ([`SessionReport`]); the socket daemon
+//!   `rmt-netd` runs the same [`SessionNode`]s (`rmt_netd::run_session`).
 //! * [`SessionAdversary`] lifts the per-message attack gallery to the frame
 //!   layer, one inner adversary per slot.
 //!

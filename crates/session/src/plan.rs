@@ -40,11 +40,6 @@ pub struct SessionPlan {
 impl SessionPlan {
     /// Precomputes the plan for `inst` with default decision budgets.
     pub fn build(inst: &Instance) -> Self {
-        SessionPlan::with_config(inst, DecisionConfig::default())
-    }
-
-    /// Precomputes the plan for `inst` with explicit decision budgets.
-    pub fn with_config(inst: &Instance, cfg: DecisionConfig) -> Self {
         let graph = inst.graph().clone();
         let size = graph.nodes().last().map_or(0, |v| v.index() + 1);
         let mut knowledge: Vec<Option<NodeKnowledge>> = (0..size).map(|_| None).collect();
@@ -58,7 +53,7 @@ impl SessionPlan {
             graph,
             dealer: inst.dealer(),
             receiver: inst.receiver(),
-            cfg,
+            cfg: DecisionConfig::default(),
             knowledge,
         }
     }

@@ -1,5 +1,7 @@
 //! [`Session`]: stream many payloads through one precomputed
-//! [`SessionPlan`], over any of the three transport backends.
+//! [`SessionPlan`], over the synchronous `Runner` or the fault-injecting
+//! `NetRunner` (`rmt_netd::run_session` drives the same [`SessionNode`]s
+//! over sockets).
 //!
 //! A session builds its node set from the plan once, runs the batched
 //! engine, and reports *two* cost ledgers side by side:
@@ -17,7 +19,6 @@
 
 use rmt_core::Value;
 use rmt_net::{FaultPlan, NetRunner};
-use rmt_netd::{ChaosPlan, NetdConfig};
 use rmt_obs::Registry;
 use rmt_sim::{Adversary, Metrics, Runner, SilentAdversary};
 
@@ -181,29 +182,6 @@ impl<'p> Session<'p> {
             out.metrics.clone(),
             |v| out.protocol(v).cloned(),
         )
-    }
-
-    /// Runs over the socket-backed `rmt-netd` backend (frames cross real
-    /// TCP connections through the compact codec).
-    pub fn run_over_netd<A: Adversary<SessionFrame>>(
-        &self,
-        adversary: A,
-        chaos: &ChaosPlan,
-        cfg: NetdConfig,
-    ) -> std::io::Result<SessionReport> {
-        let out = rmt_netd::run_session(
-            self.plan.graph().clone(),
-            |v| SessionNode::new(self.plan, v, &self.values),
-            adversary,
-            chaos,
-            cfg,
-        )?;
-        Ok(SessionReport::collect(
-            self.plan,
-            self.values.len() as u64,
-            out.metrics.clone(),
-            |v| out.protocol(v).cloned(),
-        ))
     }
 }
 
