@@ -103,11 +103,6 @@ impl AdversaryStructure {
         &self.max_sets
     }
 
-    /// Iterates over the maximal sets.
-    pub fn iter_maximal(&self) -> impl Iterator<Item = &NodeSet> {
-        self.max_sets.iter()
-    }
-
     /// The union of all maximal sets: every node that could possibly be
     /// corrupted.
     pub fn support(&self) -> NodeSet {

@@ -125,11 +125,6 @@ impl Experiment {
         }
     }
 
-    /// `true` when `--json` was passed: the run will write an artifact.
-    pub fn json_enabled(&self) -> bool {
-        self.json
-    }
-
     /// The metrics registry to hand to instrumented deciders; its snapshot
     /// becomes the artifact's `counters` field.
     pub fn registry(&self) -> &Registry {

@@ -16,7 +16,7 @@
 //!   delivery policy: delivery goes through a priority queue keyed
 //!   `(deliver_round, seq)`, and with an *empty* plan the run is
 //!   byte-identical to the synchronous scheduler (event stream, metrics,
-//!   delivery log, termination — enforced by the differential test suite);
+//!   termination — enforced by the differential test suite);
 //! * [`MessageAdversary`] — the budgeted message-adversary mode (after
 //!   Albouy–Frey–Raynal–Taïani): each round it sees every admitted send and
 //!   erases up to `d` adversarially chosen victims, composing with the

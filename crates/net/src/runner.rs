@@ -8,15 +8,15 @@
 //! the physical model enforced by [`Transport`](rmt_sim::Transport) — stay
 //! exactly those of the synchronous scheduler. With an empty plan the queue
 //! degenerates to FIFO per round and the run is byte-identical to
-//! [`Runner::new`]'s (event stream, metrics, delivery log, termination);
-//! the differential test in `tests/differential.rs` enforces this.
+//! [`Runner::new`]'s (event stream, metrics, termination); the
+//! differential test in `tests/differential.rs` enforces this.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 
 use rmt_graph::Graph;
 use rmt_obs::{Clock, DropReason, NoopObserver, RunEvent, RunObserver};
-use rmt_sets::{NodeId, NodeSet};
+use rmt_sets::NodeId;
 use rmt_sim::{
     default_max_rounds, Adversary, Delivery, Envelope, Payload, Protocol, RunOutcome, Runner,
 };
@@ -151,11 +151,6 @@ where
     /// [`Runner::with_max_rounds`].
     pub fn with_max_rounds(self, max_rounds: u32) -> Self {
         NetRunner(self.0.with_max_rounds(max_rounds))
-    }
-
-    /// [`Runner::watch`].
-    pub fn watch(self, nodes: NodeSet) -> Self {
-        NetRunner(self.0.watch(nodes))
     }
 
     /// [`Runner::with_profiling`]; a `RoundEnd` event's `drops` field
@@ -373,6 +368,7 @@ mod tests {
     use super::*;
     use crate::plan::{LinkPolicy, Partition};
     use rmt_graph::generators;
+    use rmt_sets::NodeSet;
     use rmt_sim::testing::Flood;
     use rmt_sim::{SilentAdversary, Termination};
 
@@ -448,18 +444,23 @@ mod tests {
             duplicate: 1.0,
             ..LinkPolicy::default()
         });
+        let mut obs = rmt_obs::VecObserver::new();
         let out = NetRunner::new(
             g,
             flood_from_zero,
             SilentAdversary::new(NodeSet::new()),
             plan,
         )
-        .watch(set(&[1]))
-        .run();
+        .run_observed(&mut obs);
         assert_eq!(out.decision(1.into()), Some(7));
         assert!(out.faults.duplicated > 0);
         // Node 1 got at least the original plus one copy of 0's message.
-        assert!(out.delivered_to(1.into()).len() >= 2);
+        let to_one = obs
+            .events
+            .iter()
+            .filter(|ev| matches!(ev, RunEvent::Delivery { to: 1, .. }))
+            .count();
+        assert!(to_one >= 2);
     }
 
     #[test]
@@ -815,7 +816,7 @@ mod tests {
         }
     }
 
-    fn counted_run(plan: FaultPlan, watch: NodeSet) -> (NetOutcome<Chatter>, u64) {
+    fn counted_run(plan: FaultPlan) -> (NetOutcome<Chatter>, u64) {
         CLONES.with(|c| c.set(0));
         let out = NetRunner::new(
             generators::cycle(5),
@@ -823,19 +824,15 @@ mod tests {
             SilentAdversary::new(NodeSet::new()),
             plan,
         )
-        .watch(watch)
         .run();
         (out, CLONES.with(std::cell::Cell::get))
     }
 
     #[test]
     fn empty_plan_moves_every_envelope() {
-        let (out, clones) = counted_run(FaultPlan::new(1), set(&[2]));
+        let (out, clones) = counted_run(FaultPlan::new(1));
         assert!(out.metrics.honest_messages >= 30);
-        // The only copies are the watch log's.
-        assert_eq!(clones, out.delivered_to(2.into()).len() as u64);
-        assert!(clones > 0);
-        assert_eq!(counted_run(FaultPlan::new(1), NodeSet::new()).1, 0);
+        assert_eq!(clones, 0);
     }
 
     #[test]
@@ -844,7 +841,7 @@ mod tests {
             duplicate: 1.0,
             ..LinkPolicy::default()
         });
-        let (out, clones) = counted_run(plan, NodeSet::new());
+        let (out, clones) = counted_run(plan);
         assert_eq!(out.faults.duplicated, out.metrics.honest_messages);
         assert_eq!(clones, out.faults.duplicated);
     }

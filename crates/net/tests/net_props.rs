@@ -1,13 +1,15 @@
 //! Property tests for the fault model and the event-queue scheduler.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 use rmt_graph::generators;
 use rmt_net::{
     FaultPlan, FaultRng, FaultStats, LinkPolicy, MessageAdversary, NetRunner, Partition, Salt,
 };
-use rmt_obs::VecObserver;
+use rmt_obs::{RunEvent, VecObserver};
 use rmt_sets::{NodeId, NodeSet};
-use rmt_sim::{testing::Flood, Runner, SilentAdversary};
+use rmt_sim::{testing::Flood, Envelope, NodeContext, Protocol, Runner, SilentAdversary};
 
 fn arb_policy() -> impl Strategy<Value = LinkPolicy> {
     (
@@ -64,6 +66,35 @@ fn flood_from_zero(v: NodeId) -> Flood {
     Flood::new(v, (v.index() == 0).then_some(5))
 }
 
+/// `Flood` that records, per round it runs from 1 on, the inbox it was
+/// handed as `(sender, payload in Debug form)`.
+struct Recording {
+    inner: Flood,
+    inboxes: Vec<(u32, Vec<(u32, String)>)>,
+}
+
+impl Protocol for Recording {
+    type Payload = u64;
+    type Decision = u64;
+
+    fn start(&mut self, ctx: &NodeContext) -> Vec<(NodeId, u64)> {
+        self.inner.start(ctx)
+    }
+
+    fn on_round(&mut self, ctx: &NodeContext, inbox: &[Envelope<u64>]) -> Vec<(NodeId, u64)> {
+        let seen = inbox
+            .iter()
+            .map(|env| (env.from.raw(), format!("{:?}", env.payload)))
+            .collect();
+        self.inboxes.push((ctx.round, seen));
+        self.inner.on_round(ctx, inbox)
+    }
+
+    fn decision(&self) -> Option<u64> {
+        self.inner.decision()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -90,6 +121,39 @@ proptest! {
         prop_assert_eq!(&net.faults, &FaultStats::default());
         for v in g.nodes() {
             prop_assert_eq!(sync.decision(v), net.decision(v));
+        }
+    }
+
+    /// Under any faulty plan the event stream is a complete record of what
+    /// each node saw: for every honest node and every round from 1 on in
+    /// which it is not crashed, the inbox its `on_round` was handed equals,
+    /// in order, that round's `Delivery` events addressed to it.
+    #[test]
+    fn honest_inboxes_equal_the_delivery_events((n, p, seed) in arb_setup(), plan in arb_plan()) {
+        let g = generators::gnp_connected(n, p, &mut generators::seeded(seed));
+        let mut obs = VecObserver::new();
+        let out = NetRunner::new(
+            g.clone(),
+            |v| Recording { inner: flood_from_zero(v), inboxes: Vec::new() },
+            SilentAdversary::new(NodeSet::singleton(NodeId::new(1))),
+            plan.clone(),
+        )
+        .run_observed(&mut obs);
+        let mut streamed: HashMap<(u32, u32), Vec<(u32, String)>> = HashMap::new();
+        for ev in &obs.events {
+            if let RunEvent::Delivery { round, from, to, payload } = ev {
+                streamed.entry((*to, *round)).or_default().push((*from, payload.clone()));
+            }
+        }
+        for v in g.nodes() {
+            let Some(node) = out.protocol(v) else { continue };
+            let rounds: Vec<u32> = node.inboxes.iter().map(|(r, _)| *r).collect();
+            let live: Vec<u32> = (1..=out.metrics.rounds).filter(|&r| !plan.crashed(v, r)).collect();
+            prop_assert_eq!(rounds, live);
+            for (round, inbox) in &node.inboxes {
+                let events = streamed.get(&(v.raw(), *round)).map_or(&[][..], Vec::as_slice);
+                prop_assert_eq!(inbox.as_slice(), events, "node {}, round {}", v, round);
+            }
         }
     }
 

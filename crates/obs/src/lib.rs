@@ -6,8 +6,8 @@
 //!   the [`RunObserver`] trait the simulator streams events through. The
 //!   default [`NoopObserver`] has `ACTIVE = false`, so instrumented code
 //!   monomorphizes to the uninstrumented hot path.
-//! - [`registry`] — a global-free metrics [`Registry`]: atomic counters,
-//!   gauges and power-of-two histograms with [`ScopedTimer`] for durations,
+//! - [`registry`] — a global-free metrics [`Registry`]: atomic counters
+//!   and power-of-two histograms with [`ScopedTimer`] for durations,
 //!   stamped by a pluggable [`Clock`] (wall or deterministic virtual).
 //! - [`profile`] — phase profiling: a [`Profiler`] hands out RAII [`Span`]
 //!   guards whose open/close events ride the [`RunEvent`] stream;
@@ -38,7 +38,7 @@ pub use json::{parse_jsonl, to_jsonl, Json, ParseError};
 pub use profile::{
     fmt_ns, render_round_profile, render_span_tree, span_tree, Profiler, Span, SpanNode,
 };
-pub use registry::{intern, Counter, Gauge, Histogram, Registry, ScopedTimer};
+pub use registry::{intern, Counter, Histogram, Registry, ScopedTimer};
 pub use trace::{
     diff_node_views, diff_traces, node_view, render_node_view, render_trace, TraceDiff, ViewLine,
 };

@@ -2,7 +2,7 @@
 //!
 //! No statics, no global singleton: a [`Registry`] is created where it is
 //! needed and handed (or cloned — handles share state) to the code being
-//! instrumented. Metric handles ([`Counter`], [`Gauge`], [`Histogram`]) are
+//! instrumented. Metric handles ([`Counter`], [`Histogram`]) are
 //! cheap `Arc`-backed atomics, so hot loops resolve a handle once by name
 //! and then pay a relaxed atomic op per update.
 //!
@@ -71,46 +71,6 @@ impl Counter {
     /// Adds `other`'s count to this counter (shard merge).
     pub fn merge_from(&self, other: &Counter) {
         self.add(other.get());
-    }
-}
-
-/// A last-value-wins gauge that also tracks its maximum.
-#[derive(Clone, Debug, Default)]
-pub struct Gauge {
-    value: Arc<AtomicU64>,
-    max: Arc<AtomicU64>,
-}
-
-impl Gauge {
-    /// Creates a free-standing gauge.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Sets the current value.
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// The largest value ever set.
-    pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-
-    /// Merges `other` into this gauge element-wise by maximum.
-    ///
-    /// Gauges merged from worker shards are peak-style readings (the
-    /// last-writer-wins semantics of `set` has no cross-shard meaning), so
-    /// the merge keeps the larger of both `value`s and both `max`es.
-    pub fn merge_from(&self, other: &Gauge) {
-        self.value.fetch_max(other.get(), Ordering::Relaxed);
-        self.max.fetch_max(other.max(), Ordering::Relaxed);
     }
 }
 
@@ -312,7 +272,6 @@ impl Drop for ScopedTimer {
 #[derive(Default)]
 struct RegistryInner {
     counters: BTreeMap<&'static str, Counter>,
-    gauges: BTreeMap<&'static str, Gauge>,
     histograms: BTreeMap<&'static str, Histogram>,
     clock: Clock,
     profiler: Option<Profiler>,
@@ -371,12 +330,6 @@ impl Registry {
         inner.counters.entry(name).or_default().clone()
     }
 
-    /// The gauge named `name` (created on first use).
-    pub fn gauge(&self, name: &'static str) -> Gauge {
-        let mut inner = self.inner.lock().expect("registry lock");
-        inner.gauges.entry(name).or_default().clone()
-    }
-
     /// The histogram named `name` (created on first use).
     pub fn histogram(&self, name: &'static str) -> Histogram {
         let mut inner = self.inner.lock().expect("registry lock");
@@ -400,21 +353,16 @@ impl Registry {
     /// This is how per-worker **shards** flow back into a run's registry:
     /// give each worker a fresh `Registry`, let it record freely without
     /// contending on the shared one, then `merge_from` each shard after the
-    /// join. Counters and histograms add; gauges merge by maximum. Merging a
+    /// join. Counters and histograms add. Merging a
     /// quiescent shard is exact — totals equal single-registry recording —
     /// and iteration is in sorted name order, so repeated merges visit
     /// metrics deterministically.
     pub fn merge_from(&self, other: &Registry) {
-        let (counters, gauges, histograms) = {
+        let (counters, histograms) = {
             let inner = other.inner.lock().expect("registry lock");
             (
                 inner
                     .counters
-                    .iter()
-                    .map(|(&k, v)| (k, v.clone()))
-                    .collect::<Vec<_>>(),
-                inner
-                    .gauges
                     .iter()
                     .map(|(&k, v)| (k, v.clone()))
                     .collect::<Vec<_>>(),
@@ -428,9 +376,6 @@ impl Registry {
         for (name, c) in counters {
             self.counter(name).merge_from(&c);
         }
-        for (name, g) in gauges {
-            self.gauge(name).merge_from(&g);
-        }
         for (name, h) in histograms {
             self.histogram(name).merge_from(&h);
         }
@@ -442,7 +387,6 @@ impl Registry {
         let mut names: Vec<&'static str> = inner
             .counters
             .keys()
-            .chain(inner.gauges.keys())
             .chain(inner.histograms.keys())
             .copied()
             .collect();
@@ -454,19 +398,13 @@ impl Registry {
     /// All metrics as a JSON object, names sorted, suitable for the
     /// `counters` field of an experiment artifact.
     ///
-    /// Counters render as integers, gauges as `{value, max}`, histograms as
+    /// Counters render as integers, histograms as
     /// `{count, sum, min, max, mean, p50, p90, p99}`.
     pub fn to_json(&self) -> Json {
         let inner = self.inner.lock().expect("registry lock");
         let mut pairs: Vec<(String, Json)> = Vec::new();
         for (name, c) in &inner.counters {
             pairs.push((name.to_string(), Json::from(c.get())));
-        }
-        for (name, g) in &inner.gauges {
-            pairs.push((
-                name.to_string(),
-                Json::obj([("value", Json::from(g.get())), ("max", Json::from(g.max()))]),
-            ));
         }
         for (name, h) in &inner.histograms {
             pairs.push((name.to_string(), h.summary_json()));
@@ -481,9 +419,6 @@ impl Registry {
         let mut lines: Vec<String> = Vec::new();
         for (name, c) in &inner.counters {
             lines.push(format!("{name} {}", c.get()));
-        }
-        for (name, g) in &inner.gauges {
-            lines.push(format!("{name} {} (max {})", g.get(), g.max()));
         }
         for (name, h) in &inner.histograms {
             lines.push(format!(
@@ -529,16 +464,6 @@ mod tests {
         reg.counter(a).inc();
         reg.counter(b).inc();
         assert_eq!(reg.counter(intern("dyn.7")).get(), 2);
-    }
-
-    #[test]
-    fn gauges_track_max() {
-        let g = Gauge::new();
-        g.set(3);
-        g.set(9);
-        g.set(5);
-        assert_eq!(g.get(), 5);
-        assert_eq!(g.max(), 9);
     }
 
     #[test]
@@ -631,11 +556,9 @@ mod tests {
         for (i, v) in [3u64, 0, 17, 9, 1024, 2].iter().enumerate() {
             direct.counter("c").add(*v);
             direct.histogram("h").record(*v);
-            direct.gauge("g").set(*v);
             let shard = if i % 2 == 0 { &shard_a } else { &shard_b };
             shard.counter("c").add(*v);
             shard.histogram("h").record(*v);
-            shard.gauge("g").set(*v);
         }
         merged.merge_from(&shard_a);
         merged.merge_from(&shard_b);
@@ -646,7 +569,6 @@ mod tests {
         assert_eq!(mh.min(), dh.min());
         assert_eq!(mh.max(), dh.max());
         assert_eq!(mh.nonzero_buckets(), dh.nonzero_buckets());
-        assert_eq!(merged.gauge("g").max(), direct.gauge("g").max());
         // Merging an empty shard is a no-op, even for min tracking.
         merged.merge_from(&Registry::new());
         assert_eq!(merged.histogram("h").min(), dh.min());
@@ -657,21 +579,16 @@ mod tests {
         let reg = Registry::new();
         reg.counter("b.count").add(2);
         reg.counter("a.count").add(1);
-        reg.gauge("g").set(7);
         reg.histogram("h").record(10);
         let j = reg.to_json();
         match &j {
             Json::Obj(pairs) => {
                 let names: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
-                assert_eq!(names, vec!["a.count", "b.count", "g", "h"]);
+                assert_eq!(names, vec!["a.count", "b.count", "h"]);
             }
             other => panic!("expected object, got {other}"),
         }
         assert_eq!(j.get("a.count").and_then(Json::as_i64), Some(1));
-        assert_eq!(
-            j.get("g").and_then(|g| g.get("max")).and_then(Json::as_i64),
-            Some(7)
-        );
         assert_eq!(
             j.get("h")
                 .and_then(|h| h.get("count"))
@@ -683,6 +600,6 @@ mod tests {
             Some(15) // 10 lands in [8,16)
         );
         assert!(reg.render().contains("a.count 1"));
-        assert_eq!(reg.metric_names(), vec!["a.count", "b.count", "g", "h"]);
+        assert_eq!(reg.metric_names(), vec!["a.count", "b.count", "h"]);
     }
 }

@@ -23,9 +23,10 @@
 //!   frame form ([`SessionFrame::relay`] rewrites the trail table), and
 //!   the receiver reads messages in place.
 //! * [`Session`] drives a whole transmission over the synchronous `Runner`
-//!   or the fault-injecting `NetRunner` and reports wire-layer and
-//!   model-layer cost side by side ([`SessionReport`]); the socket daemon
-//!   `rmt-netd` runs the same [`SessionNode`]s (`rmt_netd::run_session`).
+//!   and reports wire-layer and model-layer cost side by side
+//!   ([`SessionReport`]); the fault-injecting `NetRunner` and the socket
+//!   daemon `rmt-netd` (`rmt_netd::run_session`) run the same
+//!   [`SessionNode`]s.
 //! * [`SessionAdversary`] lifts the per-message attack gallery to the frame
 //!   layer, one inner adversary per slot.
 //!

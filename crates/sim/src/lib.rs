@@ -56,7 +56,6 @@ mod metrics;
 mod protocol;
 mod runner;
 pub mod testing;
-pub mod trace;
 pub mod transport;
 
 pub use adversary::{Adversary, FnAdversary, MapAdversary, SilentAdversary};
@@ -65,5 +64,4 @@ pub use message::{Envelope, Payload, RoundInboxes, WirePayload};
 pub use metrics::Metrics;
 pub use protocol::{NodeContext, Protocol};
 pub use runner::{Delivery, Lockstep, RunOutcome, Runner, Termination};
-pub use trace::Transcript;
 pub use transport::{default_max_rounds, Transport, MAX_ROUNDS_SLACK};

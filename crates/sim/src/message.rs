@@ -101,12 +101,6 @@ impl<P: Payload> Envelope<P> {
     }
 }
 
-/// A per-node log of deliveries: recipient ↦ [(round, envelope)].
-///
-/// Used by the runner's watch facility.
-pub(crate) type DeliveryLog<P> =
-    std::collections::HashMap<rmt_sets::NodeId, Vec<(u32, Envelope<P>)>>;
-
 /// The messages delivered to every node in one round, indexed by recipient.
 ///
 /// A full-information adversary receives the whole structure each round.

@@ -1,11 +1,9 @@
-use std::collections::HashMap;
-
 use rmt_graph::Graph;
 use rmt_obs::{Clock, NoopObserver, RunEvent, RunObserver};
 use rmt_sets::{NodeId, NodeSet};
 
 use crate::adversary::Adversary;
-use crate::message::{DeliveryLog, Envelope, RoundInboxes};
+use crate::message::{Envelope, RoundInboxes};
 use crate::metrics::Metrics;
 use crate::protocol::{NodeContext, Protocol};
 use crate::transport::{default_max_rounds, sweep_decisions, Transport};
@@ -136,7 +134,6 @@ pub struct Runner<Q: Protocol, A, D = Lockstep<<Q as Protocol>::Payload>> {
     adversary: A,
     delivery: D,
     max_rounds: u32,
-    watch: NodeSet,
     profile: Option<Clock>,
 }
 
@@ -151,7 +148,6 @@ pub struct RunOutcome<Q: Protocol, F = ()> {
     pub faults: F,
     /// Whether the run quiesced or hit the round cap with traffic in flight.
     pub termination: Termination,
-    watched: DeliveryLog<Q::Payload>,
 }
 
 impl<Q, A> Runner<Q, A>
@@ -195,7 +191,6 @@ where
             adversary,
             delivery,
             max_rounds,
-            watch: NodeSet::new(),
             profile: None,
         }
     }
@@ -203,13 +198,6 @@ where
     /// Overrides the round limit.
     pub fn with_max_rounds(mut self, max_rounds: u32) -> Self {
         self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Records every message delivered to the given nodes (retrievable via
-    /// [`RunOutcome::delivered_to`]).
-    pub fn watch(mut self, nodes: NodeSet) -> Self {
-        self.watch = nodes;
         self
     }
 
@@ -244,14 +232,14 @@ where
     /// With the default [`NoopObserver`] (`ACTIVE = false`) this
     /// monomorphizes to exactly the uninstrumented scheduler — events are
     /// neither constructed nor dispatched — so [`Runner::run`] simply
-    /// delegates here. The event stream carries everything the run's
-    /// [`Metrics`] and transcripts need; see [`Metrics::from_events`] and
-    /// [`Transcript::from_events`](crate::Transcript::from_events).
+    /// delegates here. The event stream is the run's one record of what
+    /// each node was delivered (a [`RunEvent::Delivery`] per envelope, in
+    /// the order its recipient receives them) and carries everything its
+    /// [`Metrics`] need; see [`Metrics::from_events`].
     pub fn run_observed<O: RunObserver>(mut self, observer: &mut O) -> RunOutcome<Q, D::Stats> {
         let profile = if O::ACTIVE { self.profile.take() } else { None };
         let mut books = Books {
             metrics: Metrics::default(),
-            watched: HashMap::new(),
             decided: vec![false; self.protocols.len()],
             round_start_ns: profile.as_ref().map_or(0, Clock::now_ns),
             profile,
@@ -291,24 +279,18 @@ where
             metrics: books.metrics,
             faults: self.delivery.into_stats(),
             termination,
-            watched: books.watched,
         }
     }
 
     /// Runs one round: delivers what is due (from round 1 on), runs the
     /// honest nodes and the adversary, admits their sends through
     /// [`Transport`] and hands the round's outbox to the delivery policy.
-    fn play_round<O: RunObserver>(
-        &mut self,
-        round: u32,
-        books: &mut Books<Q::Payload>,
-        observer: &mut O,
-    ) {
+    fn play_round<O: RunObserver>(&mut self, round: u32, books: &mut Books, observer: &mut O) {
         if O::ACTIVE {
             observer.on_event(&RunEvent::RoundStart { round });
         }
         self.delivery.start_round(round, observer);
-        let delivered = (round > 0).then(|| self.deliver(round, &mut books.watched, observer));
+        let delivered = (round > 0).then(|| self.deliver(round, observer));
 
         let transport = Transport::new(&self.graph);
         let mut honest_this_round = 0u64;
@@ -366,12 +348,10 @@ where
     }
 
     /// Takes the envelopes due in `round` from the delivery policy and files
-    /// them by recipient, emitting a [`RunEvent::Delivery`] for each and
-    /// logging those addressed to watched nodes.
+    /// them by recipient, emitting a [`RunEvent::Delivery`] for each.
     fn deliver<O: RunObserver>(
         &mut self,
         round: u32,
-        watched: &mut DeliveryLog<Q::Payload>,
         observer: &mut O,
     ) -> RoundInboxes<Q::Payload> {
         let mut delivered = RoundInboxes::new(self.protocols.len());
@@ -384,12 +364,6 @@ where
                     payload: format!("{:?}", env.payload),
                 });
             }
-            if self.watch.contains(env.to) {
-                watched
-                    .entry(env.to)
-                    .or_default()
-                    .push((round, env.clone()));
-            }
             delivered.push(env);
         }
         delivered
@@ -397,9 +371,8 @@ where
 }
 
 /// What one run accumulates across its rounds.
-struct Books<P> {
+struct Books {
     metrics: Metrics,
-    watched: DeliveryLog<P>,
     /// One flag per node: has its decision been reported yet?
     decided: Vec<bool>,
     /// The profiling clock; `None` unless profiling an observed run.
@@ -409,7 +382,7 @@ struct Books<P> {
     billed: (u64, u64, u64),
 }
 
-impl<P> Books<P> {
+impl Books {
     /// When profiling, emits one [`RunEvent::RoundEnd`] billing everything
     /// since the previous round boundary: latency from `round_start_ns` to
     /// now (which becomes the next boundary), plus message, bit and loss
@@ -462,13 +435,6 @@ impl<Q: Protocol, F> RunOutcome<Q, F> {
                     .map(|d| (NodeId::new(i as u32), d))
             })
             .collect()
-    }
-
-    /// The messages delivered to a watched node, as `(round, envelope)`.
-    ///
-    /// Empty unless the node was passed to [`Runner::watch`].
-    pub fn delivered_to(&self, v: NodeId) -> &[(u32, Envelope<Q::Payload>)] {
-        self.watched.get(&v).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -550,16 +516,30 @@ mod tests {
     }
 
     #[test]
-    fn watch_records_deliveries_in_order() {
+    fn delivery_events_reach_each_recipient_in_round_order() {
         let g = generators::path_graph(3);
-        let out = Runner::new(g, flood_from_zero, SilentAdversary::new(NodeSet::new()))
-            .watch(set(&[2]))
-            .run();
-        let log = out.delivered_to(2.into());
-        assert!(!log.is_empty());
-        assert_eq!(log[0].1.payload, 7);
-        assert!(log.windows(2).all(|w| w[0].0 <= w[1].0));
-        assert!(out.delivered_to(0.into()).is_empty()); // not watched
+        let mut obs = rmt_obs::VecObserver::new();
+        Runner::new(g, flood_from_zero, SilentAdversary::new(NodeSet::new()))
+            .run_observed(&mut obs);
+        let to = |node: u32| -> Vec<(u32, u32, String)> {
+            obs.events
+                .iter()
+                .filter_map(|ev| match ev {
+                    RunEvent::Delivery {
+                        round,
+                        from,
+                        to,
+                        payload,
+                    } if *to == node => Some((*round, *from, payload.clone())),
+                    _ => None,
+                })
+                .collect()
+        };
+        // Each node forwards the value once, the round it first hears it.
+        let seven = |round, from| (round, from, "7".to_string());
+        assert_eq!(to(0), vec![seven(2, 1)]);
+        assert_eq!(to(1), vec![seven(1, 0), seven(3, 2)]);
+        assert_eq!(to(2), vec![seven(2, 1)]);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use rmt_graph::generators;
+use rmt_obs::{RunEvent, VecObserver};
 use rmt_sets::{NodeId, NodeSet};
 use rmt_sim::{testing::Flood, Envelope, FnAdversary, Runner, SilentAdversary};
 
@@ -13,26 +14,32 @@ fn arb_setup() -> impl Strategy<Value = (usize, f64, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Watched deliveries only ever arrive along edges, from real nodes,
-    /// with non-decreasing rounds.
+    /// Deliveries only ever arrive along edges, between real nodes, with
+    /// non-decreasing rounds.
     #[test]
     fn deliveries_respect_the_topology((n, p, seed) in arb_setup()) {
         let g = generators::gnp_connected(n, p, &mut generators::seeded(seed));
-        let watch_all: NodeSet = g.nodes().clone();
+        let mut obs = VecObserver::new();
         let out = Runner::new(
             g.clone(),
             |v| Flood::new(v, (v.index() == 0).then_some(5)),
             SilentAdversary::new(NodeSet::new()),
         )
-        .watch(watch_all)
-        .run();
-        for v in g.nodes() {
-            let log = out.delivered_to(v);
-            prop_assert!(log.windows(2).all(|w| w[0].0 <= w[1].0));
-            for (_, env) in log {
-                prop_assert_eq!(env.to, v);
-                prop_assert!(g.has_edge(env.from, env.to));
-            }
+        .run_observed(&mut obs);
+        let deliveries: Vec<(u32, NodeId, NodeId)> = obs
+            .events
+            .iter()
+            .filter_map(|ev| match ev {
+                RunEvent::Delivery { round, from, to, .. } => {
+                    Some((*round, NodeId::new(*from), NodeId::new(*to)))
+                }
+                _ => None,
+            })
+            .collect();
+        prop_assert_eq!(deliveries.len() as u64, out.metrics.honest_messages);
+        prop_assert!(deliveries.windows(2).all(|w| w[0].0 <= w[1].0));
+        for (_, from, to) in deliveries {
+            prop_assert!(g.has_edge(from, to));
         }
     }
 
