@@ -88,14 +88,7 @@ impl JointView {
     /// Folds the exact binary ⊕, returning `None` if any intermediate
     /// antichain exceeds `max_antichain` maximal sets.
     pub fn materialize_bounded(&self, max_antichain: usize) -> Option<RestrictedStructure> {
-        let mut acc = RestrictedStructure::from_parts(NodeSet::new(), []);
-        for p in &self.parts {
-            acc = acc.join(p);
-            if acc.structure().maximal_sets().len() > max_antichain {
-                return None;
-            }
-        }
-        Some(acc)
+        self.fold(max_antichain, None)
     }
 
     /// [`JointView::materialize_bounded`] with the fold effort recorded in
@@ -112,19 +105,36 @@ impl JointView {
         max_antichain: usize,
         reg: &rmt_obs::Registry,
     ) -> Option<RestrictedStructure> {
-        let _timer = reg.timer("join.fold_ns");
-        let folds = reg.counter("join.folds");
-        let sizes = reg.histogram("join.antichain_size");
-        let candidates = reg.counter("family.candidate_sets");
-        let kept = reg.counter("family.kept_sets");
+        self.fold(max_antichain, Some(reg))
+    }
+
+    /// The one ⊕ fold behind both `materialize_bounded` forms.
+    fn fold(
+        &self,
+        max_antichain: usize,
+        reg: Option<&rmt_obs::Registry>,
+    ) -> Option<RestrictedStructure> {
+        let _timer = reg.map(|reg| reg.timer("join.fold_ns"));
+        let counters = reg.map(|reg| {
+            (
+                reg.counter("join.folds"),
+                reg.histogram("join.antichain_size"),
+                reg.counter("family.candidate_sets"),
+                reg.counter("family.kept_sets"),
+            )
+        });
         let mut acc = RestrictedStructure::from_parts(NodeSet::new(), []);
         for p in &self.parts {
-            candidates.add(acc.join_candidates(p) as u64);
+            if let Some((_, _, candidates, _)) = &counters {
+                candidates.add(acc.join_candidates(p) as u64);
+            }
             acc = acc.join(p);
-            folds.inc();
             let len = acc.structure().maximal_sets().len();
-            kept.add(len as u64);
-            sizes.record(len as u64);
+            if let Some((folds, sizes, _, kept)) = &counters {
+                folds.inc();
+                kept.add(len as u64);
+                sizes.record(len as u64);
+            }
             if len > max_antichain {
                 return None;
             }

@@ -1,4 +1,3 @@
-use std::collections::HashSet;
 use std::fmt;
 
 use rmt_sets::NodeSet;
@@ -119,19 +118,6 @@ impl AdversaryStructure {
         AdversaryStructure::from_sets(self.max_sets.iter().chain(&other.max_sets).cloned())
     }
 
-    /// Intersection of monotone families: `Z` admissible for both.
-    ///
-    /// The maximal sets of the intersection are the maximal elements of the
-    /// pairwise intersections of the operands' maximal sets (both families
-    /// are downward closed).
-    pub fn intersect(&self, other: &AdversaryStructure) -> AdversaryStructure {
-        AdversaryStructure::from_sets(
-            self.max_sets
-                .iter()
-                .flat_map(|a| other.max_sets.iter().map(move |b| a.intersection(b))),
-        )
-    }
-
     /// The restriction `𝒵^A = { Z ∩ A | Z ∈ 𝒵 }` as a plain structure.
     ///
     /// Because the family is downward closed, intersecting each maximal set
@@ -189,27 +175,6 @@ impl AdversaryStructure {
         }
         sets.sort_unstable();
         AdversaryStructure::from_sorted_antichain(sets)
-    }
-
-    /// Enumerates every member of the family (the down-closure of the
-    /// antichain), up to `limit` members.
-    ///
-    /// Intended for tests and small exhaustive analyses; the member count is
-    /// exponential in general. Returns `None` if the limit was exceeded.
-    pub fn enumerate_members(&self, limit: usize) -> Option<Vec<NodeSet>> {
-        let mut seen: HashSet<NodeSet> = HashSet::new();
-        seen.insert(NodeSet::new());
-        for m in &self.max_sets {
-            for sub in m.subsets() {
-                seen.insert(sub);
-                if seen.len() > limit {
-                    return None;
-                }
-            }
-        }
-        let mut out: Vec<NodeSet> = seen.into_iter().collect();
-        out.sort();
-        Some(out)
     }
 
     /// The classical Q^k predicate of Hirt–Maurer: `true` iff **no** `k`
@@ -363,16 +328,14 @@ mod tests {
     }
 
     #[test]
-    fn union_and_intersection_agree_with_membership() {
+    fn union_agrees_with_membership() {
         let a = structure(&[&[0, 1], &[2]]);
         let b = structure(&[&[1, 2], &[0]]);
         let u = a.union(&b);
-        let i = a.intersect(&b);
         for z in NodeSet::universe(3).subsets() {
             assert_eq!(u.contains(&z), a.contains(&z) || b.contains(&z), "{z}");
-            assert_eq!(i.contains(&z), a.contains(&z) && b.contains(&z), "{z}");
         }
-        assert!(u.invariant_holds() && i.invariant_holds());
+        assert!(u.invariant_holds());
     }
 
     #[test]
@@ -380,12 +343,13 @@ mod tests {
         let z = structure(&[&[0, 1, 3], &[2, 3]]);
         let a = set(&[0, 2, 3]);
         let r = z.restrict_sets(&a);
-        // Definitional restriction: {Z ∩ A | Z ∈ 𝒵}; check by membership.
+        // Definitional restriction: {Z ∩ A | Z ∈ 𝒵}, over every member Z
+        // (every subset of a maximal set); check by membership.
         for x in a.subsets() {
             let expected = z
-                .enumerate_members(1 << 12)
-                .unwrap()
+                .maximal_sets()
                 .iter()
+                .flat_map(NodeSet::subsets)
                 .any(|m| m.intersection(&a) == x);
             assert_eq!(r.contains(&x), expected, "{x}");
         }
@@ -396,14 +360,6 @@ mod tests {
         let z = structure(&[&[0, 1], &[5]]);
         assert_eq!(z.support(), set(&[0, 1, 5]));
         assert!(AdversaryStructure::trivial().support().is_empty());
-    }
-
-    #[test]
-    fn enumerate_members_counts_down_closure() {
-        let z = structure(&[&[0, 1], &[2]]);
-        // members: ∅,{0},{1},{0,1},{2} = 5
-        assert_eq!(z.enumerate_members(100).unwrap().len(), 5);
-        assert_eq!(z.enumerate_members(3), None);
     }
 
     #[test]

@@ -14,13 +14,13 @@ fn bench_cuts(c: &mut Criterion) {
         let mut rng = seeded(n as u64);
         let inst = random_instance_nonadjacent(n, 0.35, ViewKind::AdHoc, 3, 2, &mut rng);
         group.bench_with_input(BenchmarkId::new("rmt_cut_exhaustive", n), &n, |b, _| {
-            b.iter(|| black_box(find_rmt_cut(&inst)))
+            b.iter(|| black_box(find_rmt_cut(&inst, None)))
         });
         group.bench_with_input(BenchmarkId::new("zpp_enumeration", n), &n, |b, _| {
             b.iter(|| black_box(zpp_cut_by_enumeration(&inst)))
         });
         group.bench_with_input(BenchmarkId::new("zpp_fixpoint", n), &n, |b, _| {
-            b.iter(|| black_box(zpp_cut_by_fixpoint(&inst)))
+            b.iter(|| black_box(zpp_cut_by_fixpoint(&inst, None)))
         });
     }
     group.finish();

@@ -30,7 +30,7 @@ fn bench_gallery(c: &mut Criterion) {
     let mut group = c.benchmark_group("cut_search/gallery");
     for (name, inst) in gallery_instances() {
         group.bench_with_input(BenchmarkId::new("exhaustive", name), &inst, |b, inst| {
-            b.iter(|| black_box(find_rmt_cut(inst)))
+            b.iter(|| black_box(find_rmt_cut(inst, None)))
         });
         group.bench_with_input(BenchmarkId::new("anchored", name), &inst, |b, inst| {
             b.iter(|| black_box(find_rmt_cut_anchored(inst)))
@@ -48,7 +48,7 @@ fn bench_ring_family(c: &mut Criterion) {
         let g = generators::ring_with_chords(n, n / 4, &mut rng);
         let inst = threshold_instance(g, 0, ViewKind::AdHoc, 0, (n / 2) as u32);
         group.bench_with_input(BenchmarkId::new("exhaustive", n), &inst, |b, inst| {
-            b.iter(|| black_box(find_rmt_cut(inst)))
+            b.iter(|| black_box(find_rmt_cut(inst, None)))
         });
         group.bench_with_input(BenchmarkId::new("anchored", n), &inst, |b, inst| {
             b.iter(|| black_box(find_rmt_cut_anchored(inst)))

@@ -7,7 +7,7 @@
 
 use rmt_bench::{Experiment, Table};
 use rmt_core::analysis::minimal_upgrade_set;
-use rmt_core::cuts::find_rmt_cut_observed;
+use rmt_core::cuts::find_rmt_cut;
 use rmt_core::gallery;
 use rmt_core::sampling::random_structure;
 use rmt_core::Instance;
@@ -83,9 +83,9 @@ fn main() {
     println!("staggered-theta minimal upgrade set: {upgrade} (upgrading this node to a radius-2");
     println!("view refutes the triple-cut framing; verified solvable below).");
     let inst = rmt_core::analysis::mixed_views_instance(&g, &z, 0.into(), 9.into(), &upgrade, 2);
-    assert!(find_rmt_cut_observed(&inst, exp.registry()).is_none());
+    assert!(find_rmt_cut(&inst, Some(exp.registry())).is_none());
     let adhoc = Instance::new(g, z, ViewKind::AdHoc, 0.into(), 9.into()).unwrap();
-    assert!(find_rmt_cut_observed(&adhoc, exp.registry()).is_some());
+    assert!(find_rmt_cut(&adhoc, Some(exp.registry())).is_some());
     exp.finish();
     println!("\nShape check: most random ad hoc instances are already solvable or genuinely");
     println!("unsolvable (pair cuts); the gap cases are fixed by one or two well-placed");

@@ -8,7 +8,7 @@
 //! construction: fewer messages only remove candidate message sets.)
 
 use rmt_bench::{fmt_duration, mean, parallel_map, timed, Experiment, Table};
-use rmt_core::cuts::{find_rmt_cut, find_rmt_cut_observed};
+use rmt_core::cuts::find_rmt_cut;
 use rmt_core::protocols::rmt_pka::RmtPka;
 use rmt_core::sampling::random_instance_nonadjacent;
 use rmt_graph::generators::seeded;
@@ -27,7 +27,7 @@ fn main() {
     while instances.len() < trials {
         let n = 7 + instances.len() % 4;
         let inst = random_instance_nonadjacent(n, 0.35, ViewKind::AdHoc, 3, 2, &mut rng);
-        if find_rmt_cut_observed(&inst, exp.registry()).is_none() {
+        if find_rmt_cut(&inst, Some(exp.registry())).is_none() {
             instances.push(inst);
         }
     }
@@ -98,7 +98,12 @@ fn main() {
         "E11b: solvability screening, exhaustive decision engine",
         &["mode", "instances", "disagreements", "time"],
     );
-    let (seq, t_seq) = timed(|| instances.iter().map(find_rmt_cut).collect::<Vec<_>>());
+    let (seq, t_seq) = timed(|| {
+        instances
+            .iter()
+            .map(|inst| find_rmt_cut(inst, None))
+            .collect::<Vec<_>>()
+    });
     let disagreements = seq.iter().filter(|w| w.is_some()).count();
     assert_eq!(disagreements, 0, "screening diverged from the selection");
     screen.row(&[

@@ -20,7 +20,7 @@
 //! unsolvable anyway".
 
 use rmt_bench::{mean, parallel_map, Experiment, Table};
-use rmt_core::cuts::find_rmt_cut_observed;
+use rmt_core::cuts::find_rmt_cut;
 use rmt_core::protocols::attacks::{pka_adversary, PkaAttack};
 use rmt_core::protocols::rmt_pka::RmtPka;
 use rmt_core::sampling::{random_instance, random_instance_nonadjacent};
@@ -137,7 +137,7 @@ fn main() {
             random_instance_nonadjacent(n, 0.35, views, 3, 2, &mut rng) // E2 family
         };
         screened += 1;
-        if find_rmt_cut_observed(&inst, exp.registry()).is_none() {
+        if find_rmt_cut(&inst, Some(exp.registry())).is_none() {
             instances.push(inst);
         }
     }

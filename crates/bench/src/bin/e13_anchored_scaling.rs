@@ -88,7 +88,7 @@ fn main() {
             let verdict = if anchored.is_some() { "cut" } else { "no cut" };
 
             let (exhaustive_cell, speedup_cell) = if n <= exhaustive_max_n {
-                let (exhaustive, t_exh) = timed(|| find_rmt_cut(&inst));
+                let (exhaustive, t_exh) = timed(|| find_rmt_cut(&inst, None));
                 assert_eq!(
                     exhaustive.is_some(),
                     anchored.is_some(),

@@ -88,7 +88,7 @@ fn main() {
             seed: 0xE14_0000 + screened,
         };
         screened += 1;
-        if find_rmt_cut(&spec.build()).is_none() {
+        if find_rmt_cut(&spec.build(), None).is_none() {
             specs.push(spec);
         }
     }

@@ -119,7 +119,7 @@ fn main() {
             seed: 0xE15_0000 + screened,
         };
         screened += 1;
-        if find_rmt_cut(&spec.build()).is_none() {
+        if find_rmt_cut(&spec.build(), None).is_none() {
             specs.push(spec);
         }
     }

@@ -16,7 +16,7 @@
 //! A perfect diagonal is the paper's prediction.
 
 use rmt_bench::{Experiment, Table};
-use rmt_core::analysis::{pka_attack_suite_observed, run_coupled_attack};
+use rmt_core::analysis::{pka_attack_suite, run_coupled_attack};
 use rmt_core::cuts::{find_rmt_cut, find_rmt_cut_anchored_observed};
 use rmt_core::protocols::attacks::PKA_ATTACKS;
 use rmt_core::sampling::random_instance_nonadjacent;
@@ -56,18 +56,18 @@ fn main() {
             // scan remains the in-run ground truth for the verdict.
             assert_eq!(
                 witness.is_some(),
-                find_rmt_cut(&inst).is_some(),
+                find_rmt_cut(&inst, None).is_some(),
                 "anchored verdict diverged on trial {trial} ({views:?})"
             );
             match witness {
                 None => {
                     solvable += 1;
-                    let report = pka_attack_suite_observed(
+                    let report = pka_attack_suite(
                         &inst,
                         7,
                         &PKA_ATTACKS,
                         trial as u64,
-                        exp.registry(),
+                        Some(exp.registry()),
                     );
                     if report.all_correct() {
                         pka_ok += 1;

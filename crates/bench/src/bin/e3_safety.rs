@@ -6,8 +6,8 @@
 //! paper's claim: the wrong-decision column is **zero**, unconditionally.
 
 use rmt_bench::{Experiment, Table};
-use rmt_core::analysis::pka_attack_suite_observed;
-use rmt_core::cuts::find_rmt_cut_observed;
+use rmt_core::analysis::pka_attack_suite;
+use rmt_core::cuts::find_rmt_cut;
 use rmt_core::protocols::attacks::{PkaAttack, PKA_ATTACKS};
 use rmt_core::sampling::random_instance;
 use rmt_graph::generators::seeded;
@@ -38,13 +38,12 @@ fn main() {
             let inst = random_instance(n, 0.4, views, 3, 2, &mut rng);
             // Classify with the instrumented decider so the artifact's
             // counters record the search effort behind the sweep.
-            if find_rmt_cut_observed(&inst, exp.registry()).is_some() {
+            if find_rmt_cut(&inst, Some(exp.registry())).is_some() {
                 exp.registry().counter("e3.unsolvable_instances").inc();
             } else {
                 exp.registry().counter("e3.solvable_instances").inc();
             }
-            let report =
-                pka_attack_suite_observed(&inst, 7, &[attack], trial as u64, exp.registry());
+            let report = pka_attack_suite(&inst, 7, &[attack], trial as u64, Some(exp.registry()));
             runs += report.runs;
             correct += report.correct;
             undecided += report.undecided;

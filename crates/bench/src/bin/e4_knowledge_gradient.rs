@@ -9,8 +9,8 @@
 
 use rmt_bench::{Experiment, Table};
 use rmt_core::analysis::minimal_knowledge_radius;
-use rmt_core::analysis::pka_attack_suite_observed;
-use rmt_core::cuts::find_rmt_cut_observed;
+use rmt_core::analysis::pka_attack_suite;
+use rmt_core::cuts::find_rmt_cut;
 use rmt_core::protocols::attacks::PKA_ATTACKS;
 use rmt_core::sampling::random_structure;
 use rmt_core::Instance;
@@ -59,7 +59,7 @@ fn main() {
             let mut prev_solvable = false;
             for (k, slot) in solvable_at.iter_mut().enumerate() {
                 let inst = Instance::new(g.clone(), z.clone(), ViewKind::Radius(k), d, r).unwrap();
-                let s = find_rmt_cut_observed(&inst, exp.registry()).is_none();
+                let s = find_rmt_cut(&inst, Some(exp.registry())).is_none();
                 assert!(!prev_solvable || s, "knowledge monotonicity violated");
                 prev_solvable = s;
                 if s {
@@ -71,7 +71,7 @@ fn main() {
                 // Operational confirmation at the minimal radius.
                 let inst = Instance::new(g.clone(), z.clone(), ViewKind::Radius(k), d, r).unwrap();
                 confirmable += 1;
-                if pka_attack_suite_observed(&inst, 7, &PKA_ATTACKS, trial as u64, exp.registry())
+                if pka_attack_suite(&inst, 7, &PKA_ATTACKS, trial as u64, Some(exp.registry()))
                     .all_correct()
                 {
                     confirmed += 1;
@@ -103,12 +103,11 @@ fn main() {
             9.into(),
         )
         .unwrap();
-        *slot = find_rmt_cut_observed(&inst, exp.registry()).is_none();
+        *slot = find_rmt_cut(&inst, Some(exp.registry())).is_none();
     }
     let min_k = minimal_knowledge_radius(&g, &z, 0.into(), 9.into(), max_k).unwrap();
     let inst = Instance::new(g.clone(), z, ViewKind::Radius(min_k), 0.into(), 9.into()).unwrap();
-    let confirmed =
-        pka_attack_suite_observed(&inst, 7, &PKA_ATTACKS, 1, exp.registry()).all_correct();
+    let confirmed = pka_attack_suite(&inst, 7, &PKA_ATTACKS, 1, Some(exp.registry())).all_correct();
     table.row(&[
         "staggered-theta".to_string(),
         format!("{}/1", u8::from(solvable_at[0])),

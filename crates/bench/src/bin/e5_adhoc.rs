@@ -13,7 +13,7 @@
 use rand::Rng;
 use rmt_bench::{Experiment, Table};
 use rmt_core::analysis::zcpa_attack_suite;
-use rmt_core::cuts::{zpp_cut_by_enumeration, zpp_cut_by_fixpoint_observed};
+use rmt_core::cuts::{zpp_cut_by_enumeration, zpp_cut_by_fixpoint};
 use rmt_core::protocols::attacks::ZCPA_ATTACKS;
 use rmt_core::protocols::cpa::{zcpa_threshold_node, CpaClassic};
 use rmt_core::sampling::{random_instance_nonadjacent, random_structure};
@@ -38,7 +38,7 @@ fn main() {
         let n = 6 + trial % 4;
         let inst = random_instance_nonadjacent(n, 0.35, ViewKind::AdHoc, 3, 2, &mut rng);
         let enumerated = zpp_cut_by_enumeration(&inst).is_some();
-        let fixpoint = zpp_cut_by_fixpoint_observed(&inst, exp.registry()).is_some();
+        let fixpoint = zpp_cut_by_fixpoint(&inst, Some(exp.registry())).is_some();
         if enumerated == fixpoint {
             agree += 1;
         } else {

@@ -8,7 +8,7 @@
 //! with the simple-path count of the family.
 
 use rmt_bench::{fmt_duration, timed, Experiment, Table};
-use rmt_core::cuts::{find_rmt_cut, find_rmt_cut_anchored, zcpa_fixpoint_observed};
+use rmt_core::cuts::{find_rmt_cut, find_rmt_cut_anchored, zcpa_fixpoint};
 use rmt_core::protocols::rmt_pka::RmtPka;
 use rmt_core::protocols::zcpa::run_zcpa;
 use rmt_core::sampling::threshold_instance;
@@ -75,7 +75,7 @@ fn main() {
         let inst = threshold_instance(g, t, ViewKind::AdHoc, d, r);
         // Honest-run certification fixpoint through the instrumented decider:
         // its sweep/check counters land in the artifact.
-        let _ = zcpa_fixpoint_observed(&inst, &NodeSet::new(), exp.registry());
+        let _ = zcpa_fixpoint(&inst, &NodeSet::new(), Some(exp.registry()));
         let (zcpa, t_z) = timed(|| run_zcpa(&inst, 7, SilentAdversary::new(NodeSet::new())));
         assert_eq!(
             zcpa.decision(inst.receiver()),
@@ -122,7 +122,7 @@ fn main() {
         let g = generators::king_grid(w, w);
         let n = g.node_count();
         let inst = threshold_instance(g, 1, ViewKind::AdHoc, 0, (w * w - 1) as u32);
-        let _ = zcpa_fixpoint_observed(&inst, &NodeSet::new(), exp.registry());
+        let _ = zcpa_fixpoint(&inst, &NodeSet::new(), Some(exp.registry()));
         let (out, t) = timed(|| run_zcpa(&inst, 7, SilentAdversary::new(NodeSet::new())));
         assert_eq!(out.decision(inst.receiver()), Some(7), "grid {w}×{w}");
         big.row(&[
@@ -148,7 +148,7 @@ fn main() {
         let g = generators::ring_with_chords(n, n / 4, &mut rng);
         let inst = threshold_instance(g, 0, ViewKind::AdHoc, 0, (n / 2) as u32);
         let subsets = 1u64 << (n - 2);
-        let (seq, t_seq) = timed(|| find_rmt_cut(&inst));
+        let (seq, t_seq) = timed(|| find_rmt_cut(&inst, None));
         let (anchored, t_anc) = timed(|| find_rmt_cut_anchored(&inst));
         assert_eq!(
             seq.is_some(),

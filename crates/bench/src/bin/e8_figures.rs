@@ -12,7 +12,7 @@
 use rmt_adversary::AdversaryStructure;
 use rmt_bench::{Experiment, Table};
 use rmt_core::analysis::run_coupled_attack;
-use rmt_core::cuts::find_rmt_cut_observed;
+use rmt_core::cuts::find_rmt_cut;
 use rmt_core::protocols::rmt_pka::PkaPayload;
 use rmt_core::reduction::StarInstance;
 use rmt_core::Instance;
@@ -89,7 +89,7 @@ fn figure_2(exp: &mut Experiment) {
     g.add_edge(2.into(), 3.into());
     let z = AdversaryStructure::from_sets([set(&[1]), set(&[2])]);
     let inst = Instance::new(g, z, ViewKind::AdHoc, 0.into(), 3.into()).unwrap();
-    let witness = find_rmt_cut_observed(&inst, exp.registry()).expect("diamond is unsolvable");
+    let witness = find_rmt_cut(&inst, Some(exp.registry())).expect("diamond is unsolvable");
 
     println!("## F2: coupled runs e₀/e₁ on the unsolvable diamond");
     println!(

@@ -11,7 +11,7 @@
 
 use rmt_bench::{Experiment, Table};
 use rmt_core::broadcast;
-use rmt_core::cuts::find_rmt_cut_observed;
+use rmt_core::cuts::find_rmt_cut;
 use rmt_core::protocols::ppa::{pair_cut_exists, run_ppa};
 use rmt_core::sampling::{random_instance_nonadjacent, random_structure};
 use rmt_core::Instance;
@@ -34,7 +34,7 @@ fn main() {
         let n = 5 + trial % 5;
         let inst = random_instance_nonadjacent(n, 0.35, ViewKind::Full, 3, 2, &mut rng);
         let pair = pair_cut_exists(&inst);
-        if pair == find_rmt_cut_observed(&inst, exp.registry()).is_some() {
+        if pair == find_rmt_cut(&inst, Some(exp.registry())).is_some() {
             cut_agree += 1;
         } else {
             eprintln!("CUT MISMATCH on {inst:?}");

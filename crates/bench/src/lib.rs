@@ -96,7 +96,7 @@ impl Table {
 /// `{"ns": 316000, "human": "316µs"}`, ratio cells like `"4.3×"` to
 /// `{"ratio": 4.3, "human": "4.3×"}`) and `counters` is the snapshot of
 /// [`Experiment::registry`] — populated by the instrumented deciders
-/// (`find_rmt_cut_observed`, `zpp_cut_by_fixpoint_observed`,
+/// (`find_rmt_cut` and `zpp_cut_by_fixpoint` given `Some(registry)`,
 /// `materialize_bounded_observed`, …), histograms summarized with
 /// p50/p90/p99 quantiles. The structured duration/ratio fields are what the
 /// [`compare`] gate thresholds on; everything stringly stays a verdict
@@ -281,15 +281,6 @@ pub fn median<T: PartialOrd + Copy>(xs: &mut [T]) -> T {
     xs[xs.len() / 2]
 }
 
-/// Sample standard deviation.
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
-}
-
 // The experiments are embarrassingly parallel over instances; the executor
 // lives in `rmt-par` (shared with the `rmt-net` differential) and is
 // re-exported here so the `e*` binaries keep their historical import path.
@@ -352,8 +343,6 @@ mod tests {
     fn statistics_are_sane() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
         assert_eq!(mean(&[]), 0.0);
-        assert!((stddev(&[1.0, 2.0, 3.0]) - 1.0).abs() < 1e-9);
-        assert_eq!(stddev(&[5.0]), 0.0);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::instance::Instance;
 pub fn zcpa_honest_messages(inst: &Instance, corrupted: &NodeSet) -> u64 {
     let g = inst.graph();
     let dealer_sends = g.degree(inst.dealer()) as u64;
-    let decided = zcpa_fixpoint(inst, corrupted);
+    let decided = zcpa_fixpoint(inst, corrupted, None);
     let relays: u64 = decided
         .iter()
         .filter(|v| *v != inst.receiver())

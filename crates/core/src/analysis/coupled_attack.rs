@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn swap_attack_blocks_pka_on_the_bad_diamond() {
         let inst = bad_diamond();
-        let witness = find_rmt_cut(&inst).expect("instance is unsolvable");
+        let witness = find_rmt_cut(&inst, None).expect("instance is unsolvable");
         let report = run_coupled_attack(&inst, &witness, 0, 1, 1 << 16).unwrap();
         assert!(report.receiver_views_equal, "{report:?}");
         assert!(report.component_views_equal, "{report:?}");
@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn join_limit_is_enforced() {
         let inst = bad_diamond();
-        let witness = find_rmt_cut(&inst).unwrap();
+        let witness = find_rmt_cut(&inst, None).unwrap();
         assert!(matches!(
             run_coupled_attack(&inst, &witness, 0, 1, 0),
             Err(CoupledAttackError::JointBlowup { limit: 0 })

@@ -56,8 +56,8 @@ impl Characterization {
 /// ```
 pub fn characterize(inst: &Instance) -> Characterization {
     Characterization {
-        rmt_cut: find_rmt_cut(inst),
-        zpp_cut: zpp_cut_by_fixpoint(inst),
+        rmt_cut: find_rmt_cut(inst, None),
+        zpp_cut: zpp_cut_by_fixpoint(inst, None),
     }
 }
 
@@ -91,7 +91,7 @@ pub fn minimal_knowledge_radius(
     for k in 0..=max_k {
         let inst = Instance::new(g.clone(), z.clone(), ViewKind::Radius(k), d, r)
             .expect("radius views always yield valid instances");
-        if find_rmt_cut(&inst).is_none() {
+        if find_rmt_cut(&inst, None).is_none() {
             return Some(k);
         }
     }
@@ -141,7 +141,7 @@ pub fn solvable_receivers(
         .filter(|&r| {
             r != d
                 && Instance::new(g.clone(), z.clone(), views, d, r)
-                    .map(|inst| find_rmt_cut(&inst).is_none())
+                    .map(|inst| find_rmt_cut(&inst, None).is_none())
                     .unwrap_or(false)
         })
         .collect()
@@ -190,12 +190,15 @@ mod tests {
                         3.into(),
                     )
                     .unwrap();
-                    assert!(find_rmt_cut(&inst).is_some(), "radius {probe} too small");
+                    assert!(
+                        find_rmt_cut(&inst, None).is_some(),
+                        "radius {probe} too small"
+                    );
                 }
             }
             None => {
                 let inst = Instance::new(g, z, ViewKind::Full, 0.into(), 3.into()).unwrap();
-                assert!(find_rmt_cut(&inst).is_some());
+                assert!(find_rmt_cut(&inst, None).is_some());
             }
         }
     }

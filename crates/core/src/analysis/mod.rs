@@ -18,5 +18,5 @@ pub use feasibility::{
 };
 pub use placement::{minimal_upgrade_set, mixed_views_instance};
 pub use report::{report, InstanceReport, ProtocolOutcome};
-pub use resilience::{pka_attack_suite, pka_attack_suite_observed, zcpa_attack_suite, SuiteReport};
+pub use resilience::{pka_attack_suite, zcpa_attack_suite, SuiteReport};
 pub use tolerance::{dolev_bound, max_tolerable_threshold};

@@ -57,7 +57,7 @@ pub fn minimal_upgrade_set(
     for size in 0..=max_upgrades.min(candidates.len()) {
         for upgraded in candidates.combinations(size) {
             let inst = mixed_views_instance(g, z, dealer, receiver, &upgraded, k);
-            if find_rmt_cut(&inst).is_none() {
+            if find_rmt_cut(&inst, None).is_none() {
                 return Some(upgraded);
             }
         }
@@ -86,7 +86,7 @@ mod tests {
         );
         // Verify the produced assignment really is solvable.
         let inst = mixed_views_instance(&g, &z, 0.into(), 9.into(), &upgraded, 2);
-        assert!(find_rmt_cut(&inst).is_none());
+        assert!(find_rmt_cut(&inst, None).is_none());
     }
 
     #[test]

@@ -45,36 +45,28 @@ impl SuiteReport {
 }
 
 /// Sweeps RMT-PKA over every worst-case corruption set × attack strategy.
+///
+/// With `reg`, each run's receiver search effort is added there
+/// ([`ReceiverState::record_into`]: `pka.selections_examined`,
+/// `pka.covers_checked`, `pka.truncations`).
+///
+/// [`ReceiverState::record_into`]: crate::protocols::pka_decision::ReceiverState::record_into
 pub fn pka_attack_suite(
     inst: &Instance,
     input: Value,
     attacks: &[PkaAttack],
     seed: u64,
-) -> SuiteReport {
-    pka_attack_suite_observed(inst, input, attacks, seed, &Registry::new())
-}
-
-/// [`pka_attack_suite`] with each run's receiver search effort added to
-/// `reg` ([`ReceiverState::record_into`]: `pka.selections_examined`,
-/// `pka.covers_checked`, `pka.truncations`).
-///
-/// [`ReceiverState::record_into`]: crate::protocols::pka_decision::ReceiverState::record_into
-pub fn pka_attack_suite_observed(
-    inst: &Instance,
-    input: Value,
-    attacks: &[PkaAttack],
-    seed: u64,
-    reg: &Registry,
+    reg: Option<&Registry>,
 ) -> SuiteReport {
     let mut report = SuiteReport::default();
     for t in inst.worst_case_corruptions() {
         for (i, &attack) in attacks.iter().enumerate() {
             let adv = pka_adversary(inst, input, t.clone(), attack, seed ^ i as u64);
             let out = run_pka(inst, input, adv);
-            if let Some(state) = out
+            let state = out
                 .protocol(inst.receiver())
-                .and_then(RmtPka::receiver_state)
-            {
+                .and_then(RmtPka::receiver_state);
+            if let (Some(reg), Some(state)) = (reg, state) {
                 state.record_into(reg);
             }
             record(
@@ -147,7 +139,7 @@ mod tests {
     #[test]
     fn solvable_instance_passes_the_whole_suite() {
         let inst = diamond_instance(&[&[1]]);
-        let report = pka_attack_suite(&inst, 7, &PKA_ATTACKS, 1);
+        let report = pka_attack_suite(&inst, 7, &PKA_ATTACKS, 1, None);
         assert!(report.all_correct(), "{report:?}");
         assert_eq!(report.runs, PKA_ATTACKS.len()); // one worst-case set
     }
@@ -155,7 +147,7 @@ mod tests {
     #[test]
     fn unsolvable_instance_is_safe_but_not_resilient() {
         let inst = diamond_instance(&[&[1], &[2]]);
-        let report = pka_attack_suite(&inst, 7, &PKA_ATTACKS, 2);
+        let report = pka_attack_suite(&inst, 7, &PKA_ATTACKS, 2, None);
         assert!(report.safe(), "{report:?}");
         assert!(!report.all_correct());
         assert!(report.undecided > 0);

@@ -31,7 +31,7 @@ pub fn max_tolerable_threshold(
     for t in 0..=max_t {
         let z = rmt_adversary::threshold(g.nodes(), t);
         let inst = Instance::new(g.clone(), z, views, d, r).expect("valid threshold instance");
-        if find_rmt_cut(&inst).is_none() {
+        if find_rmt_cut(&inst, None).is_none() {
             best = Some(t);
         } else {
             break;

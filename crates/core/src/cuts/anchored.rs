@@ -35,12 +35,12 @@
 //! One private search, `anchored_search`, runs three questions — the
 //! RMT-cut, the 𝒵-pp cut and the RMT-PKA receiver's adversary cover
 //! (Definition 6: an RMT-cut with `C₁ = ∅` of `G_M`, tested against the
-//! *claimed* views and structures) — for every entry point: plain, `_with`
-//! budget, `_observed`, the
-//! [`IncrementalEngine`](crate::engine::IncrementalEngine) and the
-//! receiver's decision. It scans the anchors on the calling thread in the
-//! order the separator BFS generates them, until one yields a witness or a
-//! budget overflows, and then applies the exhaustive fallback. Every
+//! *claimed* views and structures) — for every entry point: plain,
+//! `_observed`, the [`IncrementalEngine`](crate::engine::IncrementalEngine)
+//! (which also carries a budget of its own) and the receiver's decision.
+//! It scans the anchors on the calling thread in the order the separator
+//! BFS generates them, until one yields a witness or a budget overflows,
+//! and then applies the exhaustive fallback. Every
 //! fallback runs the one subset scan of [`rmt_cut`](super::rmt_cut); the
 //! cover's runs only up to 22 cut candidates, past which the receiver
 //! abstains.
@@ -397,13 +397,7 @@ pub(crate) fn cover_search(
 /// assert!(cuts::is_rmt_cut(&inst, &cache, &w.cut).is_some());
 /// ```
 pub fn find_rmt_cut_anchored(inst: &Instance) -> Option<RmtCutWitness> {
-    find_rmt_cut_anchored_with(inst, &AnchorBudget::default())
-}
-
-/// [`find_rmt_cut_anchored`] with an explicit budget (tests use tiny
-/// budgets to exercise the exhaustive fallback).
-pub fn find_rmt_cut_anchored_with(inst: &Instance, budget: &AnchorBudget) -> Option<RmtCutWitness> {
-    rmt_search(inst, None, budget, None)
+    rmt_search(inst, None, &AnchorBudget::default(), None)
 }
 
 /// [`find_rmt_cut_anchored`] with the search effort recorded in `reg`:
@@ -415,7 +409,7 @@ pub fn find_rmt_cut_anchored_with(inst: &Instance, budget: &AnchorBudget) -> Opt
 ///   tested against 𝒵_B (same meaning as the exhaustive decider's);
 /// * `rmt_cut.exhaustive_fallbacks` — budget overflows that re-ran the
 ///   exhaustive decider, which then records the counters of
-///   [`find_rmt_cut_observed`](super::find_rmt_cut_observed) under
+///   [`find_rmt_cut`](super::find_rmt_cut) under
 ///   `rmt_cut.fallback.*` (`candidates_examined`, `partition_checks`, the
 ///   `search_ns` histogram and the `search` span);
 /// * `rmt_cut.anchored_ns` — wall time of the whole search (histogram).
@@ -426,15 +420,7 @@ pub fn find_rmt_cut_anchored_observed(inst: &Instance, reg: &Registry) -> Option
 /// Separator-anchored 𝒵-pp-cut search with the default [`AnchorBudget`]:
 /// same verdict as [`zpp_cut_by_enumeration`].
 pub fn zpp_cut_by_enumeration_anchored(inst: &Instance) -> Option<ZppCutWitness> {
-    zpp_cut_by_enumeration_anchored_with(inst, &AnchorBudget::default())
-}
-
-/// [`zpp_cut_by_enumeration_anchored`] with an explicit budget.
-pub fn zpp_cut_by_enumeration_anchored_with(
-    inst: &Instance,
-    budget: &AnchorBudget,
-) -> Option<ZppCutWitness> {
-    zpp_search(inst, budget, None)
+    zpp_search(inst, &AnchorBudget::default(), None)
 }
 
 /// [`zpp_cut_by_enumeration_anchored`] with the search effort recorded in
@@ -519,7 +505,7 @@ mod tests {
                 crate::Instance::new(diamond(), z, ViewKind::AdHoc, 0.into(), 3.into()).unwrap();
             assert_eq!(
                 find_rmt_cut_anchored(&inst).is_some(),
-                find_rmt_cut(&inst).is_some()
+                find_rmt_cut(&inst, None).is_some()
             );
             assert_eq!(
                 zpp_cut_by_enumeration_anchored(&inst).is_some(),
@@ -537,7 +523,7 @@ mod tests {
             let n = 5 + trial % 4;
             let inst = random_instance(n, 0.4, ViewKind::AdHoc, 3, 2, &mut rng);
             let cache = KnowledgeCache::new(&inst);
-            let exhaustive = find_rmt_cut(&inst);
+            let exhaustive = find_rmt_cut(&inst, None);
             let anchored = find_rmt_cut_anchored(&inst);
             assert_eq!(exhaustive.is_some(), anchored.is_some(), "trial {trial}");
             if let Some(w) = anchored {
@@ -600,12 +586,12 @@ mod tests {
                     "trial {trial}, budget {budget:?}"
                 );
                 assert_eq!(
-                    find_rmt_cut_anchored_with(&inst, budget).is_some(),
-                    find_rmt_cut(&inst).is_some(),
+                    rmt_search(&inst, None, budget, None).is_some(),
+                    find_rmt_cut(&inst, None).is_some(),
                     "trial {trial}, budget {budget:?}"
                 );
                 assert_eq!(
-                    zpp_cut_by_enumeration_anchored_with(&inst, budget).is_some(),
+                    zpp_search(&inst, budget, None).is_some(),
                     zpp_cut_by_enumeration(&inst).is_some(),
                     "trial {trial}, budget {budget:?}"
                 );
@@ -658,7 +644,7 @@ mod tests {
             let reg = Registry::new();
             assert_eq!(
                 rmt_search(&inst, None, &short, Some(&reg)),
-                find_rmt_cut(&inst),
+                find_rmt_cut(&inst, None),
                 "trial {trial}"
             );
             assert_eq!(
@@ -699,7 +685,6 @@ mod tests {
 
     #[test]
     fn observed_fallback_records_the_exhaustive_counters() {
-        use crate::cuts::find_rmt_cut_observed;
         // Nine minimal separators on the 8-cycle: a zero-separator budget
         // overflows before any anchor is scanned, a one-component budget at
         // the first anchor scan.
@@ -717,7 +702,7 @@ mod tests {
             let inst =
                 crate::sampling::threshold_instance(generators::cycle(8), t, ViewKind::AdHoc, 0, 4);
             let exhaustive = Registry::new();
-            let expected = find_rmt_cut_observed(&inst, &exhaustive);
+            let expected = find_rmt_cut(&inst, Some(&exhaustive));
             for (i, budget) in starved.iter().enumerate() {
                 let reg = Registry::new();
                 let cache = KnowledgeCache::new(&inst);
@@ -789,7 +774,7 @@ mod tests {
         // whose neighbourhood is the empty cut.
         let w = find_rmt_cut_anchored(&inst).expect("empty cut separates");
         assert!(w.cut.is_empty());
-        assert!(find_rmt_cut(&inst).is_some());
+        assert!(find_rmt_cut(&inst, None).is_some());
     }
 
     #[test]

@@ -21,13 +21,11 @@ pub mod rmt_cut;
 pub mod zpp;
 
 pub use anchored::{
-    find_rmt_cut_anchored, find_rmt_cut_anchored_observed, find_rmt_cut_anchored_with,
-    zpp_cut_by_enumeration_anchored, zpp_cut_by_enumeration_anchored_observed,
-    zpp_cut_by_enumeration_anchored_with, AnchorBudget,
+    find_rmt_cut_anchored, find_rmt_cut_anchored_observed, zpp_cut_by_enumeration_anchored,
+    zpp_cut_by_enumeration_anchored_observed, AnchorBudget,
 };
-pub use rmt_cut::{find_rmt_cut, find_rmt_cut_observed, is_rmt_cut, rmt_cut_exists, RmtCutWitness};
+pub use rmt_cut::{find_rmt_cut, is_rmt_cut, RmtCutWitness};
 pub use zpp::{
-    is_zpp_cut, zcpa_fixpoint, zcpa_fixpoint_broadcast, zcpa_fixpoint_observed, zcpa_resilient,
-    zpp_cut_by_enumeration, zpp_cut_by_fixpoint, zpp_cut_by_fixpoint_observed, zpp_cut_exists,
-    ZppCutWitness,
+    is_zpp_cut, zcpa_fixpoint, zcpa_fixpoint_broadcast, zcpa_resilient, zpp_cut_by_enumeration,
+    zpp_cut_by_fixpoint, ZppCutWitness,
 };

@@ -107,22 +107,7 @@ pub(crate) fn admissible_partition(
 /// Finds an RMT-cut by exhaustive search, preferring smaller cuts (the
 /// subset enumeration visits low-order combinations first).
 ///
-/// # Example
-///
-/// ```
-/// use rmt_core::{cuts, gallery};
-/// use rmt_graph::ViewKind;
-///
-/// let witness = cuts::find_rmt_cut(&gallery::unsolvable_diamond(ViewKind::AdHoc))
-///     .expect("the diamond is unsolvable");
-/// assert_eq!(witness.cut.len(), 2);
-/// assert!(cuts::find_rmt_cut(&gallery::tolerant_diamond(ViewKind::AdHoc)).is_none());
-/// ```
-pub fn find_rmt_cut(inst: &Instance) -> Option<RmtCutWitness> {
-    exhaustive_rmt_cut(inst, None)
-}
-
-/// [`find_rmt_cut`] with the search effort recorded in `reg`:
+/// With `reg`, the search effort is recorded there:
 ///
 /// * `rmt_cut.candidates_examined` — candidate sets `C` tested;
 /// * `rmt_cut.partition_checks` — `(C₁, C₂)` partitions membership-tested
@@ -130,8 +115,20 @@ pub fn find_rmt_cut(inst: &Instance) -> Option<RmtCutWitness> {
 /// * `rmt_cut.search_ns` — wall time of the whole search (histogram);
 ///
 /// plus a `rmt_cut.search` phase span when the registry carries a profiler.
-pub fn find_rmt_cut_observed(inst: &Instance, reg: &Registry) -> Option<RmtCutWitness> {
-    exhaustive_rmt_cut(inst, Some((reg, &SEARCH)))
+///
+/// # Example
+///
+/// ```
+/// use rmt_core::{cuts, gallery};
+/// use rmt_graph::ViewKind;
+///
+/// let witness = cuts::find_rmt_cut(&gallery::unsolvable_diamond(ViewKind::AdHoc), None)
+///     .expect("the diamond is unsolvable");
+/// assert_eq!(witness.cut.len(), 2);
+/// assert!(cuts::find_rmt_cut(&gallery::tolerant_diamond(ViewKind::AdHoc), None).is_none());
+/// ```
+pub fn find_rmt_cut(inst: &Instance, reg: Option<&Registry>) -> Option<RmtCutWitness> {
+    exhaustive_rmt_cut(inst, reg.map(|reg| (reg, &SEARCH)))
 }
 
 /// The span, timer and counter names one exhaustive search records under.
@@ -142,7 +139,7 @@ pub(crate) struct ScanNames {
     checks: &'static str,
 }
 
-/// The names of [`find_rmt_cut_observed`]'s own search.
+/// The names of [`find_rmt_cut`]'s own search.
 const SEARCH: ScanNames = ScanNames {
     phase: "rmt_cut.search",
     timer: "rmt_cut.search_ns",
@@ -159,10 +156,9 @@ pub(crate) const FALLBACK: ScanNames = ScanNames {
     checks: "rmt_cut.fallback.partition_checks",
 };
 
-/// The exhaustive RMT-cut search behind [`find_rmt_cut`],
-/// [`find_rmt_cut_observed`] and (under [`FALLBACK`]'s names) the anchored
-/// deciders' budget fallback. It builds a cache of its own, on the first
-/// D–R cut it meets.
+/// The exhaustive RMT-cut search behind [`find_rmt_cut`] and (under
+/// [`FALLBACK`]'s names) the anchored deciders' budget fallback. It builds
+/// a cache of its own, on the first D–R cut it meets.
 pub(crate) fn exhaustive_rmt_cut(
     inst: &Instance,
     observed: Option<(&Registry, &ScanNames)>,
@@ -213,12 +209,6 @@ pub(crate) fn exhaustive_search<W>(
     })
 }
 
-/// `true` iff the instance admits an RMT-cut — i.e. (Theorems 3 + 5) iff no
-/// safe and resilient RMT algorithm exists for it.
-pub fn rmt_cut_exists(inst: &Instance) -> bool {
-    find_rmt_cut(inst).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,7 +236,7 @@ mod tests {
         // {2} ∉ 𝒵_R. So no RMT-cut: RMT is solvable.
         let z = AdversaryStructure::from_sets([set(&[1])]);
         let inst = Instance::new(diamond(), z, ViewKind::AdHoc, 0.into(), 3.into()).unwrap();
-        assert!(!rmt_cut_exists(&inst));
+        assert!(find_rmt_cut(&inst, None).is_none());
     }
 
     #[test]
@@ -255,7 +245,7 @@ mod tests {
         // C₂ = {2}: R's local trace of 𝒵 contains {2}, so C₂ ∩ V(γ(B)) ∈ 𝒵_B.
         let z = AdversaryStructure::from_sets([set(&[1]), set(&[2])]);
         let inst = Instance::new(diamond(), z, ViewKind::AdHoc, 0.into(), 3.into()).unwrap();
-        let w = find_rmt_cut(&inst).expect("RMT-cut must exist");
+        let w = find_rmt_cut(&inst, None).expect("RMT-cut must exist");
         assert_eq!(w.cut, set(&[1, 2]));
         assert_eq!(w.receiver_component, set(&[3]));
         assert!(inst.adversary().contains(&w.c1));
@@ -269,7 +259,7 @@ mod tests {
         // because 𝒵 itself admits each relay.
         let z = AdversaryStructure::from_sets([set(&[1]), set(&[2])]);
         let inst = Instance::new(diamond(), z, ViewKind::Full, 0.into(), 3.into()).unwrap();
-        assert!(rmt_cut_exists(&inst));
+        assert!(find_rmt_cut(&inst, None).is_some());
 
         // But when 𝒵's sets span *both* sides of a cheating scenario that
         // only limited views would conflate, knowledge matters: on the
@@ -282,7 +272,10 @@ mod tests {
         // Full knowledge: C = {1,4}, C₁ = {1}, C₂ = {4} ∈ 𝒵 ⊆ 𝒵_B: cut for
         // both. (Solvability here genuinely requires 2-connectivity beyond
         // 𝒵; this documents that the notions agree where they must.)
-        assert_eq!(rmt_cut_exists(&adhoc), rmt_cut_exists(&full));
+        assert_eq!(
+            find_rmt_cut(&adhoc, None).is_some(),
+            find_rmt_cut(&full, None).is_some()
+        );
     }
 
     #[test]
@@ -291,7 +284,7 @@ mod tests {
         g.add_edge(0.into(), 3.into());
         let z = AdversaryStructure::from_sets([set(&[1]), set(&[2])]);
         let inst = Instance::new(g, z, ViewKind::AdHoc, 0.into(), 3.into()).unwrap();
-        assert!(!rmt_cut_exists(&inst));
+        assert!(find_rmt_cut(&inst, None).is_none());
     }
 
     #[test]
@@ -305,7 +298,7 @@ mod tests {
             2.into(),
         )
         .unwrap();
-        assert!(!rmt_cut_exists(&inst));
+        assert!(find_rmt_cut(&inst, None).is_none());
     }
 
     #[test]
@@ -316,7 +309,7 @@ mod tests {
             AdversaryStructure::from_sets([set(&[1]), set(&[2])]),
         ] {
             let inst = Instance::new(diamond(), z, ViewKind::AdHoc, 0.into(), 3.into()).unwrap();
-            assert_eq!(find_rmt_cut(&inst), find_rmt_cut_observed(&inst, &reg));
+            assert_eq!(find_rmt_cut(&inst, None), find_rmt_cut(&inst, Some(&reg)));
         }
         assert!(reg.counter("rmt_cut.candidates_examined").get() > 0);
         assert!(reg.counter("rmt_cut.partition_checks").get() > 0);
@@ -335,7 +328,7 @@ mod tests {
             4.into(),
         )
         .unwrap();
-        let w = find_rmt_cut(&inst).expect("empty cut separates");
+        let w = find_rmt_cut(&inst, None).expect("empty cut separates");
         assert!(w.cut.is_empty());
     }
 }

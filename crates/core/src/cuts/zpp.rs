@@ -108,22 +108,20 @@ pub fn zpp_cut_by_enumeration(inst: &Instance) -> Option<ZppCutWitness> {
 /// instead of relaying, so it never certifies others (this matters only for
 /// nodes downstream of R: R's own status is unaffected, because any node
 /// that would need R's relay decides strictly after R).
-pub fn zcpa_fixpoint(inst: &Instance, corrupted: &NodeSet) -> NodeSet {
-    certified_fixpoint(inst, corrupted, Some(inst.receiver()), None)
-}
-
-/// [`zcpa_fixpoint`] with the fixpoint effort recorded in `reg`:
+///
+/// With `reg`, the fixpoint effort is recorded there under a `zcpa.fixpoint`
+/// phase span:
 ///
 /// * `zcpa.sweeps` — full passes over the node set until stabilization;
 /// * `zcpa.certification_checks` — membership tests of a certifier set
 ///   against a local structure 𝒵_u.
-pub fn zcpa_fixpoint_observed(inst: &Instance, corrupted: &NodeSet, reg: &Registry) -> NodeSet {
-    let _phase = reg.phase("zcpa.fixpoint");
-    let stats = FixpointStats {
+pub fn zcpa_fixpoint(inst: &Instance, corrupted: &NodeSet, reg: Option<&Registry>) -> NodeSet {
+    let _phase = reg.and_then(|reg| reg.phase("zcpa.fixpoint"));
+    let stats = reg.map(|reg| FixpointStats {
         sweeps: reg.counter("zcpa.sweeps"),
         certification_checks: reg.counter("zcpa.certification_checks"),
-    };
-    certified_fixpoint(inst, corrupted, Some(inst.receiver()), Some(&stats))
+    });
+    certified_fixpoint(inst, corrupted, Some(inst.receiver()), stats.as_ref())
 }
 
 /// The broadcast variant of [`zcpa_fixpoint`]: no distinguished receiver,
@@ -172,32 +170,23 @@ fn certified_fixpoint(
     decided
 }
 
-/// Polynomial 𝒵-pp-cut decider via the Z-CPA fixpoint (Theorems 7+8).
+/// Polynomial 𝒵-pp-cut decider via the Z-CPA fixpoint (Theorems 7+8): the
+/// worst-case corruption sets in list order, until one keeps R undecided.
 ///
 /// Returns a witness built from the first failing maximal corruption set:
 /// `C₁ = T`, `C₂ = ` the decided honest nodes (they separate D from the
 /// undecided region, and every undecided `u` has `𝒩(u) ∩ C₂ ∈ 𝒵_u` by
 /// the fixpoint's stopping condition).
-pub fn zpp_cut_by_fixpoint(inst: &Instance) -> Option<ZppCutWitness> {
-    fixpoint_search(inst, None)
-}
-
-/// [`zpp_cut_by_fixpoint`] with decision effort recorded in `reg`:
-/// everything [`zcpa_fixpoint_observed`] records, plus
+///
+/// With `reg`, the decision effort is recorded there: everything
+/// [`zcpa_fixpoint`] records, plus
 ///
 /// * `zpp.corruption_sets_checked` — maximal corruption sets tried;
 /// * `zpp.decide_ns` — wall time of the whole decision (histogram);
 ///
 /// plus a `zpp.decide` phase span (with one `zcpa.fixpoint` child per
 /// corruption set tried) when the registry carries a profiler.
-pub fn zpp_cut_by_fixpoint_observed(inst: &Instance, reg: &Registry) -> Option<ZppCutWitness> {
-    fixpoint_search(inst, Some(reg))
-}
-
-/// The fixpoint search behind [`zpp_cut_by_fixpoint`] and
-/// [`zpp_cut_by_fixpoint_observed`]: the worst-case corruption sets in list
-/// order, until one keeps R undecided.
-fn fixpoint_search(inst: &Instance, reg: Option<&Registry>) -> Option<ZppCutWitness> {
+pub fn zpp_cut_by_fixpoint(inst: &Instance, reg: Option<&Registry>) -> Option<ZppCutWitness> {
     let _phase = reg.and_then(|reg| reg.phase("zpp.decide"));
     let _timer = reg.map(|reg| reg.timer("zpp.decide_ns"));
     let (d, r) = (inst.dealer(), inst.receiver());
@@ -217,10 +206,7 @@ fn fixpoint_search(inst: &Instance, reg: Option<&Registry>) -> Option<ZppCutWitn
         if let Some(checked) = &sets_checked {
             checked.inc();
         }
-        let decided = match reg {
-            Some(reg) => zcpa_fixpoint_observed(inst, &t, reg),
-            None => zcpa_fixpoint(inst, &t),
-        };
+        let decided = zcpa_fixpoint(inst, &t, reg);
         if !decided.contains(r) {
             return Some(witness_from_failed_corruption(inst, &t, &decided));
         }
@@ -247,14 +233,6 @@ fn witness_from_failed_corruption(
     }
 }
 
-/// `true` iff the instance admits an RMT 𝒵-pp cut — i.e. (Theorems 7+8) iff
-/// no safe RMT algorithm exists for the ad hoc instance.
-///
-/// Uses the polynomial fixpoint decider.
-pub fn zpp_cut_exists(inst: &Instance) -> bool {
-    zpp_cut_by_fixpoint(inst).is_some()
-}
-
 /// `true` iff Z-CPA certifies the receiver against **every** admissible
 /// corruption (worst-case behaviour): the protocol-level notion of
 /// resilience, computed analytically.
@@ -277,7 +255,7 @@ pub fn zcpa_resilient(inst: &Instance) -> bool {
     }
     inst.worst_case_corruptions()
         .iter()
-        .all(|t| zcpa_fixpoint(inst, t).contains(r))
+        .all(|t| zcpa_fixpoint(inst, t, None).contains(r))
 }
 
 #[cfg(test)]
@@ -307,7 +285,7 @@ mod tests {
     fn diamond_with_one_fallible_relay_is_solvable() {
         let inst = adhoc(diamond(), AdversaryStructure::from_sets([set(&[1])]), 0, 3);
         assert!(zpp_cut_by_enumeration(&inst).is_none());
-        assert!(zpp_cut_by_fixpoint(&inst).is_none());
+        assert!(zpp_cut_by_fixpoint(&inst, None).is_none());
         assert!(zcpa_resilient(&inst));
     }
 
@@ -317,14 +295,14 @@ mod tests {
         let inst = adhoc(diamond(), z, 0, 3);
         let w = zpp_cut_by_enumeration(&inst).expect("cut exists");
         assert!(inst.adversary().contains(&w.c1));
-        assert!(zpp_cut_by_fixpoint(&inst).is_some());
+        assert!(zpp_cut_by_fixpoint(&inst, None).is_some());
         assert!(!zcpa_resilient(&inst));
     }
 
     #[test]
     fn fixpoint_decided_set_grows_from_dealer() {
         let inst = adhoc(diamond(), AdversaryStructure::from_sets([set(&[1])]), 0, 3);
-        let decided = zcpa_fixpoint(&inst, &set(&[1]));
+        let decided = zcpa_fixpoint(&inst, &set(&[1]), None);
         // Honest dealer neighbours decide; R certifies via {2} ∉ 𝒵_R.
         assert!(decided.contains(2.into()));
         assert!(decided.contains(3.into()));
@@ -335,7 +313,7 @@ mod tests {
     fn fixpoint_witness_is_a_real_zpp_cut() {
         let z = AdversaryStructure::from_sets([set(&[1]), set(&[2])]);
         let inst = adhoc(diamond(), z, 0, 3);
-        let w = zpp_cut_by_fixpoint(&inst).unwrap();
+        let w = zpp_cut_by_fixpoint(&inst, None).unwrap();
         let confirmed = is_zpp_cut(&inst, &w.cut).expect("witness must verify");
         assert_eq!(confirmed.cut, w.cut);
     }
@@ -349,7 +327,7 @@ mod tests {
             let z = crate::sampling::random_structure(g.nodes(), 3, 2, &mut rng);
             let inst = adhoc(g, z, 0, (n as u32) - 1);
             let enumerated = zpp_cut_by_enumeration(&inst).is_some();
-            let fixpoint = zpp_cut_by_fixpoint(&inst).is_some();
+            let fixpoint = zpp_cut_by_fixpoint(&inst, None).is_some();
             assert_eq!(enumerated, fixpoint, "trial {trial}: {inst:?}");
             assert_eq!(fixpoint, !zcpa_resilient(&inst), "trial {trial}");
         }
@@ -365,14 +343,14 @@ mod tests {
             let z = crate::sampling::random_structure(g.nodes(), 3, 2, &mut rng);
             let inst = adhoc(g, z, 0, (n as u32) - 1);
             assert_eq!(
-                zpp_cut_by_fixpoint(&inst),
-                zpp_cut_by_fixpoint_observed(&inst, &reg),
+                zpp_cut_by_fixpoint(&inst, None),
+                zpp_cut_by_fixpoint(&inst, Some(&reg)),
                 "trial {trial}"
             );
             for t in inst.worst_case_corruptions() {
                 assert_eq!(
-                    zcpa_fixpoint(&inst, &t),
-                    zcpa_fixpoint_observed(&inst, &t, &reg)
+                    zcpa_fixpoint(&inst, &t, None),
+                    zcpa_fixpoint(&inst, &t, Some(&reg))
                 );
             }
         }
@@ -388,7 +366,7 @@ mod tests {
         g.add_edge(0.into(), 3.into());
         let z = AdversaryStructure::from_sets([set(&[1]), set(&[2])]);
         let inst = adhoc(g, z, 0, 3);
-        assert!(zpp_cut_by_fixpoint(&inst).is_none());
+        assert!(zpp_cut_by_fixpoint(&inst, None).is_none());
         assert!(zcpa_resilient(&inst));
     }
 }

@@ -23,7 +23,10 @@
 //! on the mutated instance, and the `_observed` forms record the same
 //! `rmt_cut.*` / `zpp.*` counters. The from-scratch deciders remain the
 //! differential ground truth (`crates/core/tests/incremental_differential.rs`,
-//! and E17 asserts the identity per delta).
+//! and E17 asserts the identity per delta). An engine that has applied no
+//! delta is itself a from-scratch decider, so
+//! `IncrementalEngine::from_instance(inst, views).with_budget(b)` is how a
+//! search under a budget `b` other than [`AnchorBudget::default`] is run.
 //!
 //! The engine once also kept per-anchor scan certificates guarded by a
 //! graph footprint. They were removed because they almost never hit: 0 hits

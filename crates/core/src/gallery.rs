@@ -110,9 +110,9 @@ mod tests {
 
     #[test]
     fn diamonds_have_the_documented_ground_truth() {
-        assert!(find_rmt_cut(&unsolvable_diamond(ViewKind::AdHoc)).is_some());
-        assert!(find_rmt_cut(&unsolvable_diamond(ViewKind::Full)).is_some());
-        assert!(find_rmt_cut(&tolerant_diamond(ViewKind::AdHoc)).is_none());
+        assert!(find_rmt_cut(&unsolvable_diamond(ViewKind::AdHoc), None).is_some());
+        assert!(find_rmt_cut(&unsolvable_diamond(ViewKind::Full), None).is_some());
+        assert!(find_rmt_cut(&tolerant_diamond(ViewKind::AdHoc), None).is_none());
     }
 
     #[test]
@@ -120,7 +120,7 @@ mod tests {
         let inst = staggered_theta(ViewKind::Full);
         assert!(!pair_cut_exists(&inst));
         assert!(
-            find_rmt_cut(&inst).is_none(),
+            find_rmt_cut(&inst, None).is_none(),
             "solvable with full knowledge"
         );
     }
@@ -128,7 +128,7 @@ mod tests {
     #[test]
     fn staggered_theta_is_unsolvable_ad_hoc() {
         let inst = staggered_theta(ViewKind::AdHoc);
-        let w = find_rmt_cut(&inst).expect("the triple cut is locally plausible");
+        let w = find_rmt_cut(&inst, None).expect("the triple cut is locally plausible");
         // The documented witness (or an equivalent one) is found.
         assert!(w.cut.len() >= 3);
         assert!(!zcpa_resilient(&inst), "Z-CPA cannot solve it either");
@@ -149,7 +149,7 @@ mod tests {
         // RMT-PKA with radius-2 knowledge, unsolvable by any safe ad hoc
         // algorithm (in particular Z-CPA).
         let inst = staggered_theta(ViewKind::Radius(2));
-        let report = pka_attack_suite(&inst, 7, &PKA_ATTACKS, 99);
+        let report = pka_attack_suite(&inst, 7, &PKA_ATTACKS, 99, None);
         assert!(report.all_correct(), "{report:?}");
         assert!(!zcpa_resilient(&staggered_theta(ViewKind::AdHoc)));
     }

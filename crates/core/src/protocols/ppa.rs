@@ -282,7 +282,7 @@ mod tests {
                 &mut rng,
             );
             assert_eq!(
-                crate::cuts::find_rmt_cut(&inst).is_some(),
+                crate::cuts::find_rmt_cut(&inst, None).is_some(),
                 pair_cut_exists(&inst),
                 "trial {trial}: {inst:?}"
             );

@@ -439,7 +439,7 @@ mod tests {
     #[test]
     fn rmt_cut_instance_blocks_decision_under_silence() {
         let inst = instance(diamond(), &[&[1], &[2]], ViewKind::AdHoc, 0, 3);
-        assert!(crate::cuts::rmt_cut_exists(&inst));
+        assert!(crate::cuts::find_rmt_cut(&inst, None).is_some());
         let out = run_pka(&inst, 7, SilentAdversary::new(set(&[1])));
         assert_eq!(out.decision(3.into()), None);
     }
@@ -470,7 +470,7 @@ mod tests {
         // Sanity: solvable (no RMT-cut) and Z-CPA also solves it — the two
         // protocols agree here; the uniqueness *gap* instances are exercised
         // in the integration tests.
-        assert!(!crate::cuts::rmt_cut_exists(&inst));
+        assert!(crate::cuts::find_rmt_cut(&inst, None).is_none());
         let out = run_pka(&inst, 9, SilentAdversary::new(set(&[1, 2])));
         assert_eq!(out.decision(3.into()), Some(9));
     }

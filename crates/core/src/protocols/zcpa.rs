@@ -343,7 +343,7 @@ mod tests {
             let z = crate::sampling::random_structure(g.nodes(), 3, 2, &mut rng);
             let inst = adhoc(g, z, 0, n as u32 - 1);
             for t in inst.worst_case_corruptions() {
-                let analytic = crate::cuts::zcpa_fixpoint(&inst, &t);
+                let analytic = crate::cuts::zcpa_fixpoint(&inst, &t, None);
                 let out = run_zcpa(&inst, 5, SilentAdversary::new(t.clone()));
                 let r = inst.receiver();
                 assert_eq!(

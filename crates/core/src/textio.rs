@@ -186,7 +186,7 @@ views adhoc
         assert_eq!(inst.dealer(), 0.into());
         assert_eq!(inst.receiver(), 3.into());
         assert!(inst.adversary().contains(&NodeSet::singleton(1.into())));
-        assert!(crate::cuts::find_rmt_cut(&inst).is_none());
+        assert!(crate::cuts::find_rmt_cut(&inst, None).is_none());
     }
 
     #[test]

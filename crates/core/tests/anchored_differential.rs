@@ -8,10 +8,10 @@
 
 use proptest::prelude::*;
 use rmt_core::cuts::{
-    find_rmt_cut, find_rmt_cut_anchored, find_rmt_cut_anchored_with, is_rmt_cut, is_zpp_cut,
-    zpp_cut_by_enumeration, zpp_cut_by_enumeration_anchored, zpp_cut_by_enumeration_anchored_with,
-    AnchorBudget,
+    find_rmt_cut, find_rmt_cut_anchored, is_rmt_cut, is_zpp_cut, zpp_cut_by_enumeration,
+    zpp_cut_by_enumeration_anchored, AnchorBudget,
 };
+use rmt_core::engine::IncrementalEngine;
 use rmt_core::sampling::{random_instance, random_instance_nonadjacent};
 use rmt_core::{Instance, KnowledgeCache};
 use rmt_graph::{generators, ViewKind};
@@ -47,8 +47,14 @@ fn view_of(sel: usize) -> ViewKind {
     [ViewKind::AdHoc, ViewKind::Full, ViewKind::Radius(2)][sel]
 }
 
-fn check_rmt(inst: &Instance) {
-    let exhaustive = find_rmt_cut(inst);
+/// A from-scratch decider under `budget`: an engine over a freshly built
+/// cache runs the same anchored search as the default-budget deciders.
+fn starved(inst: &Instance, views: ViewKind, budget: &AnchorBudget) -> IncrementalEngine {
+    IncrementalEngine::from_instance(inst, views).with_budget(*budget)
+}
+
+fn check_rmt(inst: &Instance, views: ViewKind) {
+    let exhaustive = find_rmt_cut(inst, None);
     let anchored = find_rmt_cut_anchored(inst);
     assert_eq!(exhaustive.is_some(), anchored.is_some());
     if let Some(w) = &anchored {
@@ -62,14 +68,14 @@ fn check_rmt(inst: &Instance) {
     for budget in &STARVED {
         assert_eq!(
             exhaustive.is_some(),
-            find_rmt_cut_anchored_with(inst, budget).is_some(),
+            starved(inst, views, budget).decide_rmt().is_some(),
             "budget = {:?}",
             budget
         );
     }
 }
 
-fn check_zpp(inst: &Instance) {
+fn check_zpp(inst: &Instance, views: ViewKind) {
     let exhaustive = zpp_cut_by_enumeration(inst);
     let anchored = zpp_cut_by_enumeration_anchored(inst);
     assert_eq!(exhaustive.is_some(), anchored.is_some());
@@ -83,7 +89,7 @@ fn check_zpp(inst: &Instance) {
     for budget in &STARVED {
         assert_eq!(
             exhaustive.is_some(),
-            zpp_cut_by_enumeration_anchored_with(inst, budget).is_some(),
+            starved(inst, views, budget).decide_zpp().is_some(),
             "budget = {:?}",
             budget
         );
@@ -100,7 +106,7 @@ proptest! {
     fn anchored_rmt_cut_agrees_with_exhaustive((n, seed, view) in instance_params()) {
         let mut rng = generators::seeded(seed);
         let inst = random_instance(n, 0.4, view_of(view), 3, 2, &mut rng);
-        check_rmt(&inst);
+        check_rmt(&inst, view_of(view));
     }
 
     /// Same contract for the 𝒵-pp enumeration decider.
@@ -108,7 +114,7 @@ proptest! {
     fn anchored_zpp_cut_agrees_with_exhaustive((n, seed, view) in instance_params()) {
         let mut rng = generators::seeded(seed);
         let inst = random_instance(n, 0.4, view_of(view), 3, 2, &mut rng);
-        check_zpp(&inst);
+        check_zpp(&inst, view_of(view));
     }
 
     /// Sparser instances reach richer separator structure (more anchors,
@@ -117,8 +123,8 @@ proptest! {
     fn anchored_deciders_agree_on_sparse_instances((n, seed, view) in instance_params()) {
         let mut rng = generators::seeded(seed);
         let inst = random_instance(n, 0.25, view_of(view), 4, 3, &mut rng);
-        check_rmt(&inst);
-        check_zpp(&inst);
+        check_rmt(&inst, view_of(view));
+        check_zpp(&inst, view_of(view));
     }
 }
 
@@ -132,7 +138,7 @@ fn anchored_deciders_replay_the_e2_family() {
         for trial in 0..40usize {
             let n = 6 + trial % 4;
             let inst = random_instance_nonadjacent(n, 0.35, views, 3, 2, &mut rng);
-            let exhaustive = find_rmt_cut(&inst);
+            let exhaustive = find_rmt_cut(&inst, None);
             let anchored = find_rmt_cut_anchored(&inst);
             assert_eq!(
                 exhaustive.is_some(),

@@ -45,8 +45,8 @@ proptest! {
             let removed = smaller.iter().nth(extra as usize % (t.len().max(1)));
             if let Some(v) = removed {
                 smaller.remove(v);
-                let with_more = zcpa_fixpoint(&inst, &t);
-                let with_less = zcpa_fixpoint(&inst, &smaller);
+                let with_more = zcpa_fixpoint(&inst, &t, None);
+                let with_less = zcpa_fixpoint(&inst, &smaller, None);
                 // Certified sets compare on the common honest ground.
                 let common = with_more.difference(&smaller);
                 prop_assert!(common.is_subset(&with_less), "T = {t}");
@@ -63,7 +63,7 @@ proptest! {
         let z = random_structure(g.nodes(), 3, 2, &mut rng);
         let at = |k| {
             let inst = Instance::new(g.clone(), z.clone(), ViewKind::Radius(k), 0.into(), (n as u32 - 1).into()).unwrap();
-            find_rmt_cut(&inst).is_none()
+            find_rmt_cut(&inst, None).is_none()
         };
         prop_assert!(!at(k) || at(k + 1));
     }

@@ -53,7 +53,7 @@ fn toggle(inst: &Instance, rng: &mut impl Rng) -> Delta {
 fn check(engine: &mut IncrementalEngine, label: &str) {
     let inst = engine.instance().clone();
     let anchored = zpp_cut_by_enumeration_anchored(&inst);
-    let fixpoint = zpp_cut_by_fixpoint(&inst);
+    let fixpoint = zpp_cut_by_fixpoint(&inst, None);
     assert_eq!(anchored.is_some(), fixpoint.is_some(), "{label}: verdicts");
     for w in anchored.iter().chain(&fixpoint) {
         assert!(is_zpp_cut(&inst, &w.cut).is_some(), "{label}: {}", w.cut);

@@ -122,25 +122,6 @@ pub fn gnp_connected(n: usize, p: f64, rng: &mut impl Rng) -> Graph {
     g
 }
 
-/// The paper's Figure-1 star family 𝒢′: dealer `D = 0`, middle set
-/// `A(G) = {1, …, m}`, receiver `R = m+1`; the only edges connect each
-/// middle node to both D and R.
-///
-/// Returns `(graph, dealer, middle set, receiver)`.
-pub fn star_family(m: usize) -> (Graph, NodeId, rmt_sets::NodeSet, NodeId) {
-    let d = NodeId::new(0);
-    let r = NodeId::new(m as u32 + 1);
-    let mut g = Graph::with_nodes(m + 2);
-    let mut middle = rmt_sets::NodeSet::new();
-    for i in 1..=m {
-        let v = NodeId::new(i as u32);
-        g.add_edge(d, v);
-        g.add_edge(v, r);
-        middle.insert(v);
-    }
-    (g, d, middle, r)
-}
-
 /// A layered (generalized-butterfly-style) network: `layers` layers of
 /// `width` nodes each, a dealer in front and a receiver behind, with each
 /// pair of adjacent-layer nodes connected with probability `p` (plus a
@@ -195,21 +176,6 @@ pub fn hypercube(d: usize) -> Graph {
     g
 }
 
-/// The wheel W_n: a cycle of `n` rim nodes `0..n` plus a hub `n` adjacent
-/// to every rim node.
-///
-/// # Panics
-///
-/// Panics if `n < 3`.
-pub fn wheel(n: usize) -> Graph {
-    let mut g = cycle(n);
-    let hub = NodeId::new(n as u32);
-    for v in 0..n {
-        g.add_edge(hub, NodeId::new(v as u32));
-    }
-    g
-}
-
 /// The complete bipartite graph K_{a,b}: sides `0..a` and `a..a+b`.
 pub fn complete_bipartite(a: usize, b: usize) -> Graph {
     let mut g = Graph::with_nodes(a + b);
@@ -219,12 +185,6 @@ pub fn complete_bipartite(a: usize, b: usize) -> Graph {
         }
     }
     g
-}
-
-/// A uniformly random labelled tree on `n` nodes (random attachment over a
-/// shuffled order — the same construction `gnp_connected` seeds with).
-pub fn random_tree(n: usize, rng: &mut impl Rng) -> Graph {
-    gnp_connected(n, 0.0, rng)
 }
 
 /// A ring of `n` nodes with `chords` extra random chords (deduplicated).
@@ -303,19 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn star_family_matches_figure_1() {
-        let (g, d, middle, r) = star_family(4);
-        assert_eq!(g.node_count(), 6);
-        assert_eq!(g.edge_count(), 8);
-        assert_eq!(middle.len(), 4);
-        assert!(!g.has_edge(d, r));
-        for v in &middle {
-            assert!(g.has_edge(d, v) && g.has_edge(v, r));
-        }
-        assert_eq!(g.degree(d), 4);
-    }
-
-    #[test]
     fn layered_network_connects_dealer_to_receiver() {
         let mut rng = seeded(3);
         let (g, d, r) = layered(3, 4, 0.3, &mut rng);
@@ -343,31 +290,12 @@ mod tests {
     }
 
     #[test]
-    fn wheel_has_a_universal_hub() {
-        let g = wheel(5);
-        assert_eq!(g.node_count(), 6);
-        assert_eq!(g.edge_count(), 10);
-        assert_eq!(g.degree(5.into()), 5);
-        assert_eq!(g.degree(0.into()), 3);
-    }
-
-    #[test]
     fn complete_bipartite_structure() {
         let g = complete_bipartite(2, 3);
         assert_eq!(g.node_count(), 5);
         assert_eq!(g.edge_count(), 6);
         assert!(!g.has_edge(0.into(), 1.into())); // same side
         assert!(g.has_edge(0.into(), 4.into()));
-    }
-
-    #[test]
-    fn random_tree_is_a_spanning_tree() {
-        let mut rng = seeded(12);
-        for n in [2usize, 7, 20] {
-            let g = random_tree(n, &mut rng);
-            assert_eq!(g.edge_count(), n - 1);
-            assert!(traversal::is_connected(&g));
-        }
     }
 
     #[test]

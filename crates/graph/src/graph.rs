@@ -125,19 +125,6 @@ impl Graph {
         existed
     }
 
-    /// Removes `v` and all incident edges. Returns `true` if it was present.
-    pub fn remove_node(&mut self, v: NodeId) -> bool {
-        if !self.nodes.remove(v) {
-            return false;
-        }
-        let nbrs = std::mem::take(&mut self.adj[v.index()]);
-        self.edge_count -= nbrs.len();
-        for u in &nbrs {
-            self.adj[u.index()].remove(v);
-        }
-        true
-    }
-
     /// Returns `true` if the edge `{u, v}` exists.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         u.index() < self.adj.len() && self.adj[u.index()].contains(v)
@@ -151,13 +138,6 @@ impl Graph {
     pub fn neighbors(&self, v: NodeId) -> &NodeSet {
         assert!(self.contains_node(v), "node {v} is not present");
         &self.adj[v.index()]
-    }
-
-    /// The closed neighbourhood `{v} ∪ 𝒩(v)`.
-    pub fn closed_neighborhood(&self, v: NodeId) -> NodeSet {
-        let mut s = self.neighbors(v).clone();
-        s.insert(v);
-        s
     }
 
     /// The degree of `v`.
@@ -297,19 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_node_drops_incident_edges() {
-        let mut g = Graph::with_nodes(4);
-        g.add_edge(0.into(), 1.into());
-        g.add_edge(1.into(), 2.into());
-        g.add_edge(2.into(), 3.into());
-        assert!(g.remove_node(1.into()));
-        assert!(!g.remove_node(1.into()));
-        assert_eq!(g.edge_count(), 1);
-        assert!(!g.has_edge(0.into(), 1.into()));
-        assert_eq!(g.node_count(), 3);
-    }
-
-    #[test]
     fn remove_edge_keeps_nodes() {
         let mut g = Graph::new();
         g.add_edge(0.into(), 1.into());
@@ -317,6 +284,7 @@ mod tests {
         assert!(!g.remove_edge(1.into(), 0.into()));
         assert_eq!(g.node_count(), 2);
         assert_eq!(g.edge_count(), 0);
+        assert_eq!(g.degree(0.into()), 0);
     }
 
     #[test]
@@ -365,14 +333,6 @@ mod tests {
         let e: Vec<_> = g.edges().collect();
         assert_eq!(e.len(), 3);
         assert!(e.iter().all(|(u, v)| u < v));
-    }
-
-    #[test]
-    fn closed_neighborhood_contains_self() {
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(0.into(), 1.into());
-        assert_eq!(g.closed_neighborhood(0.into()), set(&[0, 1]));
-        assert_eq!(g.degree(2.into()), 0);
     }
 
     #[test]

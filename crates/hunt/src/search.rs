@@ -374,7 +374,7 @@ mod tests {
         }
         .build();
         assert!(
-            rmt_core::cuts::find_rmt_cut(&inst).is_none(),
+            rmt_core::cuts::find_rmt_cut(&inst, None).is_none(),
             "test instance must be solvable"
         );
         inst

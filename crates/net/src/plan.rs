@@ -335,11 +335,6 @@ impl FaultPlan {
         self
     }
 
-    /// Overrides both directions of the `u – v` link.
-    pub fn with_link_symmetric(self, u: NodeId, v: NodeId, policy: LinkPolicy) -> Self {
-        self.with_link(u, v, policy).with_link(v, u, policy)
-    }
-
     /// Crash-stops `node` at `round`: from that round on it neither acts nor
     /// sends (an honest node's protocol is no longer invoked; a corrupted
     /// node's adversarial sends are dropped).
@@ -572,7 +567,9 @@ mod tests {
         assert_eq!(plan.policy(0.into(), 1.into()).drop, 0.5);
         assert_eq!(plan.policy(1.into(), 0.into()).drop, 0.0); // directed
         assert!(!plan.is_empty());
-        let sym = FaultPlan::new(0).with_link_symmetric(0.into(), 1.into(), lossy);
+        let sym = FaultPlan::new(0)
+            .with_link(0.into(), 1.into(), lossy)
+            .with_link(1.into(), 0.into(), lossy);
         assert_eq!(sym.policy(1.into(), 0.into()).drop, 0.5);
     }
 
@@ -641,7 +638,8 @@ mod tests {
                     ..LinkPolicy::default()
                 },
             )
-            .with_link_symmetric(0.into(), 1.into(), LinkPolicy::transparent())
+            .with_link(0.into(), 1.into(), LinkPolicy::transparent())
+            .with_link(1.into(), 0.into(), LinkPolicy::transparent())
             .with_crash(3.into(), 2)
             .with_crash(1.into(), 0)
             .with_partition(Partition {

@@ -55,11 +55,6 @@ impl Clock {
         }
     }
 
-    /// `true` for the virtual flavour.
-    pub fn is_virtual(&self) -> bool {
-        matches!(self, Clock::Virtual { .. })
-    }
-
     /// The current time in nanoseconds.
     ///
     /// Wall clocks report elapsed time since their anchor; virtual clocks
@@ -94,13 +89,11 @@ mod tests {
         let a = c.now_ns();
         let b = c.now_ns();
         assert!(b >= a);
-        assert!(!c.is_virtual());
     }
 
     #[test]
     fn virtual_clock_is_deterministic_and_shared() {
         let c = Clock::virtual_ns(10);
-        assert!(c.is_virtual());
         assert_eq!(c.now_ns(), 10);
         assert_eq!(c.now_ns(), 20);
         // Clones advance the same counter.

@@ -647,18 +647,6 @@ impl SessionFrame {
         (msgs, bits)
     }
 
-    /// Total number of node ids stored in the trail table after
-    /// front-coding (the `wire.trail_suffix_nodes` counter).
-    pub fn trail_suffix_nodes(&self) -> u64 {
-        let mut total = 0u64;
-        let mut prev: &[NodeId] = &[];
-        for trail in self.trails().iter() {
-            total += (trail.len() - shared_prefix(prev, trail)) as u64;
-            prev = trail;
-        }
-        total
-    }
-
     fn encode_body(&self, out: &mut impl Sink) {
         out.varint(self.trails().len() as u64);
         let mut prev: &[NodeId] = &[];
@@ -1083,9 +1071,25 @@ mod tests {
 
     #[test]
     fn front_coding_counts_suffix_nodes() {
-        let frame = sample();
-        // Trails: [0], [0,1], [0,1,4] → suffixes 1 + 1 + 1.
-        assert_eq!(frame.trail_suffix_nodes(), 3);
+        // A trail that extends the row before it adds only its suffix (one
+        // node here) to the encoding, however long the prefix it shares.
+        let ids = |r: std::ops::Range<u32>| r.map(NodeId::new).collect::<Vec<_>>();
+        let bits =
+            |trails: Vec<Vec<NodeId>>| SessionFrame::from_parts(trails, Vec::new()).encoded_bits();
+        let added = |prefix: Vec<NodeId>, sibling: Vec<NodeId>| {
+            bits(vec![prefix.clone(), sibling]) - bits(vec![prefix])
+        };
+        let extend = |prefix: Vec<NodeId>| {
+            let mut sibling = prefix.clone();
+            sibling.push(NodeId::new(40));
+            added(prefix, sibling)
+        };
+        let suffix_only = extend(ids(0..2));
+        assert_eq!(extend(ids(0..12)), suffix_only);
+        // The same 13-node row with nothing in common costs its whole length.
+        let mut unshared = ids(20..32);
+        unshared.push(NodeId::new(40));
+        assert!(added(ids(0..12), unshared) > suffix_only);
     }
 
     #[test]

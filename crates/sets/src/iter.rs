@@ -183,6 +183,8 @@ mod tests {
         let base = set(&[0, 1, 2, 3]);
         let it = base.subsets();
         assert_eq!(it.len(), 16);
+        assert_eq!(base.subset_count(), 16);
+        assert_eq!(NodeSet::new().subset_count(), 1);
     }
 
     #[test]

@@ -213,11 +213,6 @@ impl NodeSet {
             .all(|(a, b)| a & !b == 0)
     }
 
-    /// Returns `true` if `self ⊇ other`.
-    pub fn is_superset(&self, other: &NodeSet) -> bool {
-        other.is_subset(self)
-    }
-
     /// Returns `true` if the sets share no element.
     pub fn is_disjoint(&self, other: &NodeSet) -> bool {
         self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
@@ -254,35 +249,6 @@ impl NodeSet {
             "subset enumeration over {k} elements is infeasible (max 62)"
         );
         1u64 << k
-    }
-
-    /// The subset at position `index` of the [`NodeSet::subsets`]
-    /// enumeration: bit `i` of `index` selects the `i`-th smallest member.
-    ///
-    /// Random access into the enumeration is what lets parallel searches
-    /// jump anywhere in subset space while agreeing index-for-index with the
-    /// sequential iterator:
-    /// `base.subsets().nth(i) == Some(base.subset_at(i as u64))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.subset_count()` (which also enforces the
-    /// 62-element enumeration limit).
-    pub fn subset_at(&self, index: u64) -> NodeSet {
-        assert!(
-            index < self.subset_count(),
-            "subset index {index} out of range"
-        );
-        let mut out = NodeSet::new();
-        for (i, member) in self.iter().enumerate() {
-            if index >> i == 0 {
-                break;
-            }
-            if index & (1 << i) != 0 {
-                out.insert(member);
-            }
-        }
-        out
     }
 
     /// Enumerates the subsets of this set having exactly `k` elements.
@@ -473,7 +439,6 @@ mod tests {
         let a = set(&[1, 2]);
         let b = set(&[1, 2, 70]);
         assert!(a.is_subset(&b));
-        assert!(b.is_superset(&a));
         assert!(!b.is_subset(&a));
         assert!(a.is_subset(&a));
         assert!(a.is_disjoint(&set(&[3, 71])));
@@ -515,23 +480,6 @@ mod tests {
         assert!(set(&[0, 1]) < set(&[2]));
         assert!(set(&[63]) < set(&[64]));
         assert!(NodeSet::new() < set(&[0]));
-    }
-
-    #[test]
-    fn subset_at_agrees_with_the_iterator() {
-        let base = set(&[1, 5, 64, 70]);
-        assert_eq!(base.subset_count(), 16);
-        for (i, sub) in base.subsets().enumerate() {
-            assert_eq!(base.subset_at(i as u64), sub, "index {i}");
-        }
-        assert_eq!(NodeSet::new().subset_count(), 1);
-        assert_eq!(NodeSet::new().subset_at(0), NodeSet::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn subset_at_rejects_out_of_range_indices() {
-        set(&[0, 1]).subset_at(4);
     }
 
     #[test]

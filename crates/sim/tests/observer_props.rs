@@ -122,25 +122,31 @@ proptest! {
         prop_assert_eq!(per_round, out.metrics.honest_messages);
     }
 
-    /// Observation transparency extends to the instrumented deciders: the
-    /// observed exhaustive and fixpoint deciders return the plain deciders'
-    /// witnesses, and their extent counters stop exactly at the witness —
-    /// the subset-enumeration position of the returned cut, the list
-    /// position of the failing corruption set, or the whole scan on `None`.
+    /// Observation transparency extends to the instrumented deciders: with
+    /// a registry, the exhaustive and fixpoint deciders return the
+    /// witnesses they return without one, and their extent counters stop
+    /// exactly at the witness — the subset-enumeration position of the
+    /// returned cut, the list position of the failing corruption set, or
+    /// the whole scan on `None`. The same holds for the Z-CPA fixpoint on
+    /// every worst-case corruption set (at least one sweep per call), the
+    /// ⊕ fold of every node's knowledge and the PKA attack suite on a
+    /// gallery instance.
     #[test]
     fn observed_deciders_match_plain_and_count_their_scan(
         (n, p, seed) in (5usize..9, 0.3f64..0.6, any::<u64>()),
     ) {
-        use rmt_core::cuts::{
-            find_rmt_cut, find_rmt_cut_observed, zpp_cut_by_fixpoint, zpp_cut_by_fixpoint_observed,
-        };
+        use rmt_core::analysis::pka_attack_suite;
+        use rmt_core::cuts::{find_rmt_cut, zcpa_fixpoint, zpp_cut_by_fixpoint};
+        use rmt_core::protocols::attacks::PKA_ATTACKS;
+        use rmt_core::{gallery, KnowledgeCache};
+        use rmt_graph::ViewKind;
         let mut rng = generators::seeded(seed);
         let inst = rmt_core::sampling::random_instance(n, p, rmt_graph::ViewKind::AdHoc, 3, 2, &mut rng);
         let reg = rmt_obs::Registry::new();
-        let rmt = find_rmt_cut_observed(&inst, &reg);
-        prop_assert_eq!(&rmt, &find_rmt_cut(&inst));
-        let zpp = zpp_cut_by_fixpoint_observed(&inst, &reg);
-        prop_assert_eq!(&zpp, &zpp_cut_by_fixpoint(&inst));
+        let rmt = find_rmt_cut(&inst, Some(&reg));
+        prop_assert_eq!(&rmt, &find_rmt_cut(&inst, None));
+        let zpp = zpp_cut_by_fixpoint(&inst, Some(&reg));
+        prop_assert_eq!(&zpp, &zpp_cut_by_fixpoint(&inst, None));
 
         let (d, r) = (inst.dealer(), inst.receiver());
         let adjacent = inst.graph().has_edge(d, r);
@@ -165,6 +171,31 @@ proptest! {
         for name in ["rmt_cut.search_ns", "zpp.decide_ns"] {
             prop_assert_eq!(reg.histogram(name).count(), 1, "{}", name);
         }
+
+        let fixpoints = rmt_obs::Registry::new();
+        for (calls, t) in (1..).zip(&corruptions) {
+            prop_assert_eq!(zcpa_fixpoint(&inst, t, Some(&fixpoints)), zcpa_fixpoint(&inst, t, None));
+            prop_assert!(fixpoints.counter("zcpa.sweeps").get() >= calls);
+        }
+
+        let view = KnowledgeCache::new(&inst).joint_view(inst.graph().nodes());
+        let joins = rmt_obs::Registry::new();
+        let bound = 1 << 10;
+        let observed = view.materialize_bounded_observed(bound, &joins);
+        let plain = view.materialize_bounded(bound);
+        prop_assert!(observed == plain, "observed fold differs from the plain fold");
+        if plain.is_some() {
+            prop_assert_eq!(joins.counter("join.folds").get(), view.parts().len() as u64);
+        }
+
+        let make = [gallery::unsolvable_diamond, gallery::tolerant_diamond, gallery::staggered_theta];
+        let views = [ViewKind::AdHoc, ViewKind::Radius(2)];
+        let shown = make[seed as usize % 3](views[(seed / 3) as usize % 2]);
+        let suite = rmt_obs::Registry::new();
+        prop_assert_eq!(
+            pka_attack_suite(&shown, 7, &PKA_ATTACKS, seed, Some(&suite)),
+            pka_attack_suite(&shown, 7, &PKA_ATTACKS, seed, None)
+        );
     }
 
     /// Recorded events survive a JSONL round trip losslessly, and the

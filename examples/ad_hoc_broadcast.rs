@@ -21,14 +21,14 @@ fn main() {
     println!("adversary structure: {}", inst.adversary());
 
     // The polynomial characterization (Theorems 7 + 8).
-    match cuts::zpp_cut_by_fixpoint(&inst) {
+    match cuts::zpp_cut_by_fixpoint(&inst, None) {
         None => println!("no RMT 𝒵-pp cut: Z-CPA will certify the receiver"),
         Some(w) => println!("𝒵-pp cut exists (C₁ = {}, C₂ = {}): unsolvable", w.c1, w.c2),
     }
 
     // Worst-case analytic fixpoint vs the simulated protocol, per corruption.
     for t in inst.worst_case_corruptions() {
-        let predicted = cuts::zcpa_fixpoint(&inst, &t);
+        let predicted = cuts::zcpa_fixpoint(&inst, &t, None);
         let out = run_zcpa(&inst, 9, SilentAdversary::new(t.clone()));
         let decided: Vec<String> = out
             .decided()

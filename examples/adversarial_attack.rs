@@ -26,7 +26,7 @@ fn main() {
     ]);
     let inst = Instance::new(g, z, ViewKind::AdHoc, 0.into(), 3.into()).unwrap();
 
-    let witness = find_rmt_cut(&inst).expect("the diamond admits an RMT-cut");
+    let witness = find_rmt_cut(&inst, None).expect("the diamond admits an RMT-cut");
     println!(
         "RMT-cut witness: C = {} (C₁ = {} ∈ 𝒵, C₂ = {} plausible to B = {})",
         witness.cut, witness.c1, witness.c2, witness.receiver_component

@@ -106,7 +106,7 @@ fn diamond() -> Instance {
 
 fn record(dir: &str) -> ExitCode {
     let inst = diamond();
-    let witness = find_rmt_cut(&inst).expect("the diamond admits an RMT-cut");
+    let witness = find_rmt_cut(&inst, None).expect("the diamond admits an RMT-cut");
     println!(
         "recording coupled runs on the unsolvable diamond (C₁ = {}, C₂ = {})",
         witness.c1, witness.c2

@@ -20,8 +20,8 @@ fn adhoc_rmt_cut_equals_zpp_cut() {
     for trial in 0..40 {
         let n = 5 + trial % 4;
         let inst = random_instance_nonadjacent(n, 0.35, ViewKind::AdHoc, 3, 2, &mut rng);
-        let rmt_cut = find_rmt_cut(&inst).is_some();
-        let zpp = zpp_cut_by_fixpoint(&inst).is_some();
+        let rmt_cut = find_rmt_cut(&inst, None).is_some();
+        let zpp = zpp_cut_by_fixpoint(&inst, None).is_some();
         assert_eq!(rmt_cut, zpp, "trial {trial}: {inst:?}");
     }
 }
@@ -44,7 +44,7 @@ fn solvability_is_monotone_in_knowledge() {
                 6.into(),
             )
             .unwrap();
-            let solvable = find_rmt_cut(&inst).is_none();
+            let solvable = find_rmt_cut(&inst, None).is_none();
             assert!(!prev || solvable, "trial {trial}, radius {k}");
             prev = solvable;
         }
@@ -62,10 +62,10 @@ fn pka_matches_the_characterization() {
     for trial in 0..20 {
         let n = 5 + trial % 3;
         let inst = random_instance_nonadjacent(n, 0.4, ViewKind::AdHoc, 3, 2, &mut rng);
-        match find_rmt_cut(&inst) {
+        match find_rmt_cut(&inst, None) {
             None => {
                 solvable_seen += 1;
-                let report = pka_attack_suite(&inst, 7, &PKA_ATTACKS, trial as u64);
+                let report = pka_attack_suite(&inst, 7, &PKA_ATTACKS, trial as u64, None);
                 assert!(report.all_correct(), "trial {trial}: {report:?}");
             }
             Some(witness) => {
@@ -96,7 +96,7 @@ fn diamond_blocked_branch() {
         rmt::sets::NodeSet::singleton(2u32.into()),
     ]);
     let inst = Instance::new(g, z, ViewKind::AdHoc, 0.into(), 3.into()).unwrap();
-    let witness = find_rmt_cut(&inst).unwrap();
+    let witness = find_rmt_cut(&inst, None).unwrap();
     let rep = run_coupled_attack(&inst, &witness, 0, 1, 1 << 14).unwrap();
     assert!(rep.blocked && rep.receiver_views_equal && !rep.safety_violation);
 }

@@ -45,7 +45,7 @@ fn fnv1a(s: &str) -> u64 {
 #[test]
 fn rmt_trace_record_streams_are_unchanged() {
     let inst = gallery::unsolvable_diamond(ViewKind::AdHoc);
-    let witness = find_rmt_cut(&inst).expect("the diamond admits an RMT-cut");
+    let witness = find_rmt_cut(&inst, None).expect("the diamond admits an RMT-cut");
     let (mut e0, mut e1) = (jsonl(), jsonl());
     run_coupled_attack_observed(&inst, &witness, 0, 1, 1 << 14, &mut e0, &mut e1)
         .expect("diamond join cannot blow up");

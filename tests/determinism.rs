@@ -15,8 +15,8 @@
 use rmt_par::{configured_threads, parallel_map};
 
 use rmt_core::cuts::{
-    find_rmt_cut_anchored_observed, find_rmt_cut_observed, zpp_cut_by_enumeration,
-    zpp_cut_by_enumeration_anchored, zpp_cut_by_fixpoint_observed,
+    find_rmt_cut, find_rmt_cut_anchored_observed, zpp_cut_by_enumeration,
+    zpp_cut_by_enumeration_anchored, zpp_cut_by_fixpoint,
 };
 use rmt_core::engine::{Delta, IncrementalEngine};
 use rmt_core::protocols::zcpa::run_zcpa;
@@ -50,8 +50,8 @@ fn ring_cell(inst: &Instance) -> Cell {
     let mut cell = Cell::default();
     let reg = &cell.reg;
     cell.witnesses = vec![
-        format!("{:?}", find_rmt_cut_observed(inst, reg)),
-        format!("{:?}", zpp_cut_by_fixpoint_observed(inst, reg)),
+        format!("{:?}", find_rmt_cut(inst, Some(reg))),
+        format!("{:?}", zpp_cut_by_fixpoint(inst, Some(reg))),
         format!("{:?}", zpp_cut_by_enumeration(inst)),
         format!("{:?}", find_rmt_cut_anchored_observed(inst, reg)),
         format!("{:?}", zpp_cut_by_enumeration_anchored(inst)),
@@ -68,9 +68,9 @@ fn random_cell(inst: &Instance) -> Cell {
     let mut cell = Cell::default();
     let reg = &cell.reg;
     cell.witnesses = vec![
-        format!("{:?}", find_rmt_cut_observed(inst, reg)),
+        format!("{:?}", find_rmt_cut(inst, Some(reg))),
         format!("{:?}", find_rmt_cut_anchored_observed(inst, reg)),
-        format!("{:?}", zpp_cut_by_fixpoint_observed(inst, reg)),
+        format!("{:?}", zpp_cut_by_fixpoint(inst, Some(reg))),
     ];
     let view = KnowledgeCache::new(inst).joint_view(inst.graph().nodes());
     for bound in [2, usize::MAX] {
@@ -199,9 +199,9 @@ fn virtual_clock_snapshots_are_byte_identical_across_thread_counts() {
         let mut rng = seeded(seed);
         let inst = random_instance_nonadjacent(7, 0.4, ViewKind::AdHoc, 3, 2, &mut rng);
         let witnesses = vec![
-            format!("{:?}", find_rmt_cut_observed(&inst, &reg)),
+            format!("{:?}", find_rmt_cut(&inst, Some(&reg))),
             format!("{:?}", find_rmt_cut_anchored_observed(&inst, &reg)),
-            format!("{:?}", zpp_cut_by_fixpoint_observed(&inst, &reg)),
+            format!("{:?}", zpp_cut_by_fixpoint(&inst, Some(&reg))),
             format!("{:?}", prof.events()),
         ];
         // NO strip_wall_clock here: the full snapshot, timings included.
@@ -230,8 +230,8 @@ fn wall_clock_histogram_counts_are_still_deterministic() {
         let reg = Registry::new();
         let mut rng = seeded(seed);
         let inst = random_instance_nonadjacent(7, 0.4, ViewKind::AdHoc, 3, 2, &mut rng);
-        let _ = find_rmt_cut_observed(&inst, &reg);
-        let _ = zpp_cut_by_fixpoint_observed(&inst, &reg);
+        let _ = find_rmt_cut(&inst, Some(&reg));
+        let _ = zpp_cut_by_fixpoint(&inst, Some(&reg));
         (
             reg.histogram("rmt_cut.search_ns").count(),
             reg.histogram("zpp.decide_ns").count(),

@@ -108,7 +108,7 @@ fn design_phase_queries_are_consistent() {
         let inst = Instance::new(g.clone(), z.clone(), ViewKind::AdHoc, d, r).unwrap();
         assert_eq!(
             ok.contains(r),
-            cuts::find_rmt_cut(&inst).is_none(),
+            cuts::find_rmt_cut(&inst, None).is_none(),
             "receiver {r}"
         );
     }

@@ -18,8 +18,8 @@ fn gallery_instances_round_trip_through_textio() {
         assert_eq!(again.dealer(), inst.dealer());
         assert_eq!(again.receiver(), inst.receiver());
         assert_eq!(
-            cuts::find_rmt_cut(&again).is_some(),
-            cuts::find_rmt_cut(&inst).is_some(),
+            cuts::find_rmt_cut(&again, None).is_some(),
+            cuts::find_rmt_cut(&inst, None).is_some(),
             "{label}"
         );
     }

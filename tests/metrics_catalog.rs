@@ -8,8 +8,8 @@
 
 use rmt_adversary::AdversaryStructure;
 use rmt_core::cuts::{
-    find_rmt_cut_anchored_observed, find_rmt_cut_observed,
-    zpp_cut_by_enumeration_anchored_observed, zpp_cut_by_fixpoint_observed, AnchorBudget,
+    find_rmt_cut, find_rmt_cut_anchored_observed, zpp_cut_by_enumeration_anchored_observed,
+    zpp_cut_by_fixpoint, AnchorBudget,
 };
 use rmt_core::engine::{Delta, IncrementalEngine};
 use rmt_core::protocols::attacks::PkaAttack;
@@ -59,9 +59,9 @@ fn emitted_names() -> (Vec<&'static str>, Vec<String>) {
         ));
     }
     for inst in &instances {
-        let _ = find_rmt_cut_observed(inst, &reg);
+        let _ = find_rmt_cut(inst, Some(&reg));
         let _ = find_rmt_cut_anchored_observed(inst, &reg);
-        let _ = zpp_cut_by_fixpoint_observed(inst, &reg);
+        let _ = zpp_cut_by_fixpoint(inst, Some(&reg));
         let _ = zpp_cut_by_enumeration_anchored_observed(inst, &reg);
         let cache = KnowledgeCache::new(inst);
         let view = cache.joint_view(inst.graph().nodes());

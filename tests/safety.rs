@@ -23,7 +23,7 @@ fn attack_suite_never_produces_a_wrong_decision() {
             ViewKind::Radius(2)
         };
         let inst = random_instance(n, 0.4, views, 3, 2, &mut rng);
-        let report = pka_attack_suite(&inst, 7, &PKA_ATTACKS, trial as u64);
+        let report = pka_attack_suite(&inst, 7, &PKA_ATTACKS, trial as u64, None);
         assert!(report.safe(), "trial {trial}: {:?}", report.violations);
     }
 }
@@ -82,7 +82,7 @@ fn total_corruption_forces_abstention() {
     let z =
         rmt::adversary::AdversaryStructure::from_sets([[1u32, 2].into_iter().collect::<NodeSet>()]);
     let inst = rmt::core::Instance::new(g, z, ViewKind::AdHoc, 0.into(), 3.into()).unwrap();
-    let report = pka_attack_suite(&inst, 9, &PKA_ATTACKS, 3);
+    let report = pka_attack_suite(&inst, 9, &PKA_ATTACKS, 3, None);
     assert!(report.safe());
     assert_eq!(
         report.correct, 0,

@@ -16,11 +16,11 @@ fn soak_zpp_decider_equivalence() {
         let inst = random_instance_nonadjacent(n, 0.35, ViewKind::AdHoc, 4, 3, &mut rng);
         assert_eq!(
             zpp_cut_by_enumeration(&inst).is_some(),
-            zpp_cut_by_fixpoint(&inst).is_some(),
+            zpp_cut_by_fixpoint(&inst, None).is_some(),
             "trial {trial}: {inst:?}"
         );
         assert_eq!(
-            zpp_cut_by_fixpoint(&inst).is_some(),
+            zpp_cut_by_fixpoint(&inst, None).is_some(),
             !zcpa_resilient(&inst),
             "trial {trial}"
         );
@@ -34,9 +34,9 @@ fn soak_pka_safety_and_resilience() {
         let n = 5 + trial % 3;
         let views = [ViewKind::AdHoc, ViewKind::Radius(2), ViewKind::Full][trial % 3];
         let inst = random_instance_nonadjacent(n, 0.4, views, 3, 2, &mut rng);
-        let report = pka_attack_suite(&inst, 7, &PKA_ATTACKS, trial as u64);
+        let report = pka_attack_suite(&inst, 7, &PKA_ATTACKS, trial as u64, None);
         assert!(report.safe(), "trial {trial}: {:?}", report.violations);
-        if find_rmt_cut(&inst).is_none() {
+        if find_rmt_cut(&inst, None).is_none() {
             assert!(report.all_correct(), "trial {trial}: {report:?}");
         }
     }
