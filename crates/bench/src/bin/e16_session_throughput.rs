@@ -17,9 +17,8 @@
 //!   is than a per-message payload at this batch size.
 //! * **time/session** — wall clock of one whole session through the
 //!   synchronous scheduler: the median of `REPS` runs after one warm-up
-//!   run (the bench suite `session_throughput` measures the same runs under
-//!   Criterion). This is the layer-level view of the relay and codec cost
-//!   the end-to-end `stream` benchmark sees.
+//!   run. This is the layer-level view of the relay and codec cost the
+//!   end-to-end `stream` benchmark sees.
 //! * **time/payload** — time/session over the batch size.
 //! * **WRONG** — session verdicts differing from the transmitted values.
 //!   The differential gate pins batch 1 to the per-message runner exactly;

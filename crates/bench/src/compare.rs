@@ -11,8 +11,10 @@
 //!   ratio-cell drift, timing *improvements*, and thread-count parameter
 //!   differences. `--strict` promotes a soft-only report to a failure.
 //!
-//! Timing cells are the schema-v2 `{"ns": …, "human": "…"}` objects the
-//! harness writes (see [`Experiment`](crate::Experiment)); their `human`
+//! Only schema-2 artifacts are read. Timing cells are the
+//! `{"ns": …, "human": "…"}` objects the harness writes (see
+//! [`Experiment`](crate::Experiment)), ratio cells are
+//! `{"ratio": …, "human": "…"}`, and the wall clock is `wall`; their `human`
 //! rendering is ignored by the gate, so re-rendering the same nanoseconds
 //! differently can never fail CI. Wall-clock noise is bounded two ways:
 //! durations under `min_time_ns` are never regressions, and the whole
@@ -126,21 +128,12 @@ impl CompareReport {
 
 /// The `{"ns": …, "human": …}` reading of a schema-v2 duration cell.
 fn as_duration_ns(v: &Json) -> Option<i64> {
-    // Schema-v1 artifacts carried durations as rendered strings ("316µs"):
-    // accept both so old baselines still gate new candidates.
-    if let Some(s) = v.as_str() {
-        return crate::parse_duration_ns(s);
-    }
     v.get("human")?;
     v.get("ns")?.as_i64()
 }
 
-/// The `{"ratio": …, "human": …}` reading of a schema-v2 ratio cell (or a
-/// schema-v1 `"4.3×"` string).
+/// The `{"ratio": …, "human": …}` reading of a schema-v2 ratio cell.
 fn as_ratio(v: &Json) -> Option<f64> {
-    if let Some(s) = v.as_str() {
-        return s.strip_suffix('×').and_then(|r| r.parse().ok());
-    }
     v.get("human")?;
     v.get("ratio")?.as_f64()
 }
@@ -228,12 +221,7 @@ pub fn compare_artifacts(baseline: &Json, candidate: &Json, cfg: &CompareConfig)
         }
     }
 
-    // Wall clock: schema v2 `wall: {ns, human}`, schema v1 `wall_ns`.
-    let wall = |a: &Json| -> Option<i64> {
-        a.get("wall")
-            .and_then(as_duration_ns)
-            .or_else(|| a.get("wall_ns").and_then(Json::as_i64))
-    };
+    let wall = |a: &Json| a.get("wall").and_then(as_duration_ns);
     if let (Some(b), Some(c)) = (wall(baseline), wall(candidate)) {
         compare_durations(b, c, "wall", &mut report, cfg);
     }
@@ -602,45 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_string_cells_parse_and_gate_like_v2_objects() {
-        // Schema-v1 artifacts rendered durations and ratios as bare strings
-        // ("316µs", "4.3×"); a v1 baseline must still gate a v2 candidate.
-        let v1 = Json::parse(
-            r#"{"schema": 1, "experiment": "e3_safety",
-                "params": {"seed": "0xE3", "threads": 1},
-                "measurements": [
-                  {"attack": "silent", "WRONG": 0, "verdict": "safe",
-                   "time": "20ms", "speedup": "4.2×"}
-                ],
-                "wall_ns": 5000,
-                "counters": {"rmt_cut.partition_checks": 7,
-                  "rmt_cut.search_ns": {"count": 3, "sum": 20000000, "min": 1,
-                    "max": 20000000, "mean": 1.0, "p50": 1, "p90": 1, "p99": 1}}}"#,
-        )
-        .expect("valid v1 artifact");
-        // Identical values, different encodings: clean pass.
-        let same = artifact("safe", 20_000_000, 7);
-        let report = compare_artifacts(&v1, &same, &CompareConfig::default());
-        assert!(report.findings.is_empty(), "{}", report.render());
-        // A 3× timing inflation gates through the v1 string encoding too.
-        let slow = artifact("safe", 60_000_000, 7);
-        let report = compare_artifacts(&v1, &slow, &CompareConfig::default());
-        assert_eq!(report.hard_count(), 1, "{}", report.render());
-        assert!(report.render().contains("timing regression"));
-        // Ratio drift via the "×" suffix form stays soft.
-        let fast_ratio = Json::parse(
-            &artifact("safe", 20_000_000, 7)
-                .encode()
-                .replace("4.2", "9.9"),
-        )
-        .unwrap();
-        let report = compare_artifacts(&v1, &fast_ratio, &CompareConfig::default());
-        assert_eq!(report.hard_count(), 0, "{}", report.render());
-        assert_eq!(report.soft_count(), 1);
-        assert!(report.render().contains("ratio drifted"));
-    }
-
-    #[test]
     fn missing_counters_are_soft_in_both_directions() {
         let a = artifact("safe", 20_000_000, 7);
         let mut b = artifact("safe", 20_000_000, 7);
@@ -753,19 +702,5 @@ mod tests {
         assert_eq!(report.hard_count(), 1, "{}", report.render());
         assert!(report.render().contains("measurements[0].WRONG"));
         assert!(!report.passed(false));
-    }
-
-    #[test]
-    fn legacy_wall_ns_still_gates() {
-        let mk = |ns: i64| {
-            Json::parse(&format!(
-                r#"{{"experiment": "e1", "params": {{}}, "measurements": [],
-                    "wall_ns": {ns}, "counters": {{}}}}"#
-            ))
-            .unwrap()
-        };
-        let report = compare_artifacts(&mk(20_000_000), &mk(90_000_000), &CompareConfig::default());
-        assert_eq!(report.hard_count(), 1);
-        assert_eq!(report.findings[0].path, "wall");
     }
 }

@@ -1,6 +1,6 @@
 //! Experiment harness for the `rmt` reproduction: table formatting,
-//! statistics and timing helpers shared by the E1–E8 experiment binaries and
-//! the Criterion benches.
+//! statistics and timing helpers shared by the E1–E17 experiment binaries,
+//! and the `rmt-bench compare` gate over the artifacts they write.
 //!
 //! Every binary in `src/bin/` regenerates one experiment of
 //! `EXPERIMENTS.md`; run them with `cargo run -p rmt-bench --release --bin
@@ -247,7 +247,7 @@ fn coerce_cell(cell: &str) -> Json {
 /// Parses the compact duration renderings of [`fmt_duration`] and
 /// [`rmt_obs::fmt_ns`] (`"316µs"`, `"1.3ms"`, `"2.00s"`, `"12ns"`) back to
 /// nanoseconds; `None` for anything else.
-pub(crate) fn parse_duration_ns(cell: &str) -> Option<i64> {
+fn parse_duration_ns(cell: &str) -> Option<i64> {
     let (digits, scale) = if let Some(p) = cell.strip_suffix("ns") {
         (p, 1.0)
     } else if let Some(p) = cell.strip_suffix("µs") {

@@ -333,8 +333,8 @@ impl ReceiverState {
         result
     }
 
-    /// [`decide_on`](Self::decide_on), with the cover searches recorded in
-    /// `reg` when one is given.
+    /// [`decide_on`](Self::decide_on), with the search effort recorded in
+    /// `reg` when one is given (see [`decide_observed`](Self::decide_observed)).
     fn search(
         &mut self,
         type1: &BTreeMap<Value, HashSet<Vec<NodeId>>>,
@@ -342,7 +342,7 @@ impl ReceiverState {
         reg: Option<&Registry>,
     ) -> Option<Value> {
         if type1.is_empty() || !self.claims.contains_key(&self.dealer) {
-            return None;
+            return self.tally(None, 0, 0, false, reg);
         }
         let claimed: Vec<(NodeId, &[Arc<Claim>])> = self
             .claims
@@ -396,8 +396,31 @@ impl ReceiverState {
                 }
             }
         }
+        self.tally(result, examined as u64, covers, truncated, reg)
+    }
+
+    /// Adds one search's effort to the state's counters, and to `reg` when
+    /// one is given; returns the search's `result`.
+    fn tally(
+        &mut self,
+        result: Option<Value>,
+        examined: u64,
+        covers: u64,
+        truncated: bool,
+        reg: Option<&Registry>,
+    ) -> Option<Value> {
+        if let Some(reg) = reg {
+            reg.counter("pka.selections_examined").add(examined);
+            reg.counter("pka.covers_checked").add(covers);
+            if result.is_some() {
+                reg.counter("pka.decisions").inc();
+            }
+            if truncated && !self.truncated {
+                reg.counter("pka.truncations").inc();
+            }
+        }
         self.truncated |= truncated;
-        self.selections_examined += examined as u64;
+        self.selections_examined += examined;
         self.covers_checked += covers;
         result
     }
@@ -411,8 +434,9 @@ impl ReceiverState {
     /// * `pka.covers_checked` — adversary-cover searches run (one per
     ///   selection that some value fills);
     /// * `pka.decisions` — calls that returned a value;
-    /// * `pka.truncations` — calls that ran into a budget and abstained
-    ///   conservatively;
+    /// * `pka.truncations` — 1 for the call in which this state first ran
+    ///   into a budget and abstained conservatively, so a state counts at
+    ///   most once however many later calls also overrun;
     /// * `pka.cover.*` — the anchored search's counters, histogram and spans
     ///   for each cover search (see METRICS.md);
     ///
@@ -420,21 +444,7 @@ impl ReceiverState {
     pub fn decide_observed(&mut self, cfg: &DecisionConfig, reg: &Registry) -> Option<Value> {
         let _phase = reg.phase("pka.decide");
         let _timer = reg.timer("pka.decide_ns");
-        let before_examined = self.selections_examined;
-        let before_covers = self.covers_checked;
-        let before_truncated = self.truncated;
-        let result = self.search_own(cfg, Some(reg));
-        reg.counter("pka.selections_examined")
-            .add(self.selections_examined - before_examined);
-        reg.counter("pka.covers_checked")
-            .add(self.covers_checked - before_covers);
-        if result.is_some() {
-            reg.counter("pka.decisions").inc();
-        }
-        if self.truncated && !before_truncated {
-            reg.counter("pka.truncations").inc();
-        }
-        result
+        self.search_own(cfg, Some(reg))
     }
 
     /// Adds this receiver's search effort over its whole run to `reg`, under

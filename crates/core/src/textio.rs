@@ -15,14 +15,15 @@
 //! views adhoc        # adhoc | full | radius K   (default: adhoc)
 //! ```
 //!
-//! Nodes are implicit from edges; `node K` adds an isolated node.
+//! Nodes are implicit from edges; `node K` adds an isolated node. Node ids
+//! are below [`MAX_NODE_ID`].
 
 use std::fmt;
 use std::str::FromStr;
 
 use rmt_adversary::AdversaryStructure;
 use rmt_graph::{Graph, ViewKind};
-use rmt_sets::{NodeId, NodeSet};
+use rmt_sets::{NodeId, NodeSet, MAX_NODE_ID};
 
 use crate::instance::{Instance, InstanceError};
 
@@ -71,9 +72,15 @@ pub fn parse_instance(text: &str) -> Result<Instance, ParseInstanceError> {
         message: message.to_string(),
     };
     let parse_id = |line: usize, tok: &str| -> Result<NodeId, ParseInstanceError> {
-        u32::from_str(tok)
-            .map(NodeId::new)
-            .map_err(|_| err(line, &format!("expected a node id, got `{tok}`")))
+        let id = u32::from_str(tok)
+            .map_err(|_| err(line, &format!("expected a node id, got `{tok}`")))?;
+        if id >= MAX_NODE_ID {
+            return Err(err(
+                line,
+                &format!("node id {id} is not below {MAX_NODE_ID}"),
+            ));
+        }
+        Ok(NodeId::new(id))
     };
 
     for (idx, raw) in text.lines().enumerate() {

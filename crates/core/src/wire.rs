@@ -25,7 +25,7 @@
 
 use rmt_adversary::AdversaryStructure;
 use rmt_graph::Graph;
-use rmt_sets::{NodeId, NodeSet};
+use rmt_sets::{NodeId, NodeSet, MAX_NODE_ID};
 
 /// Where encoders write: a byte buffer, or a [`ByteCount`].
 pub trait Sink {
@@ -120,11 +120,6 @@ pub fn read_u32(bytes: &[u8], pos: &mut usize, what: &str) -> Result<u32, String
     let x = read_u64(bytes, pos, what)?;
     u32::try_from(x).map_err(|_| format!("varint out of range: {what} = {x} exceeds u32"))
 }
-
-/// The bound on a decoded node id. Graphs, node sets and knowledge caches
-/// allocate by id, so an unbounded id from the wire would make a few bytes
-/// cost memory linear in the id.
-pub const MAX_NODE_ID: u32 = 1 << 16;
 
 /// Reads one node id, rejecting any id `≥` [`MAX_NODE_ID`].
 fn read_node(bytes: &[u8], pos: &mut usize, what: &str) -> Result<NodeId, String> {

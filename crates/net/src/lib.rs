@@ -67,7 +67,8 @@ pub use plan::{FaultPlan, LinkPolicy, Partition, PlanError};
 /// e.g. `rmt-hunt`'s attack genomes).
 pub mod codec {
     pub use crate::plan::{
-        field, nodeset_from_json, nodeset_to_json, u32_from_json, u64_from_json, u64_to_json,
+        field, node_from_json, nodeset_from_json, nodeset_to_json, u32_from_json, u64_from_json,
+        u64_to_json,
     };
 }
 pub use rmt_sim::Termination;

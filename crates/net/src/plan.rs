@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use rmt_obs::Json;
-use rmt_sets::{NodeId, NodeSet};
+use rmt_sets::{NodeId, NodeSet, MAX_NODE_ID};
 
 /// Why a serialized fault plan (or message adversary) was rejected.
 ///
@@ -78,6 +78,18 @@ pub fn u32_from_json(v: &Json, at: &str) -> Result<u32, PlanError> {
     u32::try_from(raw).map_err(|_| PlanError::new(at, "does not fit in u32"))
 }
 
+/// Decodes a node id, rejecting any id from [`MAX_NODE_ID`] up.
+pub fn node_from_json(v: &Json, at: &str) -> Result<NodeId, PlanError> {
+    let raw = u64_from_json(v, at)?;
+    if raw >= u64::from(MAX_NODE_ID) {
+        return Err(PlanError::new(
+            at,
+            format!("node id {raw} is not below {MAX_NODE_ID}"),
+        ));
+    }
+    Ok(NodeId::new(raw as u32))
+}
+
 /// Decodes a probability: a finite number in `[0, 1]`.
 fn prob_from_json(v: &Json, at: &str) -> Result<f64, PlanError> {
     let p = match v {
@@ -99,15 +111,14 @@ pub fn nodeset_to_json(set: &NodeSet) -> Json {
     Json::Arr(set.iter().map(|v| Json::Int(i64::from(v.raw()))).collect())
 }
 
-/// Decodes a node set from an array of non-negative integers.
+/// Decodes a node set from an array of node ids (see [`node_from_json`]).
 pub fn nodeset_from_json(v: &Json, at: &str) -> Result<NodeSet, PlanError> {
     let arr = v
         .as_arr()
         .ok_or_else(|| PlanError::new(at, "expected an array of node ids"))?;
     let mut set = NodeSet::new();
     for (i, item) in arr.iter().enumerate() {
-        let raw = u32_from_json(item, &format!("{at}[{i}]"))?;
-        set.insert(NodeId::new(raw));
+        set.insert(node_from_json(item, &format!("{at}[{i}]"))?);
     }
     Ok(set)
 }
@@ -473,11 +484,8 @@ impl FaultPlan {
                 .ok_or_else(|| PlanError::new("links", "expected an array"))?;
             for (i, entry) in arr.iter().enumerate() {
                 let at = format!("links[{i}].");
-                let from = NodeId::new(u32_from_json(
-                    field(entry, "from", &at)?,
-                    &format!("{at}from"),
-                )?);
-                let to = NodeId::new(u32_from_json(field(entry, "to", &at)?, &format!("{at}to"))?);
+                let from = node_from_json(field(entry, "from", &at)?, &format!("{at}from"))?;
+                let to = node_from_json(field(entry, "to", &at)?, &format!("{at}to"))?;
                 let policy =
                     LinkPolicy::from_json(field(entry, "policy", &at)?, &format!("{at}policy."))?;
                 if links.insert((from, to), policy).is_some() {
@@ -496,10 +504,7 @@ impl FaultPlan {
                 .ok_or_else(|| PlanError::new("crashes", "expected an array"))?;
             for (i, entry) in arr.iter().enumerate() {
                 let at = format!("crashes[{i}].");
-                let node = NodeId::new(u32_from_json(
-                    field(entry, "node", &at)?,
-                    &format!("{at}node"),
-                )?);
+                let node = node_from_json(field(entry, "node", &at)?, &format!("{at}node"))?;
                 let round = u32_from_json(field(entry, "round", &at)?, &format!("{at}round"))?;
                 if crashes.insert(node, round).is_some() {
                     return Err(PlanError::new(

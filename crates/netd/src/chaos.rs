@@ -18,7 +18,7 @@
 //! delayed, not destroyed) — unlike a kill, which discards whatever sat in
 //! the dead node's socket buffers.
 
-use rmt_net::codec::{field, u32_from_json, u64_from_json};
+use rmt_net::codec::{field, node_from_json, u32_from_json};
 use rmt_net::PlanError;
 use rmt_obs::Json;
 use rmt_sets::NodeId;
@@ -238,9 +238,9 @@ impl ChaosPlan {
                 .enumerate()
                 .map(|(i, e)| {
                     let at_i = format!("{here}[{i}]");
-                    let node = u64_from_json(field(e, "node", &at_i)?, &at_i)? as u32;
+                    let node = node_from_json(field(e, "node", &at_i)?, &format!("{at_i}.node"))?;
                     let round = u32_from_json(field(e, "round", &at_i)?, &at_i)?;
-                    Ok((NodeId::new(node), round))
+                    Ok((node, round))
                 })
                 .collect()
         };
@@ -254,8 +254,8 @@ impl ChaosPlan {
             .enumerate()
             .map(|(i, e)| {
                 let at_i = format!("{severs_at}[{i}]");
-                let a = NodeId::new(u64_from_json(field(e, "a", &at_i)?, &at_i)? as u32);
-                let b = NodeId::new(u64_from_json(field(e, "b", &at_i)?, &at_i)? as u32);
+                let a = node_from_json(field(e, "a", &at_i)?, &format!("{at_i}.a"))?;
+                let b = node_from_json(field(e, "b", &at_i)?, &format!("{at_i}.b"))?;
                 if a == b {
                     return Err(PlanError::new(at_i, "a sever window needs two endpoints"));
                 }

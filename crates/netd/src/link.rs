@@ -41,6 +41,17 @@ use rmt_sets::NodeId;
 use crate::frame::Frame;
 use crate::stats::NetdStats;
 
+/// Reconnect attempts before a dialer declares the peer dead.
+const RETRY_LIMIT: u32 = 8;
+/// First-retry backoff in milliseconds; doubles per attempt.
+const BACKOFF_BASE_MS: u64 = 5;
+/// Ceiling on a single backoff interval in milliseconds.
+const BACKOFF_CAP_MS: u64 = 100;
+/// Idle interval after which a heartbeat probe is sent.
+const HEARTBEAT_PERIOD_MS: u64 = 100;
+/// Inbound silence after which the connection is presumed dead.
+const HEARTBEAT_TIMEOUT_MS: u64 = 2_000;
+
 /// Transport knobs for every link of a session.
 #[derive(Clone, Debug)]
 pub struct NetdConfig {
@@ -49,18 +60,6 @@ pub struct NetdConfig {
     /// How long a send blocks on a full in-flight window before shedding
     /// with `Backpressure`.
     pub backpressure_wait_ms: u64,
-    /// Reconnect attempts before a dialer declares the peer dead.
-    pub retry_limit: u32,
-    /// First-retry backoff in milliseconds; doubles per attempt.
-    pub backoff_base_ms: u64,
-    /// Ceiling on a single backoff interval in milliseconds.
-    pub backoff_cap_ms: u64,
-    /// Idle interval after which a heartbeat probe is sent.
-    pub heartbeat_period_ms: u64,
-    /// Inbound silence after which the connection is presumed dead.
-    pub heartbeat_timeout_ms: u64,
-    /// How long the coordinator waits for one round's messages to land.
-    pub round_timeout_ms: u64,
     /// Session-wide budget for pacing rounds against physical healing:
     /// when traffic sits queued behind reconnecting links and no further
     /// chaos is scheduled, the round loop waits (against this budget) for
@@ -81,12 +80,6 @@ impl Default for NetdConfig {
         NetdConfig {
             queue_budget: 64,
             backpressure_wait_ms: 2_000,
-            retry_limit: 8,
-            backoff_base_ms: 5,
-            backoff_cap_ms: 100,
-            heartbeat_period_ms: 100,
-            heartbeat_timeout_ms: 2_000,
-            round_timeout_ms: 10_000,
             heal_wait_ms: 2_000,
             mesh_timeout_ms: 10_000,
             max_rounds: None,
@@ -154,9 +147,6 @@ pub fn sink_over<T: Send + 'static>(
     })
 }
 
-/// Spawns the reader thread for a freshly installed connection.
-type ReaderSpawner = Box<dyn Fn(Arc<Link>, TcpStream, u64) + Send + Sync>;
-
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum LinkState {
     /// Not yet connected (or told to reconnect); the dialer is working on it.
@@ -215,7 +205,6 @@ pub struct Link {
     stats: Arc<NetdStats>,
     round: Arc<AtomicU32>,
     sink: LinkSink,
-    reader: ReaderSpawner,
     inner: Mutex<Inner>,
     cond: Condvar,
 }
@@ -245,9 +234,6 @@ impl Link {
             stats,
             round,
             sink,
-            reader: Box::new(|link, stream, epoch| {
-                std::thread::spawn(move || reader_loop(link, stream, epoch));
-            }),
             inner: Mutex::new(Inner {
                 state: LinkState::Connecting,
                 stream: None,
@@ -505,10 +491,9 @@ fn splitmix(mut x: u64) -> u64 {
 /// jittered into `[50%, 150%)` deterministically from the seed.
 fn backoff_ms(cfg: &NetdConfig, me: NodeId, peer: NodeId, attempt: u32) -> u64 {
     let shift = attempt.saturating_sub(1).min(16);
-    let raw = cfg
-        .backoff_base_ms
+    let raw = BACKOFF_BASE_MS
         .saturating_mul(1u64 << shift)
-        .min(cfg.backoff_cap_ms);
+        .min(BACKOFF_CAP_MS);
     let key =
         cfg.seed ^ (u64::from(me.raw()) << 40) ^ (u64::from(peer.raw()) << 20) ^ u64::from(attempt);
     let jitter = splitmix(key) % 1_000; // 0..1000 → 50%..150%
@@ -524,14 +509,12 @@ enum Action {
 /// The supervisor: dials (dialer side), times out a silent peer, sends
 /// heartbeats, flushes the pending queue, declares `GaveUp`.
 fn writer_loop(link: Arc<Link>) {
-    let period = Duration::from_millis(link.cfg.heartbeat_period_ms);
-    let hb_timeout = Duration::from_millis(link.cfg.heartbeat_timeout_ms);
+    let period = Duration::from_millis(HEARTBEAT_PERIOD_MS);
+    let hb_timeout = Duration::from_millis(HEARTBEAT_TIMEOUT_MS);
     // The acceptor side has no retry schedule; it waits as long as the
     // dialer's whole schedule could take before giving up.
-    let accept_grace = Duration::from_millis(
-        (u64::from(link.cfg.retry_limit) + 1) * link.cfg.backoff_cap_ms
-            + link.cfg.heartbeat_timeout_ms,
-    );
+    let accept_grace =
+        Duration::from_millis((u64::from(RETRY_LIMIT) + 1) * BACKOFF_CAP_MS + HEARTBEAT_TIMEOUT_MS);
     loop {
         let action = {
             let mut g = link.inner.lock().expect("link poisoned");
@@ -568,7 +551,7 @@ fn writer_loop(link: Arc<Link>) {
                         continue;
                     }
                     LinkState::Connecting | LinkState::Down if link.dialer => {
-                        if g.attempt > link.cfg.retry_limit {
+                        if g.attempt > RETRY_LIMIT {
                             break Action::GiveUp;
                         }
                         break Action::Dial { attempt: g.attempt };
@@ -729,7 +712,8 @@ fn install(link: &Arc<Link>, stream: TcpStream, peer_expect: u64) -> bool {
     });
     self_notify(link, &mut g);
     drop(g);
-    (link.reader)(Arc::clone(link), reader_half, epoch);
+    let link = Arc::clone(link);
+    std::thread::spawn(move || reader_loop(link, reader_half, epoch));
     true
 }
 
@@ -852,11 +836,6 @@ mod tests {
         NetdConfig {
             queue_budget: 2,
             backpressure_wait_ms: 50,
-            retry_limit: 2,
-            backoff_base_ms: 1,
-            backoff_cap_ms: 4,
-            heartbeat_period_ms: 40,
-            heartbeat_timeout_ms: 400,
             ..NetdConfig::default()
         }
     }
@@ -946,7 +925,8 @@ mod tests {
         let (link, rx, stats) = make_link(0, 1, addr, test_cfg());
         let writer = link.spawn_writer();
         assert_eq!(link.send_msg(0, 5, vec![9]), TxResult::Queued);
-        // retry_limit 2 at ≤4ms backoff: give-up lands well within a second.
+        // RETRY_LIMIT retries whose jittered backoffs sum to under 0.7 s:
+        // give-up lands well within the deadline.
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut shed = Vec::new();
         while Instant::now() < deadline {
@@ -992,8 +972,6 @@ mod tests {
     #[test]
     fn backoff_is_deterministic_and_capped() {
         let cfg = NetdConfig {
-            backoff_base_ms: 10,
-            backoff_cap_ms: 80,
             seed: 42,
             ..NetdConfig::default()
         };
@@ -1002,7 +980,10 @@ mod tests {
         assert_eq!(a, b, "same seed, same jitter");
         for attempt in 1..12 {
             let ms = backoff_ms(&cfg, NodeId::new(0), NodeId::new(1), attempt);
-            assert!(ms <= 120, "cap × 150% jitter bound, got {ms}");
+            assert!(
+                ms <= BACKOFF_CAP_MS * 3 / 2,
+                "cap × 150% jitter bound, got {ms}"
+            );
         }
     }
 }

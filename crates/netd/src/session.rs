@@ -54,6 +54,9 @@ use crate::link::{sink_over, Link, LinkEvent, NetdConfig, TxResult};
 use crate::node::{node_task, NodeCmd, Report};
 use crate::stats::NetdStats;
 
+/// How long the coordinator waits for one round's messages to land.
+const ROUND_TIMEOUT_MS: u64 = 10_000;
+
 /// The result of one socket-backed session.
 pub struct SessionOutcome<Q: Protocol> {
     /// The run's final protocol states and corrupted set.
@@ -420,7 +423,7 @@ impl<P: WirePayload + Send + 'static> Sockets<P> {
     /// Waits until every admission written to a socket this round has been
     /// received (or shed) on the far side.
     fn fence<O: RunObserver>(&mut self, observer: &mut O) -> Result<(), String> {
-        let deadline = Instant::now() + Duration::from_millis(self.cfg.round_timeout_ms);
+        let deadline = Instant::now() + Duration::from_millis(ROUND_TIMEOUT_MS);
         while !self.expected.is_empty() {
             let timeout = deadline.saturating_duration_since(Instant::now());
             match self.reports.recv_timeout(timeout) {
@@ -472,7 +475,7 @@ impl<P: WirePayload + Send + 'static> Sockets<P> {
             "round {} fence timed out after {}ms: {} message(s) written but never received [{}]; \
              {} queued behind down links",
             self.round,
-            self.cfg.round_timeout_ms,
+            ROUND_TIMEOUT_MS,
             missing.len(),
             missing.join(", "),
             self.outstanding.len(),
@@ -534,7 +537,7 @@ impl<P: WirePayload + Send + 'static> Delivery<P> for Sockets<P> {
     /// live tasks and files the rest as arrivals, then waits on the round
     /// fence. A timeout halts the run with its diagnosis.
     fn send<O: RunObserver>(&mut self, round: u32, outbox: Vec<Envelope<P>>, observer: &mut O) {
-        let deadline = Instant::now() + Duration::from_millis(self.cfg.round_timeout_ms);
+        let deadline = Instant::now() + Duration::from_millis(ROUND_TIMEOUT_MS);
         // Every live task gets a `Transmit`, empty or not, and must report
         // back: the round thus waits until each task has applied the
         // round's chaos commands, and replays that land meanwhile join this

@@ -32,5 +32,5 @@ mod node;
 mod nodeset;
 
 pub use iter::{Combinations, Iter, Subsets};
-pub use node::NodeId;
+pub use node::{NodeId, MAX_NODE_ID};
 pub use nodeset::NodeSet;

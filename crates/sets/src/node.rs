@@ -19,6 +19,12 @@ use std::fmt;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
+/// The bound on a node id read from outside the process (wire bytes, JSON,
+/// instance files): decoders reject any id from here up. Graphs, node sets
+/// and knowledge caches allocate by id, so an unbounded id would make a few
+/// bytes of input cost memory linear in the id.
+pub const MAX_NODE_ID: u32 = 1 << 16;
+
 impl NodeId {
     /// Creates a node id from its raw integer value.
     pub const fn new(raw: u32) -> Self {
